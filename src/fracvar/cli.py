@@ -7,16 +7,19 @@ lines end with a bare newline, so identical invocations produce
 byte-identical artifacts.
 
 Exit status: 0 on success, 2 on invalid arguments or inputs, 3 when a
-computation fails numerically (series overflow, solver divergence).
-A one-line diagnostic goes to the error stream in both failure cases.
+computation fails numerically (series overflow, solver divergence, a
+non-finite value in the table). A one-line diagnostic goes to the error
+stream in both failure cases.
 
 --config points at a flat JSON object whose keys are long flag names
-(hyphens or underscores); explicit flags override config values.
+(hyphens or underscores). A value comes from an explicit flag first, then
+from the config file, then from the flag's built-in default.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -25,14 +28,20 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .fracops import FracOrder, SampledPath, Side, frac_deriv
+from .fracops import DEFAULT_NPTS, DEFAULT_T0, DEFAULT_T1, FracOrder, SampledPath, Side, frac_deriv
 from .jet import lift
 from .specfun import ConvergenceError, MLParams, mittag_leffler
-from .varcalc import Variant, action as action_integral, el_residual, make_lagrangian
+from .varcalc import (
+    Variant,
+    action as action_integral,
+    el_residual,
+    lagrangian_catalog,
+    make_lagrangian,
+)
 from .fodesolve import (
-    FODE2,
     DivergenceError,
     MultiTermFDE,
+    _bt_default_forcing,
     find_model,
     model_catalog,
     solve_fode2,
@@ -65,6 +74,10 @@ def _render_json(columns, rows, meta) -> str:
 
 
 def _emit(args, columns, rows, meta_extra=None) -> None:
+    for j, row in enumerate(rows):
+        for c in row:
+            if not (isinstance(c, str) or math.isfinite(c)):
+                raise FloatingPointError(f"{args.command} output is not finite at row {j}")
     meta = {
         "alpha": getattr(args, "alpha", None),
         "h": getattr(args, "_h", None),
@@ -73,8 +86,8 @@ def _emit(args, columns, rows, meta_extra=None) -> None:
     }
     if meta_extra:
         meta.update(meta_extra)
-    fmt = args.format or "csv"
-    text = _render_csv(columns, rows) if fmt == "csv" else _render_json(columns, rows, meta)
+    csv = args.format == "csv"
+    text = _render_csv(columns, rows) if csv else _render_json(columns, rows, meta)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -114,9 +127,14 @@ def _make_fn(args) -> Callable[[float], float]:
 
 
 def _sample(args) -> SampledPath:
-    t0, t1, n = _parse_grid(args.grid)
-    fn = _make_fn(args)
-    return SampledPath.from_function(fn, t0, t1, n)
+    """The input path, from --from-file where given, else the fn flags on --grid."""
+    if getattr(args, "from_file", None):
+        path = _path_from_csv(args.from_file)
+    else:
+        t0, t1, n = _parse_grid(args.grid)
+        path = SampledPath.from_function(_make_fn(args), t0, t1, n)
+    args._h = path.h
+    return path
 
 
 def _path_from_csv(path: str) -> SampledPath:
@@ -149,51 +167,40 @@ def _path_from_csv(path: str) -> SampledPath:
     return SampledPath(float(t[0]), float(h), x)
 
 
-# Lagrangian construction shared by action and el-check.
+def _set_flags(args, names) -> dict:
+    """Flags named like factory parameters; unset ones are None and leave the factory default."""
+    return {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
 
-_LAGRANGIAN_PARAMS = {
-    "bagley-torvik": ("a", "b", "c", "alpha", "coefficients"),
-    "order1-potential": ("alpha", "a1", "a2", "coefficients"),
-    "order2-potential": ("alpha", "a1", "a2", "coefficients"),
-    "order3-potential": ("alpha", "a1", "a2", "coefficients"),
-    "power-law-mixed": ("c", "gamma_exp", "a1", "a2", "alpha", "coefficients"),
-}
+
+# Lagrangian construction shared by action and el-check.
 
 
 def _build_lagrangian(args):
     name = args.lagrangian
-    if name not in _LAGRANGIAN_PARAMS:
-        known = ", ".join(sorted(_LAGRANGIAN_PARAMS))
+    catalog = lagrangian_catalog()
+    if name not in catalog:
+        known = ", ".join(sorted(catalog))
         raise CliError(f"unknown Lagrangian {name!r}; available: {known}")
-    # Unset flags stay None so each factory's own defaults apply.
-    params = {
-        p: getattr(args, p)
-        for p in _LAGRANGIAN_PARAMS[name]
-        if getattr(args, p) is not None
-    }
-    if name in ("order1-potential", "order2-potential", "order3-potential"):
-        q = args.potential_quadratic
-        if q:
-            params["potential"] = lambda t, x: 0.5 * q * x * x
-            params["potential_x"] = lambda t, x: q * x
+    names = inspect.signature(catalog[name]).parameters
+    params = _set_flags(args, names)
+    q = args.potential_quadratic
+    if q and "potential" in names:
+        params["potential"] = lambda t, x: 0.5 * q * x * x
+        params["potential_x"] = lambda t, x: q * x
     if name == "bagley-torvik":
         params["forcing"] = _forcing_from_args(args)
     if name == "power-law-mixed" and args.forcing_fn == "const":
         params["forcing"] = args.forcing_cval
     try:
         return make_lagrangian(name, **params)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(str(exc)) from exc
-
-
-def _manufactured_plate_forcing(t: float) -> float:
-    return 6.0 * t + 6.0 / math.gamma(2.5) * t**1.5 + t**3
 
 
 def _forcing_from_args(args):
     kind = args.forcing_fn
     if kind == "default":
-        return _manufactured_plate_forcing
+        return _bt_default_forcing
     if kind == "zero":
         return None
     if kind == "const":
@@ -208,7 +215,6 @@ def _cmd_deriv(args) -> int:
     if args.alpha <= 0:
         raise CliError("derivative order must be positive")
     path = _sample(args)
-    args._h = path.h
     side = Side.LEFT if args.side == "left" else Side.RIGHT
     out = frac_deriv(path, FracOrder(args.alpha), side)
     rows = list(zip(out.times(), out.values))
@@ -229,7 +235,6 @@ def _cmd_lift(args) -> int:
     if args.k < 1:
         raise CliError("jet order k must be at least 1")
     path = _sample(args)
-    args._h = path.h
     traj = lift((path,), args.alpha, args.k)
     cols = ["t", "x"] + [f"y{a}" for a in range(1, args.k + 1)]
     times = path.times()
@@ -244,7 +249,6 @@ def _cmd_lift(args) -> int:
 def _cmd_action(args) -> int:
     lag = _build_lagrangian(args)
     path = _sample(args)
-    args._h = path.h
     args.alpha = lag.alpha
     traj = lift((path,), lag.alpha, lag.k)
     value = action_integral(lag, traj)
@@ -254,11 +258,7 @@ def _cmd_action(args) -> int:
 
 def _cmd_el_check(args) -> int:
     lag = _build_lagrangian(args)
-    if args.from_file:
-        path = _path_from_csv(args.from_file)
-    else:
-        path = _sample(args)
-    args._h = path.h
+    path = _sample(args)
     args.alpha = lag.alpha
     traj = lift((path,), lag.alpha, lag.k)
     report = el_residual(lag, traj, Variant(args.variant))
@@ -278,33 +278,25 @@ def _cmd_solve(args) -> int:
         model = find_model(args.model)
     except KeyError as exc:
         raise CliError(str(exc)) from exc
-    params = {}
-    for key in model.defaults:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            params[key] = flag
-    if args.t_end is not None:
-        params["t_end"] = args.t_end
+    params = _set_flags(args, model.defaults)
     if args.model == "bagley-torvik" and args.forcing_fn != "default":
         params["forcing"] = _forcing_from_args(args)
     try:
         problem = model.make(args.variant, **params)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    t_end = problem.t_end
-    h = args.h if args.h is not None else t_end / 1024.0
+    h = args.h if args.h is not None else problem.t_end / 1024.0
     args._h = h
     if isinstance(problem, MultiTermFDE):
         report = solve_multiterm(problem, h)
         sol = report.solution
-        rows = list(zip(sol.times(), sol.values))
-        _emit(args, ["t", "x"], rows, {"max_defect": report.max_defect, "model": args.model})
+        cols, rows = ["t", "x"], list(zip(sol.times(), sol.values))
     else:
         report = solve_fode2(problem, h)
         sol, vel = report.solution, report.aux
         args.alpha = problem.alpha
-        rows = list(zip(sol.times(), sol.values, vel.values))
-        _emit(args, ["t", "x", "v"], rows, {"max_defect": report.max_defect, "model": args.model})
+        cols, rows = ["t", "x", "v"], list(zip(sol.times(), sol.values, vel.values))
+    _emit(args, cols, rows, {"max_defect": report.max_defect, "model": args.model})
     return 0
 
 
@@ -326,67 +318,45 @@ def _cmd_models(args) -> int:
 
 # Parser construction and config merging.
 
-_FALLBACKS = {
-    "deriv": {"alpha": 0.5, "side": "left", "fn": "pow", "gamma": 1.0, "cval": 1.0,
-              "center": 0.5, "width": 0.1, "grid": "0:1:1025"},
-    "mlf": {"alpha": 1.0, "z": 0.0, "tol": 1e-14, "max_terms": 10_000},
-    "lift": {"alpha": 0.5, "k": 1, "fn": "pow", "gamma": 1.0, "cval": 1.0,
-             "center": 0.5, "width": 0.1, "grid": "0:1:1025"},
-    "action": {"lagrangian": "order1-potential",
-               "potential_quadratic": 0.0,
-               "forcing_fn": "default", "forcing_cval": 0.0,
-               "fn": "pow", "gamma": 1.0, "cval": 1.0, "center": 0.5, "width": 0.1,
-               "grid": "0:1:1025"},
-    "el-check": {"lagrangian": "order1-potential",
-                 "variant": "classical",
-                 "potential_quadratic": 0.0,
-                 "forcing_fn": "default", "forcing_cval": 0.0,
-                 "fn": "pow", "gamma": 1.0, "cval": 1.0, "center": 0.5, "width": 0.1,
-                 "grid": "0:1:1025", "from_file": None},
-    "solve": {"variant": "fractional", "h": None, "t_end": None,
-              "alpha": None, "a1": None, "a2": None, "b1": None, "f": None,
-              "a": None, "b": None, "c": None, "x0": None, "v0": None,
-              "m": None, "gamma_coef": None,
-              "forcing_fn": "default", "forcing_cval": 0.0},
-    "models": {},
-}
-
 
 def _add_common(sp) -> None:
     sp.add_argument("--config", default=None, help="JSON file supplying flag values")
     sp.add_argument("--out", default=None, help="write the table to this file")
-    sp.add_argument("--format", default=None, choices=["csv", "json"])
+    sp.add_argument("--format", default="csv", choices=["csv", "json"])
 
 
 def _add_fn_flags(sp) -> None:
-    sp.add_argument("--fn", default=None, choices=["pow", "const", "sin", "exp", "bump"])
-    sp.add_argument("--gamma", type=float, default=None, help="exponent for fn=pow")
-    sp.add_argument("--cval", type=float, default=None, help="value for fn=const")
-    sp.add_argument("--center", type=float, default=None, help="center for fn=bump")
-    sp.add_argument("--width", type=float, default=None, help="width for fn=bump")
-    sp.add_argument("--grid", default=None, help="uniform grid t0:T:n (n >= 9)")
+    sp.add_argument("--fn", default="pow", choices=["pow", "const", "sin", "exp", "bump"])
+    sp.add_argument("--gamma", type=float, default=1.0, help="exponent for fn=pow")
+    sp.add_argument("--cval", type=float, default=1.0, help="value for fn=const")
+    sp.add_argument("--center", type=float, default=0.5, help="center for fn=bump")
+    sp.add_argument("--width", type=float, default=0.1, help="width for fn=bump")
+    sp.add_argument("--grid", default=f"{DEFAULT_T0:g}:{DEFAULT_T1:g}:{DEFAULT_NPTS}",
+                    help="uniform grid t0:T:n (n >= 9)")
+
+
+def _add_forcing_flags(sp) -> None:
+    sp.add_argument("--forcing-fn", default="default", choices=["default", "zero", "const"],
+                    dest="forcing_fn")
+    sp.add_argument("--forcing-cval", type=float, default=0.0, dest="forcing_cval")
 
 
 def _add_lagrangian_flags(sp) -> None:
-    sp.add_argument("--lagrangian", default=None)
+    sp.add_argument("--lagrangian", default="order1-potential")
+    # Lagrangian parameters stay None when unset (see _set_flags).
     sp.add_argument(
         "--coefficients", default=None,
         choices=["normalized", "literature", "literature-fractional"],
     )
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--a1", type=float, default=None)
-    sp.add_argument("--a2", type=float, default=None)
-    sp.add_argument("--a", type=float, default=None)
-    sp.add_argument("--b", type=float, default=None)
-    sp.add_argument("--c", type=float, default=None)
+    for flag in ("alpha", "a1", "a2", "a", "b", "c"):
+        sp.add_argument(f"--{flag}", type=float, default=None)
     sp.add_argument("--gamma-exp", type=float, default=None, dest="gamma_exp")
-    sp.add_argument("--potential-quadratic", type=float, default=None, dest="potential_quadratic")
-    sp.add_argument("--forcing-fn", default=None, choices=["default", "zero", "const"],
-                    dest="forcing_fn")
-    sp.add_argument("--forcing-cval", type=float, default=None, dest="forcing_cval")
+    sp.add_argument("--potential-quadratic", type=float, default=0.0, dest="potential_quadratic")
+    _add_forcing_flags(sp)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="fracvar",
         description="fractional derivatives, jet lifts, variational checks, model solving",
@@ -394,23 +364,23 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("deriv", help="fractional derivative of a built-in function")
-    sp.add_argument("--alpha", type=float, default=None, help="derivative order (may exceed 1)")
-    sp.add_argument("--side", default=None, choices=["left", "right"])
+    sp.add_argument("--alpha", type=float, default=0.5, help="derivative order (may exceed 1)")
+    sp.add_argument("--side", default="left", choices=["left", "right"])
     _add_fn_flags(sp)
     _add_common(sp)
     sp.set_defaults(run=_cmd_deriv)
 
-    sp = sub.add_parser("mlf", help="two-parameter exponential series value")
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--z", type=float, default=None)
-    sp.add_argument("--tol", type=float, default=None)
-    sp.add_argument("--max-terms", type=int, default=None, dest="max_terms")
+    sp = sub.add_parser("mlf", help="one-parameter Mittag-Leffler function E_alpha(z)")
+    sp.add_argument("--alpha", type=float, default=1.0)
+    sp.add_argument("--z", type=float, default=0.0)
+    sp.add_argument("--tol", type=float, default=MLParams.tol)
+    sp.add_argument("--max-terms", type=int, default=MLParams.max_terms, dest="max_terms")
     _add_common(sp)
     sp.set_defaults(run=_cmd_mlf)
 
     sp = sub.add_parser("lift", help="jet lift of a built-in function")
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--k", type=int, default=None)
+    sp.add_argument("--alpha", type=float, default=0.5)
+    sp.add_argument("--k", type=int, default=1)
     _add_fn_flags(sp)
     _add_common(sp)
     sp.set_defaults(run=_cmd_lift)
@@ -423,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("el-check", help="stationarity residual along a path")
     _add_lagrangian_flags(sp)
-    sp.add_argument("--variant", default=None, choices=["classical", "fractional"])
+    sp.add_argument("--variant", default="classical", choices=["classical", "fractional"])
     sp.add_argument("--from-file", default=None, dest="from_file",
                     help="CSV with columns t,x instead of --fn")
     _add_fn_flags(sp)
@@ -432,16 +402,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="integrate a catalog model")
     sp.add_argument("--model", required=True)
-    sp.add_argument("--variant", default=None, choices=["classical", "fractional"])
+    sp.add_argument("--variant", default="fractional", choices=["classical", "fractional"])
     sp.add_argument("--h", type=float, default=None, help="step size (default t_end/1024)")
+    # Model parameters stay None when unset (see _set_flags).
     sp.add_argument("--t-end", type=float, default=None, dest="t_end")
     sp.add_argument("--alpha", type=float, default=None)
     for flag in ("a1", "a2", "b1", "f", "a", "b", "c", "x0", "v0", "m"):
         sp.add_argument(f"--{flag}", type=float, default=None)
     sp.add_argument("--gamma-coef", type=float, default=None, dest="gamma_coef")
-    sp.add_argument("--forcing-fn", default=None, choices=["default", "zero", "const"],
-                    dest="forcing_fn")
-    sp.add_argument("--forcing-cval", type=float, default=None, dest="forcing_cval")
+    _add_forcing_flags(sp)
     _add_common(sp)
     sp.set_defaults(run=_cmd_solve)
 
@@ -450,35 +419,38 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.set_defaults(run=_cmd_models)
 
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config(args) -> None:
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(f"cannot load config {args.config}: {exc}") from exc
-        if not isinstance(cfg, dict):
-            raise CliError("config must be a JSON object of flag values")
-        for key, value in cfg.items():
-            norm = key.replace("-", "_")
-            if norm in ("config", "run", "command") or norm.startswith("_") or not hasattr(args, norm):
-                raise CliError(f"config key {key!r} is not a flag of {args.command}")
-            if getattr(args, norm) is None:
-                setattr(args, norm, value)
-    for key, value in _FALLBACKS.get(args.command, {}).items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
+def _load_config(args) -> dict:
+    """Flag values from the --config file, keyed by flag destination."""
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise CliError(f"cannot load config {args.config}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise CliError("config must be a JSON object of flag values")
+    values = {}
+    for key, value in cfg.items():
+        norm = key.replace("-", "_")
+        if norm in ("config", "run", "command") or norm.startswith("_") or not hasattr(args, norm):
+            raise CliError(f"config key {key!r} is not a flag of {args.command}")
+        # A null value leaves the flag unset.
+        if value is not None:
+            values[norm] = value
+    return values
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
-    args._h = None
     try:
-        _apply_config(args)
+        if args.config:
+            # Config values become the subcommand's defaults, so explicit
+            # flags still win when the command line is parsed again.
+            commands[args.command].set_defaults(**_load_config(args))
+            args = parser.parse_args(argv)
         return args.run(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,6 +23,7 @@ update to the explicit Euler step.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
@@ -30,6 +31,7 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .fracops import FracOrder, SampledPath, Side, frac_deriv, gl_weights
+from .varcalc import _as_fn
 
 __all__ = [
     "DivergenceError",
@@ -49,15 +51,6 @@ DIVERGENCE_GUARD = 1e12
 
 class DivergenceError(RuntimeError):
     """Raised when an explicit solve leaves the trust region."""
-
-
-def _as_forcing(value) -> Callable[[float], float]:
-    if value is None:
-        return lambda t: 0.0
-    if callable(value):
-        return value
-    v = float(value)
-    return lambda t: v
 
 
 @dataclass(frozen=True)
@@ -87,7 +80,7 @@ class MultiTermFDE:
         if terms[0][0] == 0.0:
             raise ValueError("the leading coefficient must be nonzero")
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "forcing", _as_forcing(self.forcing))
+        object.__setattr__(self, "forcing", _as_fn(self.forcing))
         if self.t_end <= 0.0:
             raise ValueError("t_end must be positive")
 
@@ -234,20 +227,24 @@ class ModelTemplate:
 
     ``kinds`` maps the variant name to "multiterm" or "fode2", which tells
     callers which solver to use on the object returned by ``make``.
+    ``defaults`` lists the factory's keyword parameters and their defaults.
     """
 
     name: str
     description: str
     kinds: Mapping
-    defaults: Mapping
     factory: Callable = field(repr=False)
+
+    @property
+    def defaults(self) -> dict:
+        params = inspect.signature(self.factory).parameters.values()
+        return {p.name: p.default for p in params if p.default is not p.empty}
 
     def make(self, variant: str, **params):
         if variant not in self.kinds:
             known = ", ".join(sorted(self.kinds))
             raise ValueError(f"model {self.name!r} has no variant {variant!r} (use {known})")
-        merged = {**dict(self.defaults), **params}
-        return self.factory(variant, **merged)
+        return self.factory(variant, **params)
 
 
 def _friction_factory(variant, m=1.0, gamma_coef=0.5, potential=None, x0=0.0, v0=1.0,
@@ -325,30 +322,24 @@ def model_catalog() -> tuple:
             name="friction",
             description="damped motion in a potential: m x'' + g x' - dU/dx = 0",
             kinds={"classical": "fode2", "fractional": "fode2"},
-            defaults={"m": 1.0, "gamma_coef": 0.5, "x0": 0.0, "v0": 1.0,
-                      "alpha": 0.999, "t_end": 2.0},
             factory=_friction_factory,
         ),
         ModelTemplate(
             name="phillips",
             description="stabilization dynamics: x'' + a1 x' + b1 x + f = 0",
             kinds={"classical": "multiterm", "fractional": "fode2"},
-            defaults={"a1": 0.5, "b1": 1.0, "f": 0.2, "x0": 1.0, "v0": 0.0,
-                      "alpha": 0.999, "t_end": 5.0},
             factory=_phillips_factory,
         ),
         ModelTemplate(
             name="business-cycle",
             description="third-order cycle dynamics: x''' + a2 x'' + a1 x' + b1 x + f = 0",
             kinds={"classical": "multiterm", "fractional": "multiterm"},
-            defaults={"a1": 0.5, "a2": 0.5, "b1": 1.0, "f": 0.2, "alpha": 0.5, "t_end": 1.0},
             factory=_business_cycle_factory,
         ),
         ModelTemplate(
             name="bagley-torvik",
             description="damped plate model: a x'' + b D^(3/2) x + c x = f(t)",
             kinds={"classical": "multiterm", "fractional": "multiterm"},
-            defaults={"a": 1.0, "b": 1.0, "c": 1.0, "alpha": 0.25, "t_end": 1.0},
             factory=_bagley_torvik_factory,
         ),
     )

@@ -23,7 +23,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -314,12 +314,3 @@ def ibp_residual(f1: SampledPath, f2: SampledPath, order: FracOrder) -> float:
     i2 = np.trapezoid(f2.values * right_d1, dx=h)
     return float(i1 + i2)
 
-
-def paths_from_functions(
-    fns: Sequence[Callable[[np.ndarray], np.ndarray]],
-    t0: float = DEFAULT_T0,
-    t1: float = DEFAULT_T1,
-    n_pts: int = DEFAULT_NPTS,
-) -> tuple[SampledPath, ...]:
-    """Sample several functions on one shared grid."""
-    return tuple(SampledPath.from_function(f, t0, t1, n_pts) for f in fns)

@@ -26,10 +26,10 @@ tail through the outer derivative and the residual stops converging.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -289,12 +289,28 @@ def _momentum_base_point(traj: JetTrajectory) -> JetPoint:
     p0 = traj.point_at(0)
     y = []
     for a in range(1, traj.k + 1):
-        order_a = traj.alpha * a
-        if abs(order_a - round(order_a)) < 1e-12:
+        if FracOrder(traj.alpha * a).is_integer:
             y.append(p0.y[a - 1])
         else:
             y.append(tuple(0.0 for _ in range(traj.n)))
     return JetPoint(p0.t, p0.x, tuple(y))
+
+
+def _partial_fn(
+    L: Lagrangian, coord: Coord, variant: Variant, fn: Optional[PointFn] = None
+) -> PointFn:
+    """Partial of ``fn`` (default: L) in one coordinate, as momenta take it.
+
+    Classical: the ordinary partial, L's analytic one when present.
+    Fractional: the order-alpha partial from the coordinate's lower terminal.
+    """
+    if variant is Variant.CLASSICAL:
+        if fn is None:
+            return lambda pt: L.classical_partial(coord, pt)
+        return lambda pt: _central_diff(fn, pt, coord)
+    terminal = L.frac_partial_base.get(coord, 0.0)
+    target = L.eval_fn if fn is None else fn
+    return lambda pt: _frac_partial_fn(target, coord, pt, L.alpha, terminal)
 
 
 def el_residual(
@@ -320,18 +336,12 @@ def el_residual(
     points = [traj.point_at(j) for j in range(n_pts)]
     base_point = _momentum_base_point(traj)
 
-    def p_fn(coord: Coord) -> Callable[[JetPoint], float]:
-        if variant is Variant.CLASSICAL:
-            return lambda pt: L.classical_partial(coord, pt)
-        terminal = L.frac_partial_base.get(coord, 0.0)
-        return lambda pt: _frac_partial_fn(L.eval_fn, coord, pt, L.alpha, terminal)
-
     residuals = []
     for i in range(L.n):
-        px = p_fn(("x", i))
+        px = _partial_fn(L, ("x", i), variant)
         res = np.array([px(pt) for pt in points])
         for a in range(1, L.k + 1):
-            pa = p_fn(("y", a, i))
+            pa = _partial_fn(L, ("y", a, i), variant)
             momenta = SampledPath(traj.base[0].t0, traj.h, np.array([pa(pt) for pt in points]))
             base_val = pa(base_point)
             deriv = frac_deriv_from_base(momenta, FracOrder(L.alpha * a), base_val)
@@ -368,20 +378,9 @@ def hessian_g(L: Lagrangian, point: JetPoint, variant: Variant = Variant.CLASSIC
     n = L.n
     g = np.empty((n, n))
     for j in range(n):
-        cj = ("y", 1, j)
-        if variant is Variant.CLASSICAL:
-            first = lambda pt, _cj=cj: L.classical_partial(_cj, pt)
-            for i in range(n):
-                g[i, j] = _central_diff(first, point, ("y", 1, i))
-        else:
-            terminal_j = L.frac_partial_base.get(cj, 0.0)
-            first = lambda pt, _cj=cj, _tj=terminal_j: _frac_partial_fn(
-                L.eval_fn, _cj, pt, L.alpha, _tj
-            )
-            for i in range(n):
-                ci = ("y", 1, i)
-                terminal_i = L.frac_partial_base.get(ci, 0.0)
-                g[i, j] = _frac_partial_fn(first, ci, point, L.alpha, terminal_i)
+        first = _partial_fn(L, ("y", 1, j), variant)
+        for i in range(n):
+            g[i, j] = _partial_fn(L, ("y", 1, i), variant, first)(point)
     det = float(np.linalg.det(g))
     return HessianG(g, det, abs(det) > 1e-10)
 
@@ -401,22 +400,15 @@ def el_explicit_rhs(L: Lagrangian, point: JetPoint) -> tuple[float, ...]:
     hess = hessian_g(L, point, Variant.CLASSICAL)
     if not hess.regular:
         raise ValueError("Lagrangian is singular at this point (det g is zero)")
-    alpha = L.alpha
+    frac = Variant.FRACTIONAL
     n = L.n
     force = np.empty(n)
     for kk in range(n):
-        ck = ("y", 1, kk)
-        terminal_k = L.frac_partial_base.get(ck, 0.0)
-        phi = lambda pt, _ck=ck, _tk=terminal_k: _frac_partial_fn(
-            L.eval_fn, _ck, pt, alpha, _tk
-        )
-        dt_phi = _frac_partial_fn(phi, ("t",), point, alpha, L.frac_partial_base.get(("t",), 0.0))
+        phi = _partial_fn(L, ("y", 1, kk), frac)
+        dt_phi = _partial_fn(L, ("t",), frac, phi)(point)
         for j in range(n):
-            cj = ("x", j)
-            dt_phi += point.y[0][j] * _frac_partial_fn(
-                phi, cj, point, alpha, L.frac_partial_base.get(cj, 0.0)
-            )
-        dx_l = frac_partial(L, ("x", kk), point, alpha)
+            dt_phi += point.y[0][j] * _partial_fn(L, ("x", j), frac, phi)(point)
+        dx_l = _partial_fn(L, ("x", kk), frac)(point)
         force[kk] = dx_l - dt_phi
     m = np.linalg.solve(hess.g, force)
     return tuple(float(v) for v in m)
@@ -434,15 +426,11 @@ def el_explicit_rhs(L: Lagrangian, point: JetPoint) -> tuple[float, ...]:
 # scaling is dropped. "literature" keeps the latter, conventional, factors.
 # ---------------------------------------------------------------------------
 
-_ZERO = lambda t: 0.0
-
-
 def _as_fn(value) -> Callable[[float], float]:
-    if value is None:
-        return _ZERO
+    """A forcing given as None (zero), a constant or a callable of t, as a callable."""
     if callable(value):
         return value
-    v = float(value)
+    v = 0.0 if value is None else float(value)
     return lambda t: v
 
 
@@ -582,8 +570,13 @@ def power_law_mixed_lagrangian(
     """
     f = _as_fn(forcing if forcing is not None else 1.0)
     cp = c * gamma(1 + gamma_exp) / gamma(1 + gamma_exp - alpha)
+    # Where this divisor is zero, gamma(1 + gamma_exp - alpha) has raised at its pole.
+    cpp = cp / (1.0 + gamma_exp - alpha)
+    x_term = lambda p: cpp * f(p.t) * p.x[0] ** (1.0 + gamma_exp - alpha)
+    partial_x = (
+        lambda p: cpp * (1.0 + gamma_exp - alpha) * f(p.t) * p.x[0] ** (gamma_exp - alpha),
+    )
     if coefficients == "normalized":
-        cpp = cp / (1.0 + gamma_exp - alpha)
         denom = 1.0 / gamma(1 + alpha) - 1.0 / gamma(1 + 2 * alpha)
         if abs(denom) < 1e-8:
             raise ValueError(
@@ -596,30 +589,25 @@ def power_law_mixed_lagrangian(
             k=2,
             n=1,
             alpha=alpha,
-            eval_fn=lambda p: cpp * f(p.t) * p.x[0] ** (1.0 + gamma_exp - alpha)
+            eval_fn=lambda p: x_term(p)
             - 0.5 * a1 * c1 * p.y[0][0] ** 2
             + beta * p.y[0][0] * p.y[1][0],
-            partial_x=(
-                lambda p: cpp * (1.0 + gamma_exp - alpha) * f(p.t) * p.x[0] ** (gamma_exp - alpha),
-            ),
+            partial_x=partial_x,
             partial_y=(
                 (lambda p: -a1 * c1 * p.y[0][0] + beta * p.y[1][0],),
                 (lambda p: beta * p.y[0][0],),
             ),
         )
     if coefficients == "literature":
-        cpp = cp / (1.0 + gamma_exp - alpha)
         c1, c2 = gamma(1 + 2 * alpha), gamma(1 + 3 * alpha)
         return Lagrangian(
             k=2,
             n=1,
             alpha=alpha,
-            eval_fn=lambda p: cpp * f(p.t) * p.x[0] ** (1.0 + gamma_exp - alpha)
+            eval_fn=lambda p: x_term(p)
             - 0.5 * a1 * c1 * p.y[0][0] ** 2
             + 0.5 * a2 * c2 * p.y[1][0] ** 2,
-            partial_x=(
-                lambda p: cpp * (1.0 + gamma_exp - alpha) * f(p.t) * p.x[0] ** (gamma_exp - alpha),
-            ),
+            partial_x=partial_x,
             partial_y=(
                 (lambda p: -a1 * c1 * p.y[0][0],),
                 (lambda p: a2 * c2 * p.y[1][0],),
@@ -646,9 +634,9 @@ def lagrangian_catalog() -> dict:
     """Name to factory mapping for the built-in Lagrangians."""
     return {
         "bagley-torvik": bagley_torvik_lagrangian,
-        "order1-potential": lambda **kw: order_potential_lagrangian(1, **kw),
-        "order2-potential": lambda **kw: order_potential_lagrangian(2, **kw),
-        "order3-potential": lambda **kw: order_potential_lagrangian(3, **kw),
+        "order1-potential": functools.partial(order_potential_lagrangian, 1),
+        "order2-potential": functools.partial(order_potential_lagrangian, 2),
+        "order3-potential": functools.partial(order_potential_lagrangian, 3),
         "power-law-mixed": power_law_mixed_lagrangian,
     }
 

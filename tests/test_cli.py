@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from fracvar import SampledPath, action, lift, make_lagrangian
 from fracvar.cli import main
 
 
@@ -104,6 +105,24 @@ def test_el_check_file_errors(capsys, tmp_path):
     assert "uniform" in err
 
 
+# t**-1 is infinite at the base node, so every derivative row is NaN;
+# exp(800) overflows the last rows of the sampled path.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv, row",
+    [
+        (["deriv", "--fn", "pow", "--gamma", "-1", "--grid", "0:1:9"], 0),
+        (["lift", "--fn", "exp", "--grid", "0:800:33", "--k", "2"], 29),
+    ],
+    ids=["deriv", "lift"],
+)
+def test_non_finite_table_is_a_numerical_error(capsys, argv, row):
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert f"{argv[0]} output is not finite at row {row}" in err
+
+
 # === output formats =========================================================
 
 
@@ -168,7 +187,46 @@ def test_values_print_with_full_precision(capsys):
     assert len(printed.replace(".", "").lstrip("0")) >= 16
 
 
-# === config files ===========================================================
+# === defaults and config files =============================================
+
+
+def test_bare_commands_use_the_documented_defaults(capsys):
+    bare = run(capsys, ["deriv"])
+    explicit = run(
+        capsys, ["deriv", "--alpha", "0.5", "--fn", "pow", "--gamma", "1", "--grid", "0:1:1025"]
+    )
+    assert bare == explicit
+    assert bare[0] == 0
+    assert run(capsys, ["mlf"]) == (0, "value\n1\n", "")
+
+
+def test_deriv_config_supplies_grid_and_fn(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": "0:1:65", "fn": "sin", "alpha": 0.25}))
+    from_config = run(capsys, ["deriv", "--config", str(cfg), "--alpha", "0.75"])
+    explicit = run(capsys, ["deriv", "--alpha", "0.75", "--fn", "sin", "--grid", "0:1:65"])
+    assert from_config == explicit
+    assert len(from_config[1].strip().split("\n")) == 66
+
+
+def test_lift_config_supplies_k(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k": 3}))
+    from_config = run(capsys, ["lift", "--config", str(cfg), "--grid", "0:1:33"])
+    assert from_config == run(capsys, ["lift", "--k", "3", "--grid", "0:1:33"])
+    assert from_config[1].split("\n")[0] == "t,x,y1,y2,y3"
+
+
+def test_solve_config_supplies_model_parameters(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"b1": 2.0, "x0": 0.5, "h": 0.01}))
+    base = ["solve", "--model", "phillips"]
+    from_config = run(capsys, base + ["--config", str(cfg)])
+    assert from_config[0] == 0
+    assert from_config == run(capsys, base + ["--b1", "2", "--x0", "0.5", "--h", "0.01"])
+    overridden = run(capsys, base + ["--config", str(cfg), "--b1", "3"])
+    assert overridden == run(capsys, base + ["--b1", "3", "--x0", "0.5", "--h", "0.01"])
+    assert overridden != from_config
 
 
 def test_config_supplies_missing_flags(capsys, tmp_path):
@@ -207,6 +265,14 @@ def test_action_prints_a_number(capsys):
     assert code == 0
     assert out.split("\n")[0] == "action"
     assert float(out.split("\n")[1]) == pytest.approx(-0.31864417782006327, abs=1e-12)
+
+
+def test_lagrangian_flags_reach_the_factory(capsys):
+    code, out, _ = run(capsys, ["action", "--lagrangian", "power-law-mixed", "--gamma-exp", "1.5"])
+    assert code == 0
+    lag = make_lagrangian("power-law-mixed", gamma_exp=1.5)
+    path = SampledPath.from_function(lambda t: t**1.0, 0.0, 1.0, 1025)
+    assert float(out.split("\n")[1]) == action(lag, lift(path, lag.alpha, lag.k))
 
 
 def test_solve_then_el_check_round_trip(capsys, tmp_path):

@@ -15,7 +15,6 @@ from fracvar.fracops import (
     gl_weights,
     ibp_residual,
     leibniz_series,
-    paths_from_functions,
 )
 from fracvar.specfun import gamma
 
@@ -23,6 +22,10 @@ from fracvar.specfun import gamma
 def grid_path(fn, h, t0=0.0, t1=1.0):
     n = int(round((t1 - t0) / h)) + 1
     return SampledPath.from_function(fn, t0, t1, n)
+
+
+def sampled_pair(fns, t0, t1, n):
+    return tuple(SampledPath.from_function(f, t0, t1, n) for f in fns)
 
 
 def interior(values, h, t_min=0.1):
@@ -273,7 +276,7 @@ def test_from_base_composes_exactly_with_raw_history():
 
 @pytest.fixture
 def linear_pair():
-    return paths_from_functions([lambda t: t, lambda t: t], 0.1, 1.0, 1025)
+    return sampled_pair([lambda t: t, lambda t: t], 0.1, 1.0, 1025)
 
 
 def test_leibniz_series_converges_to_product_derivative(linear_pair):
@@ -321,7 +324,7 @@ def smooth_bump(center, width):
 @pytest.mark.parametrize("h", [2**-10, 2**-11, 2**-12])
 def test_parts_identity_on_disjoint_bumps(h):
     n = int(round(1.0 / h)) + 1
-    f1, f2 = paths_from_functions(
+    f1, f2 = sampled_pair(
         [smooth_bump(0.7, 0.12), smooth_bump(0.3, 0.12)], 0.0, 1.0, n
     )
     order = FracOrder(0.5)
@@ -334,13 +337,13 @@ def test_parts_identity_on_disjoint_bumps(h):
 
 
 def test_parts_identity_warns_on_boundary_support():
-    f1, f2 = paths_from_functions([np.sin, np.cos], 0.0, 1.0, 257)
+    f1, f2 = sampled_pair([np.sin, np.cos], 0.0, 1.0, 257)
     with pytest.warns(RuntimeWarning):
         ibp_residual(f1, f2, FracOrder(0.5))
 
 
 def test_parts_identity_rejects_high_orders():
-    f1, f2 = paths_from_functions(
+    f1, f2 = sampled_pair(
         [smooth_bump(0.7, 0.12), smooth_bump(0.3, 0.12)], 0.0, 1.0, 257
     )
     with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fracvar.fracops import FracOrder, SampledPath, frac_deriv, paths_from_functions
+from fracvar.fracops import FracOrder, SampledPath, frac_deriv
 from fracvar.jet import JetPoint, JetTrajectory, lift, taylor_reconstruct
 from fracvar.specfun import gamma
 
@@ -71,7 +71,8 @@ def test_lift_monomial_top_level_is_constant():
 
 def test_lift_is_linear():
     alpha, k = 0.3, 2
-    f, g = paths_from_functions([lambda t: t**2, lambda t: np.sin(t)], 0.0, 1.0, 257)
+    f = SampledPath.from_function(lambda t: t**2, 0.0, 1.0, 257)
+    g = SampledPath.from_function(np.sin, 0.0, 1.0, 257)
     combo = f.with_values(2.0 * f.values - 0.5 * g.values)
     ta = lift(f, alpha, k)
     tb = lift(g, alpha, k)
