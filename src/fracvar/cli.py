@@ -13,7 +13,8 @@ stream in both failure cases.
 
 --config points at a flat JSON object whose keys are long flag names
 (hyphens or underscores). A value comes from an explicit flag first, then
-from the config file, then from the flag's built-in default.
+from the config file, then from the flag's built-in default. Each config
+value must have its flag's type and lie among its choices.
 """
 
 from __future__ import annotations
@@ -187,10 +188,8 @@ def _build_lagrangian(args):
     if q and "potential" in names:
         params["potential"] = lambda t, x: 0.5 * q * x * x
         params["potential_x"] = lambda t, x: q * x
-    if name == "bagley-torvik":
+    if name == "bagley-torvik" or (name == "power-law-mixed" and args.forcing_fn != "default"):
         params["forcing"] = _forcing_from_args(args)
-    if name == "power-law-mixed" and args.forcing_fn == "const":
-        params["forcing"] = args.forcing_cval
     try:
         return make_lagrangian(name, **params)
     except ValueError as exc:
@@ -202,7 +201,7 @@ def _forcing_from_args(args):
     if kind == "default":
         return _bt_default_forcing
     if kind == "zero":
-        return None
+        return 0.0
     if kind == "const":
         return args.forcing_cval
     raise CliError(f"unknown forcing selector {kind!r}")
@@ -422,7 +421,23 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, sub.choices
 
 
-def _load_config(args) -> dict:
+def _check_config_value(key: str, value, action: argparse.Action) -> None:
+    """Reject a config value that the flag could not take on the command line."""
+    kind = action.type or str
+    accepted = {float: (str, int, float), int: (str, int)}.get(kind, (str,))
+    try:
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ValueError
+        converted = kind(value)
+    except (ValueError, OverflowError):
+        expected = {float: "a number", int: "an integer"}.get(kind, "a string")
+        raise CliError(f"config key {key!r} must be {expected}, got {json.dumps(value)}") from None
+    if action.choices is not None and converted not in action.choices:
+        known = ", ".join(map(str, action.choices))
+        raise CliError(f"config key {key!r} must be one of {known}, got {json.dumps(value)}")
+
+
+def _load_config(args, parser: argparse.ArgumentParser) -> dict:
     """Flag values from the --config file, keyed by flag destination."""
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -431,13 +446,15 @@ def _load_config(args) -> dict:
         raise CliError(f"cannot load config {args.config}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise CliError("config must be a JSON object of flag values")
+    actions = {a.dest: a for a in parser._actions}
     values = {}
     for key, value in cfg.items():
         norm = key.replace("-", "_")
-        if norm in ("config", "run", "command") or norm.startswith("_") or not hasattr(args, norm):
+        if norm in ("config", "help") or norm not in actions:
             raise CliError(f"config key {key!r} is not a flag of {args.command}")
         # A null value leaves the flag unset.
         if value is not None:
+            _check_config_value(key, value, actions[norm])
             values[norm] = value
     return values
 
@@ -449,7 +466,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.config:
             # Config values become the subcommand's defaults, so explicit
             # flags still win when the command line is parsed again.
-            commands[args.command].set_defaults(**_load_config(args))
+            sub = commands[args.command]
+            sub.set_defaults(**_load_config(args, sub))
             args = parser.parse_args(argv)
         return args.run(args)
     except CliError as exc:

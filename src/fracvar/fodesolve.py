@@ -19,6 +19,15 @@ Both solvers use the same convolution-weight discretization as the rest of
 the package, so their output composes consistently with ``frac_deriv`` for
 residual checks. Alpha equal to one is allowed in ``FODE2`` and reduces the
 update to the explicit Euler step.
+
+Every history sum, in the stepping loops and in the defect checks, goes
+through the kernel ``fracops._history``. Up to 1024 nodes, and for
+integer orders, it sums directly, O(n**2). On longer grids it steps
+through blocks of 512 nodes: before a block starts, the history of all
+earlier blocks enters through FFTs of length 1024, and inside the block
+each node adds a dot product over the block's nodes before it, so a step
+costs O(512) and a solve O(n * 512 + n**2 / 512). Each node still reads
+only the nodes before it: the schemes stay exactly causal.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .fracops import FracOrder, SampledPath, Side, frac_deriv, gl_weights
+from .fracops import FracOrder, SampledPath, Side, _history, frac_deriv, gl_weights
 from .varcalc import _as_fn
 
 __all__ = [
@@ -140,26 +149,32 @@ def _grid_steps(t_end: float, h: float) -> int:
 def solve_multiterm(fde: MultiTermFDE, h: float) -> SolveReport:
     """Implicit stepping of a linear multi-term equation.
 
-    Each step solves A x_j = f_j - (history sums), where A collects the
-    zeroth-lag weight of every operator plus the zero-order coefficient.
+    Node j solves A x_j = f_j - sum_i s_i H_i(j), where s_i = c_i h**(-mu_i),
+    H_i(j) is term i's history sum over the nodes before j, and A collects
+    the zeroth-lag weight of every operator plus the zero-order coefficient.
+    Each term keeps its own history, stepped by ``fracops._history``.
     """
     steps = _grid_steps(fde.t_end, h)
     n = steps + 1
-    scaled = [(c * h ** (-mu), gl_weights(FracOrder(mu), n)) for c, mu in fde.terms]
-    diag = fde.zero_order_coeff + sum(s for s, _ in scaled)
+    scales = [c * h ** (-mu) for c, mu in fde.terms]
+    weights = np.array([gl_weights(FracOrder(mu), n) for _, mu in fde.terms])
+    diag = fde.zero_order_coeff + sum(scales)
     if diag == 0.0:
         raise ValueError("degenerate implicit update: operator diagonal is zero at this h")
     t = h * np.arange(n)
     f = np.array([fde.forcing(ti) for ti in t])
     x = np.zeros(n)
-    for j in range(1, n):
+
+    def step(j, hists):
         hist = 0.0
-        for s, w in scaled:
-            hist += s * float(np.dot(w[1 : j + 1], x[j - 1 :: -1][:j]))
-        x[j] = (f[j] - hist) / diag
+        for s, hv in zip(scales, hists):
+            hist += s * hv
+        return ((f[j] - hist) / diag,)
+
+    _history(x, weights, step)
     lhs = fde.zero_order_coeff * x
-    for (c, mu), (s, w) in zip(fde.terms, scaled):
-        lhs = lhs + s * np.convolve(x, w)[:n]
+    for s, y in zip(scales, _history(x, weights)):
+        lhs = lhs + s * y
     defect = float(np.max(np.abs(lhs[1:] - f[1:])))
     return SolveReport(SampledPath(0.0, h, x), defect, steps)
 
@@ -168,30 +183,32 @@ def solve_fode2(fode: FODE2, h: float) -> SolveReport:
     """Explicit stepping of the coupled pair with lagged right side.
 
     Advances X = x - x0 and V = v - v0, both with zero history, using the
-    convolution weights of order alpha. Raises DivergenceError when a node
-    passes the trust bound.
+    convolution weights of order alpha. X and V are stepped as the two rows
+    of one array, so one ``fracops._history`` call serves both. Raises
+    DivergenceError when a node passes the trust bound.
     """
     steps = _grid_steps(fode.t_end, h)
     n = steps + 1
     w = gl_weights(FracOrder(fode.alpha), n)
     ha = h**fode.alpha
-    big_x = np.zeros(n)
-    big_v = np.zeros(n)
-    for j in range(1, n):
-        hist_v = float(np.dot(w[1 : j + 1], big_v[j - 1 :: -1][:j]))
-        hist_x = float(np.dot(w[1 : j + 1], big_x[j - 1 :: -1][:j]))
-        t_prev = h * (j - 1)
-        f_prev = fode.rhs(t_prev, fode.x0 + big_x[j - 1], fode.v0 + big_v[j - 1])
-        big_v[j] = -hist_v + ha * f_prev
-        big_x[j] = -hist_x + ha * (fode.v0 + big_v[j - 1])
-        if abs(big_x[j]) > DIVERGENCE_GUARD or abs(big_v[j]) > DIVERGENCE_GUARD:
+    big_xv = np.zeros((2, n))
+
+    def step(j, hists):
+        hist_x, hist_v = hists
+        big_x, big_v = big_xv[0, j - 1], big_xv[1, j - 1]
+        f_prev = fode.rhs(h * (j - 1), fode.x0 + big_x, fode.v0 + big_v)
+        v_j = -hist_v + ha * f_prev
+        x_j = -hist_x + ha * (fode.v0 + big_v)
+        if abs(x_j) > DIVERGENCE_GUARD or abs(v_j) > DIVERGENCE_GUARD:
             raise DivergenceError(f"solution exceeded {DIVERGENCE_GUARD:g} at t = {h * j:g}")
-    x = fode.x0 + big_x
-    v = fode.v0 + big_v
+        return x_j, v_j
+
+    _history(big_xv, w, step)
+    x = fode.x0 + big_xv[0]
+    v = fode.v0 + big_xv[1]
     t = h * np.arange(n)
     f_now = np.array([fode.rhs(t[j], x[j], v[j]) for j in range(n)])
-    dx = h ** (-fode.alpha) * np.convolve(big_x, w)[:n]
-    dv = h ** (-fode.alpha) * np.convolve(big_v, w)[:n]
+    dx, dv = h ** (-fode.alpha) * _history(big_xv, w)
     defect = float(max(np.max(np.abs(dx[1:] - v[1:])), np.max(np.abs(dv[1:] - f_now[1:]))))
     return SolveReport(SampledPath(0.0, h, x), defect, steps, SampledPath(0.0, h, v))
 

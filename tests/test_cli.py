@@ -253,6 +253,32 @@ def test_unknown_config_key_is_rejected(capsys, tmp_path):
     assert "zz" in err
 
 
+@pytest.mark.parametrize(
+    "command, values, key",
+    [
+        ("lift", {"k": 2.5}, "k"),
+        ("lift", {"k": True}, "k"),
+        ("deriv", {"alpha": "x"}, "alpha"),
+        ("deriv", {"grid": [1]}, "grid"),
+        ("deriv", {"format": "xml"}, "format"),
+    ],
+)
+def test_config_values_are_type_checked(capsys, tmp_path, command, values, key):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(values))
+    code, out, err = run(capsys, [command, "--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: config key {key!r}")
+
+
+def test_config_accepts_integers_for_float_flags(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": 1, "grid": "0:1:17"}))
+    from_config = run(capsys, ["deriv", "--config", str(cfg)])
+    assert from_config[0] == 0
+    assert from_config == run(capsys, ["deriv", "--alpha", "1", "--grid", "0:1:17"])
+
+
 # === round trips ============================================================
 
 
@@ -273,6 +299,28 @@ def test_lagrangian_flags_reach_the_factory(capsys):
     lag = make_lagrangian("power-law-mixed", gamma_exp=1.5)
     path = SampledPath.from_function(lambda t: t**1.0, 0.0, 1.0, 1025)
     assert float(out.split("\n")[1]) == action(lag, lift(path, lag.alpha, lag.k))
+
+
+def test_zero_forcing_selector_reaches_the_plate_model(capsys):
+    code, out, _ = run(
+        capsys,
+        ["solve", "--model", "bagley-torvik", "--variant", "classical", "--h", str(2**-6),
+         "--forcing-fn", "zero"],
+    )
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert header == ["t", "x"] and len(rows) == 65
+    assert all(x == 0.0 for _, x in rows)
+
+
+def test_zero_forcing_selector_reaches_power_law_mixed(capsys):
+    code, out, _ = run(capsys, ["action", "--lagrangian", "power-law-mixed", "--forcing-fn", "zero"])
+    assert code == 0
+    lag = make_lagrangian("power-law-mixed", forcing=0.0)
+    path = SampledPath.from_function(lambda t: t**1.0, 0.0, 1.0, 1025)
+    value = action(lag, lift(path, lag.alpha, lag.k))
+    assert float(out.split("\n")[1]) == value
+    assert value != action(make_lagrangian("power-law-mixed"), lift(path, lag.alpha, lag.k))
 
 
 def test_solve_then_el_check_round_trip(capsys, tmp_path):

@@ -208,6 +208,58 @@ def test_solvers_agree_on_shared_problem():
     assert diff <= 1e-2
 
 
+# === fractional regime oracle ===============================================
+
+
+def mittag_leffler_series(a, z):
+    """E_a(z) = sum_k z**k / Gamma(a k + 1) on an array, for |z| <= 1."""
+    z = np.asarray(z, dtype=float)
+    total = np.zeros_like(z)
+    k = 0
+    while True:
+        term = z**k / math.gamma(a * k + 1.0)
+        total += term
+        k += 1
+        if k > 2 and np.max(np.abs(term)) < 1e-17:
+            return total
+
+
+def first_order_errors(solve, exact):
+    errs = []
+    for h in (2**-9, 2**-10, 2**-11):  # 2049 nodes at the finest step
+        sol = solve(h).solution
+        t = sol.times()
+        late = t >= 0.1
+        errs.append(np.max(np.abs(sol.values[late] - exact(t[late]))))
+    return errs
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+def test_multiterm_relaxation_converges_at_first_order(alpha):
+    # D^alpha x + x = 1 from zero history: x = 1 - E_alpha(-t^alpha)
+    fde = MultiTermFDE(terms=((1.0, alpha),), zero_order_coeff=1.0, forcing=1.0)
+    errs = first_order_errors(
+        lambda h: solve_multiterm(fde, h),
+        lambda t: 1.0 - mittag_leffler_series(alpha, -(t**alpha)),
+    )
+    assert errs[0] <= 2e-3
+    assert 0.45 <= errs[1] / errs[0] <= 0.55
+    assert 0.45 <= errs[2] / errs[1] <= 0.55
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+def test_fode2_oscillator_converges_at_first_order(alpha):
+    # D^alpha x = v, D^alpha v = -x, x(0) = 1: x = E_{2 alpha}(-t^{2 alpha})
+    fode = FODE2(alpha=alpha, rhs=lambda t, x, v: -x, x0=1.0)
+    errs = first_order_errors(
+        lambda h: solve_fode2(fode, h),
+        lambda t: mittag_leffler_series(2.0 * alpha, -(t ** (2.0 * alpha))),
+    )
+    assert errs[0] <= 2e-3
+    assert 0.45 <= errs[1] / errs[0] <= 0.55
+    assert 0.45 <= errs[2] / errs[1] <= 0.55
+
+
 # === model templates ========================================================
 
 

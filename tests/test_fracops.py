@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import binom
 
 from fracvar.fracops import (
+    _BLOCK,
     FracOrder,
     SampledPath,
     Side,
@@ -14,6 +17,8 @@ from fracvar.fracops import (
     frac_deriv_from_base,
     gl_weights,
     ibp_residual,
+    _history,
+    _weights,
     leibniz_series,
 )
 from fracvar.specfun import gamma
@@ -348,3 +353,83 @@ def test_parts_identity_rejects_high_orders():
     )
     with pytest.raises(ValueError):
         ibp_residual(f1, f2, FracOrder(1.5))
+
+
+# === history kernel =========================================================
+
+# Lengths on both sides of the direct/blocked switch and of block boundaries.
+KERNEL_LENGTHS = st.sampled_from(
+    [2 * _BLOCK, 2 * _BLOCK + 1, 3 * _BLOCK - 1, 3 * _BLOCK + 1, 4 * _BLOCK, 5 * _BLOCK + 1]
+)
+KERNEL_ORDERS = st.floats(-1.5, 2.5)
+
+
+def kernel_input(seed, n, scale):
+    rng = np.random.default_rng(seed)
+    return scale * rng.standard_normal(n)
+
+
+def assert_near_direct(out, g, w):
+    n = g.size
+    direct = np.convolve(g, w)[:n]
+    bound = 1e-13 * np.convolve(np.abs(g), np.abs(w))[:n]
+    assert np.all(np.abs(out - direct) <= bound)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=KERNEL_LENGTHS, mu=KERNEL_ORDERS,
+       scale=st.floats(1e-3, 1e3))
+def test_history_matches_direct_convolution(seed, n, mu, scale):
+    g, w = kernel_input(seed, n, scale), _weights(mu, n)
+    assert_near_direct(_history(g, w), g, w)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=KERNEL_LENGTHS, mu=KERNEL_ORDERS,
+       bump=st.floats(0.0, 1.0), size=st.floats(1e-6, 1e3))
+def test_history_is_exactly_causal(seed, n, mu, bump, size):
+    g, w = kernel_input(seed, n, 1.0), _weights(mu, n)
+    p = int(bump * (n - 1))
+    bumped = g.copy()
+    bumped[p] += size
+    before, after = _history(g, w), _history(bumped, w)
+    assert np.array_equal(before[:p], after[:p])
+    assert after[p] != before[p]
+
+
+@pytest.mark.parametrize("n", [2 * _BLOCK, 3 * _BLOCK + 1])
+@pytest.mark.parametrize("mu", [-0.7, 0.5, 1.5])
+def test_history_of_zero_is_exactly_zero(n, mu):
+    out = _history(np.zeros(n), _weights(mu, n))
+    assert np.all(out == 0.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=KERNEL_LENGTHS, mu=KERNEL_ORDERS)
+def test_history_rows_equal_single_rows(seed, n, mu):
+    g2, w = kernel_input(seed, 2 * n, 1.0).reshape(2, n), _weights(mu, n)
+    both = _history(g2, w)
+    assert both.shape == (2, n)
+    assert np.array_equal(both[0], _history(g2[0], w))
+    assert np.array_equal(both[1], _history(g2[1], w))
+    ws = np.array([w, _weights(mu / 2, n)])
+    per_weight = _history(g2[0], ws)
+    assert np.array_equal(per_weight[1], _history(g2[0], ws[1]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=KERNEL_LENGTHS, mu=KERNEL_ORDERS)
+def test_online_history_matches_offline(seed, n, mu):
+    target, w = kernel_input(seed, n, 1.0), _weights(mu, n)
+    g = np.zeros(n)
+    g[0] = target[0]
+    seen = np.zeros(n)
+
+    def step(j, hist):
+        assert np.all(g[j:] == 0.0)  # nodes from j on are not written yet
+        seen[j] = hist[0]
+        return (target[j],)
+
+    assert _history(g, w, step) is None
+    assert np.array_equal(g, target)
+    assert_near_direct(seen + w[0] * g, g, w)
