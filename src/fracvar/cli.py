@@ -50,6 +50,10 @@ from .fodesolve import (
 )
 
 
+# Fewest nodes a grid or a sampled input may have.
+_MIN_NODES = 9
+
+
 class CliError(Exception):
     """Invalid arguments or inputs; mapped to exit status 2."""
 
@@ -102,8 +106,8 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         t0, t1, n = float(t0_s), float(t1_s), int(n_s)
     except ValueError as exc:
         raise CliError(f"grid must look like t0:T:n, got {text!r}") from exc
-    if n < 9:
-        raise CliError(f"grid too short: need at least 9 nodes, got {n}")
+    if n < _MIN_NODES:
+        raise CliError(f"grid too short: need at least {_MIN_NODES} nodes, got {n}")
     if not t1 > t0:
         raise CliError("grid end must exceed its start")
     return t0, t1, n
@@ -160,8 +164,8 @@ def _path_from_csv(path: str) -> SampledPath:
     except (ValueError, IndexError) as exc:
         raise CliError(f"{path} has malformed rows: {exc}") from exc
     t, x = data[:, 0], data[:, 1]
-    if len(t) < 9:
-        raise CliError("sampled input too short: need at least 9 nodes")
+    if len(t) < _MIN_NODES:
+        raise CliError(f"sampled input too short: need at least {_MIN_NODES} nodes")
     h = t[1] - t[0]
     if h <= 0 or np.max(np.abs(np.diff(t) - h)) > 1e-9 * max(1.0, abs(h)):
         raise CliError("sampled input must sit on a uniform time grid")
@@ -331,7 +335,7 @@ def _add_fn_flags(sp) -> None:
     sp.add_argument("--center", type=float, default=0.5, help="center for fn=bump")
     sp.add_argument("--width", type=float, default=0.1, help="width for fn=bump")
     sp.add_argument("--grid", default=f"{DEFAULT_T0:g}:{DEFAULT_T1:g}:{DEFAULT_NPTS}",
-                    help="uniform grid t0:T:n (n >= 9)")
+                    help=f"uniform grid t0:T:n (n >= {_MIN_NODES})")
 
 
 def _add_forcing_flags(sp) -> None:

@@ -4,9 +4,9 @@ Two problem shapes are covered. ``MultiTermFDE`` is a linear equation
 
     sum_i c_i D^(mu_i) x(t) + c_0 x(t) = f(t),   x and its startup history 0,
 
-solved with an implicit update: every history sum is evaluated with the new
-node included, and the resulting scalar linear equation is solved for the
-node. ``FODE2`` is the coupled first-order-in-alpha system
+solved implicitly: every history sum includes the new node, so the
+discrete equations form one lower-triangular Toeplitz system, solved a
+block of nodes at a time. ``FODE2`` is the coupled first-order-in-alpha system
 
     D^alpha x = v,  D^alpha v = F(t, x, v),  x(0) = x0, v(0) = v0,
 
@@ -20,14 +20,17 @@ the package, so their output composes consistently with ``frac_deriv`` for
 residual checks. Alpha equal to one is allowed in ``FODE2`` and reduces the
 update to the explicit Euler step.
 
-Every history sum, in the stepping loops and in the defect checks, goes
-through the kernel ``fracops._history``. Up to 1024 nodes, and for
-integer orders, it sums directly, O(n**2). On longer grids it steps
-through blocks of 512 nodes: before a block starts, the history of all
-earlier blocks enters through FFTs of length 1024, and inside the block
-each node adds a dot product over the block's nodes before it, so a step
-costs O(512) and a solve O(n * 512 + n**2 / 512). Each node still reads
-only the nodes before it: the schemes stay exactly causal.
+Every history sum, in the solves and in the defect checks, goes through
+the blocks of the kernel ``fracops._far_blocks``. Up to 1024 nodes, and
+for integer orders, there is one block of all nodes and the sums are
+direct, O(n**2). On longer grids the blocks hold 512 nodes, and the
+history of all earlier blocks enters through FFTs of length 1024.
+``solve_multiterm`` solves each block at once with the inverse series of
+its symbol and one correction step, O(512**2) per block. ``solve_fode2``,
+whose right side is nonlinear, steps node by node, each node adding a dot
+product over the block's nodes before it. Either way a solve costs
+O(n * 512 + n**2 / 512), and each node reads only the nodes before it:
+the schemes stay exactly causal.
 """
 
 from __future__ import annotations
@@ -39,7 +42,16 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .fracops import FracOrder, SampledPath, Side, _history, frac_deriv, gl_weights
+from .fracops import (
+    FracOrder,
+    SampledPath,
+    Side,
+    _far_blocks,
+    _history,
+    _support,
+    frac_deriv,
+    gl_weights,
+)
 from .varcalc import _as_fn
 
 __all__ = [
@@ -122,7 +134,7 @@ class SolveReport:
     """Solver output: the solution path, a defect measure, and step count.
 
     ``max_defect`` substitutes the computed nodes back into the discrete
-    operators. For the implicit solver this checks the linear updates were
+    operators. For the implicit solver this checks the block systems were
     solved exactly (machine-level values); for the explicit solver it
     measures the one-node lag of the right side and shrinks with h.
     ``aux`` carries the velocity path for the coupled system, None
@@ -146,37 +158,72 @@ def _grid_steps(t_end: float, h: float) -> int:
     return steps
 
 
-def solve_multiterm(fde: MultiTermFDE, h: float) -> SolveReport:
-    """Implicit stepping of a linear multi-term equation.
+def _inverse_series(a: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` coefficients of 1 / a(z), by forward substitution.
 
-    Node j solves A x_j = f_j - sum_i s_i H_i(j), where s_i = c_i h**(-mu_i),
-    H_i(j) is term i's history sum over the nodes before j, and A collects
-    the zeroth-lag weight of every operator plus the zero-order coefficient.
-    Each term keeps its own history, stepped by ``fracops._history``.
+    a(z) = sum_k a[k] z**k with a[0] nonzero. ``a`` may hold fewer than
+    ``count`` lags (a polynomial symbol: integer orders only), and each
+    coefficient reads only the lags it holds.
+    """
+    # r time-reversed: r[k-1], r[k-2], ... read as one contiguous slice.
+    rev = np.zeros(count)
+    rev[-1] = 1.0 / a[0]
+    for k in range(1, count):
+        m = min(k, a.size - 1)
+        rev[count - 1 - k] = -a[1 : m + 1].dot(rev[count - k : count - k + m]) / a[0]
+    return rev[::-1]
+
+
+def solve_multiterm(fde: MultiTermFDE, h: float) -> SolveReport:
+    """Implicit solve of a linear multi-term equation, a block at a time.
+
+    Node j satisfies c_0 x_j + sum_i s_i H_i(j) = f_j, where s_i =
+    c_i h**(-mu_i) and H_i(j) is term i's history sum over the nodes up to
+    j, node 0 is given (x_0 = 0) and the history before it is zero. On the
+    blocks of ``fracops._far_blocks`` this is one lower-triangular Toeplitz
+    system per block (Podlubny 2000): with far_i the part of H_i that
+    reaches earlier blocks, the block's nodes x_b solve a * x_b = rhs, where
+    rhs = f - sum_i s_i far_i and a = c_0 delta + sum_i s_i w_i is the
+    combined symbol. With r the inverse series of a over one block,
+    x_b = r * rhs, followed by one correction step
+    x_b += r * (rhs - c_0 x_b - sum_i s_i (w_i * x_b)), whose residual is
+    taken term by term. The same residual of the final nodes gives
+    ``max_defect``.
     """
     steps = _grid_steps(fde.t_end, h)
     n = steps + 1
-    scales = [c * h ** (-mu) for c, mu in fde.terms]
+    c0 = fde.zero_order_coeff
+    scales = np.array([c * h ** (-mu) for c, mu in fde.terms])
     weights = np.array([gl_weights(FracOrder(mu), n) for _, mu in fde.terms])
-    diag = fde.zero_order_coeff + sum(scales)
-    if diag == 0.0:
+    # Lags past a weight row's last nonzero entry (integer orders) add
+    # nothing to the sums within a block.
+    supports = _support(weights)
+    a = scales @ weights[:, : supports.max()]
+    a[0] += c0
+    if a[0] == 0.0:
         raise ValueError("degenerate implicit update: operator diagonal is zero at this h")
-    t = h * np.arange(n)
-    f = np.array([fde.forcing(ti) for ti in t])
+    f = np.array([fde.forcing(t) for t in (h * np.arange(n)).tolist()])
+
+    def residual(rhs, xb):
+        res = rhs - c0 * xb
+        for s, w, m in zip(scales, weights, supports):
+            res -= s * np.convolve(w[: min(m, xb.size)], xb)[: xb.size]
+        return res
+
     x = np.zeros(n)
-
-    def step(j, hists):
-        hist = 0.0
-        for s, hv in zip(scales, hists):
-            hist += s * hv
-        return ((f[j] - hist) / diag,)
-
-    _history(x, weights, step)
-    lhs = fde.zero_order_coeff * x
-    for s, y in zip(scales, _history(x, weights)):
-        lhs = lhs + s * y
-    defect = float(np.max(np.abs(lhs[1:] - f[1:])))
-    return SolveReport(SampledPath(0.0, h, x), defect, steps)
+    r = None
+    defects = []
+    for lo, hi, far in _far_blocks(x, weights):
+        if r is None:
+            r = _inverse_series(a[:hi], hi)
+        first = max(lo, 1)
+        rb = r[: hi - first]
+        rhs = f[first:hi] - scales @ far[:, first - lo :]
+        xb = np.convolve(rb, rhs)[: rb.size]
+        xb += np.convolve(rb, residual(rhs, xb))[: rb.size]
+        x[first:hi] = xb
+        defects.append(np.max(np.abs(residual(rhs, xb))))
+    return SolveReport(SampledPath(0.0, h, x), float(np.max(defects)), steps)
 
 
 def solve_fode2(fode: FODE2, h: float) -> SolveReport:
@@ -192,11 +239,14 @@ def solve_fode2(fode: FODE2, h: float) -> SolveReport:
     w = gl_weights(FracOrder(fode.alpha), n)
     ha = h**fode.alpha
     big_xv = np.zeros((2, n))
+    # F at every node: the stepping loop evaluates it at nodes 0 .. n-2,
+    # and the defect check reuses those values.
+    f_now = np.empty(n)
 
     def step(j, hists):
         hist_x, hist_v = hists
         big_x, big_v = big_xv[0, j - 1], big_xv[1, j - 1]
-        f_prev = fode.rhs(h * (j - 1), fode.x0 + big_x, fode.v0 + big_v)
+        f_now[j - 1] = f_prev = fode.rhs(h * (j - 1), fode.x0 + big_x, fode.v0 + big_v)
         v_j = -hist_v + ha * f_prev
         x_j = -hist_x + ha * (fode.v0 + big_v)
         if abs(x_j) > DIVERGENCE_GUARD or abs(v_j) > DIVERGENCE_GUARD:
@@ -206,8 +256,7 @@ def solve_fode2(fode: FODE2, h: float) -> SolveReport:
     _history(big_xv, w, step)
     x = fode.x0 + big_xv[0]
     v = fode.v0 + big_xv[1]
-    t = h * np.arange(n)
-    f_now = np.array([fode.rhs(t[j], x[j], v[j]) for j in range(n)])
+    f_now[-1] = fode.rhs(h * steps, x[-1], v[-1])
     dx, dv = h ** (-fode.alpha) * _history(big_xv, w)
     defect = float(max(np.max(np.abs(dx[1:] - v[1:])), np.max(np.abs(dv[1:] - f_now[1:]))))
     return SolveReport(SampledPath(0.0, h, x), defect, steps, SampledPath(0.0, h, v))

@@ -137,19 +137,22 @@ def _weights(mu: float, count: int) -> np.ndarray:
     """Binomial weights (-1)**k C(mu, k) by the multiplicative recurrence.
 
     Valid for any real mu, including negative orders (fractional integrals).
+    Each factor is formed as (k - 1 - mu) / k, which rounds once relative
+    to its value; 1 - (mu + 1) / k would cancel where k is near mu + 1
+    (w_1 for orders near zero, the last nonzero weight of integer orders).
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     if count == 1:
         return np.ones(1)
     k = np.arange(1, count, dtype=np.float64)
-    return np.cumprod(np.concatenate(([1.0], 1.0 - (mu + 1.0) / k)))
+    return np.cumprod(np.concatenate(([1.0], (k - 1.0 - mu) / k)))
 
 
 def gl_weights(order: FracOrder, count: int) -> np.ndarray:
     """History weights w_0 .. w_{count-1} for the order given.
 
-    w_0 = 1 and w_k = w_{k-1} (1 - (mu+1)/k), which equals
+    w_0 = 1 and w_k = w_{k-1} (k - 1 - mu) / k, which equals
     (-1)**k gen_binomial(mu, k).
     """
     return _weights(order.mu, count)
@@ -158,6 +161,69 @@ def gl_weights(order: FracOrder, count: int) -> np.ndarray:
 # Block length of the blocked history sums (see `_history`). Against 256
 # and 1024, 512 gave the fastest derivatives from 2049 to 65537 nodes.
 _BLOCK = 512
+
+
+def _support(w: np.ndarray) -> np.ndarray:
+    """One past the last nonzero entry of each row of ``w`` (0 for none)."""
+    w2 = np.atleast_2d(w)
+    return np.where(np.any(w2, axis=1), w2.shape[-1] - np.argmax(w2[:, ::-1] != 0, axis=1), 0)
+
+
+def _far_blocks(g: np.ndarray, w: np.ndarray, blocked: bool = True):
+    """The blocks of the history sums of ``_history``, with their far parts.
+
+    Yields (lo, hi, far) for consecutive blocks [lo, hi) of the grid, where
+    far[r, i] is row r's sum, at node lo + i, over the lags that reach
+    nodes before lo. The caller fills g[..., lo:hi] before it asks for the
+    next block (the generator keeps a view of ``g``); the generator then
+    takes that block's spectrum.
+
+    One block of all n nodes (far is zero) for sums of at most 2 * _BLOCK
+    nodes, for sums whose weights vanish beyond the first _BLOCK lags
+    (integer orders) and when ``blocked`` is false. Otherwise blocks of
+    _BLOCK nodes: each earlier block enters through real FFTs of length
+    2 * _BLOCK of the block and of the weights w[(d-1)B:(d+1)B] at block
+    lag d (Hairer, Lubich and Schlichte 1985), and about three complex
+    arrays of n entries are kept. Rows whose weights end within a block
+    (integer orders among fractional ones) reach only the last few nodes
+    before it, so their far sums are direct: an FFT would add roundoff of
+    the whole block's size to every node.
+    """
+    g2, w2 = np.atleast_2d(g), np.atleast_2d(w)
+    n = g2.shape[-1]
+    rows = max(len(g2), len(w2))
+    support = np.broadcast_to(_support(w2), (rows,))
+    blk = _BLOCK if blocked and n > 2 * _BLOCK and support.max() > _BLOCK else n
+    nb = -(-n // blk)
+    if nb > 1:
+        fft = np.flatnonzero(support > blk)
+        short = [(r, p - 1) for r, p in enumerate(support) if 1 < p <= blk]
+        g_rows, w_rows = np.broadcast_to(g2, (rows, n)), np.broadcast_to(w2, (rows, n))
+        g_fft = slice(None) if len(g2) == 1 else fft
+        w_fft = slice(None) if len(w2) == 1 else fft
+        # Lag 0 never reaches a later block (its products land in the
+        # discarded half of the FFT output). Leaving it out keeps its
+        # roundoff out of the far sums, which matters when w[0] dominates
+        # the weights (orders near zero).
+        wpad = np.zeros((len(w2[w_fft]), nb * blk))
+        wpad[:, 1:n] = w2[w_fft, 1:]
+        # spec_w[:, d - 1] pairs a block with the one d blocks later.
+        segments = np.lib.stride_tricks.sliding_window_view(wpad, 2 * blk, axis=-1)[:, ::blk]
+        spec_w = np.fft.rfft(segments, axis=-1)
+        spec_g = np.empty((len(g2[g_fft]), nb - 1, blk + 1), dtype=complex)
+    for b in range(nb):
+        lo, hi = b * blk, min(n, (b + 1) * blk)
+        far = np.zeros((rows, hi - lo))
+        if b:
+            spec = np.sum(spec_g[:, :b] * spec_w[:, b - 1 :: -1], axis=1)
+            far[fft] = np.fft.irfft(spec, 2 * blk)[:, blk : blk + hi - lo]
+            for r, p in short:
+                m = min(p, hi - lo)
+                tail = np.convolve(g_rows[r, lo - p : lo], w_rows[r, 1 : p + 1])
+                far[r, :m] = tail[p - 1 : p - 1 + m]
+        yield lo, hi, far
+        if b < nb - 1:
+            spec_g[:, b] = np.fft.rfft(g2[g_fft, lo:hi], 2 * blk)
 
 
 def _history(
@@ -176,39 +242,19 @@ def _history(
     where ``hist`` lists for each row of the output the sum over lags
     k >= 1, which only needs nodes before j.
 
-    Sums of at most 2 * _BLOCK nodes, and sums whose weights vanish beyond
-    the first _BLOCK lags (integer orders), are direct: one convolution
-    offline and one dot product per node online, O(n**2). So are all sums
-    when ``blocked`` is false. Longer sums are
-    blocked: within a block of _BLOCK nodes the sum is direct, and each
-    earlier block enters through real FFTs of length 2 * _BLOCK of the
-    block and of the weights w[(d-1)B:(d+1)B] at block lag d (Hairer,
-    Lubich and Schlichte 1985). That costs O(n * _BLOCK + n**2 / _BLOCK)
-    against O(n**2), and keeps about three complex arrays of n entries.
-    Its results differ from the direct sums by FFT roundoff, which scales
-    with whole blocks rather than with each node's own terms. Node j reads
-    g only at nodes up to j on both paths, so changing g at a node leaves
-    every earlier output bit-identical.
+    The blocks come from `_far_blocks`: within a block the sum is direct,
+    one convolution offline and one dot product per node online, and the
+    earlier blocks enter through the block's far part. One block costs
+    O(n**2); blocks of _BLOCK nodes cost O(n * _BLOCK + n**2 / _BLOCK).
+    Blocked results differ from the direct sums by FFT roundoff, which
+    scales with whole blocks rather than with each node's own terms. Node j
+    reads g only at nodes up to j on both paths, so changing g at a node
+    leaves every earlier output bit-identical.
     """
     g2, w2 = np.atleast_2d(g), np.atleast_2d(w)
     n = g2.shape[-1]
     rows = max(len(g2), len(w2))
     w_rows = np.broadcast_to(w2, (rows, n))
-    nonzero = np.flatnonzero(np.any(w2, axis=0))
-    support = nonzero[-1] + 1 if nonzero.size else 0
-    blk = _BLOCK if blocked and n > 2 * _BLOCK and support > _BLOCK else n
-    nb = -(-n // blk)
-    if nb > 1:
-        # Lag 0 never reaches a later block (its products land in the
-        # discarded half of the FFT output). Leaving it out keeps its
-        # roundoff out of the far sums, which matters when w[0] dominates
-        # the weights (orders near zero).
-        wpad = np.zeros((len(w2), nb * blk))
-        wpad[:, 1:n] = w2[:, 1:]
-        # spec_w[:, d - 1] pairs a block with the one d blocks later.
-        segments = np.lib.stride_tricks.sliding_window_view(wpad, 2 * blk, axis=-1)[:, ::blk]
-        spec_w = np.fft.rfft(segments, axis=-1)
-        spec_g = np.empty((len(g2), nb - 1, blk + 1), dtype=complex)
     if step is None:
         out = np.empty((rows, n))
         g_rows = np.broadcast_to(g2, (rows, n))
@@ -217,14 +263,7 @@ def _history(
         # slice g[j-1], g[j-2], ... for the dot products.
         rev = g2[:, ::-1].copy()
         pairs = list(zip(w_rows, np.broadcast_to(rev, (rows, n))))
-    for b in range(nb):
-        lo, hi = b * blk, min(n, (b + 1) * blk)
-        # The part of the sums that comes from earlier blocks.
-        if b:
-            spec = np.sum(spec_g[:, :b] * spec_w[:, b - 1 :: -1], axis=1)
-            far = np.fft.irfft(spec, 2 * blk)[:, blk : blk + hi - lo]
-        else:
-            far = np.zeros((rows, hi - lo))
+    for lo, hi, far in _far_blocks(g2, w2, blocked):
         if step is None:
             for r in range(rows):
                 near = np.convolve(g_rows[r, lo:hi], w_rows[r, : hi - lo])[: hi - lo]
@@ -239,8 +278,6 @@ def _history(
                 ]
                 for r, value in enumerate(step(j, hist)):
                     g2[r, j] = rev[r, n - 1 - j] = value
-        if b < nb - 1:
-            spec_g[:, b] = np.fft.rfft(g2[:, lo:hi], 2 * blk)
     if step is not None:
         return None
     return out if np.ndim(g) > 1 or np.ndim(w) > 1 else out[0]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, target
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from fracvar.fodesolve import (
@@ -16,6 +18,7 @@ from fracvar.fodesolve import (
     solve_fode2,
     solve_multiterm,
 )
+from fracvar.fracops import _BLOCK, FracOrder, _history, gl_weights
 from fracvar.specfun import gamma
 
 
@@ -130,6 +133,51 @@ def test_solver_is_deterministic():
     assert np.array_equal(a, b)
 
 
+def forward_substitution(fde, h):
+    """Node-by-node solve of the solver's discrete equations in long double."""
+    n = int(round(fde.t_end / h)) + 1
+    ld = np.longdouble
+    a = sum(ld(c * h ** (-mu)) * gl_weights(FracOrder(mu), n).astype(ld) for c, mu in fde.terms)
+    a[0] += ld(fde.zero_order_coeff)
+    f = np.array([fde.forcing(t) for t in h * np.arange(n)], dtype=ld)
+    x, rev = np.zeros(n, dtype=ld), np.zeros(n, dtype=ld)  # rev holds x time-reversed
+    for j in range(1, n):
+        x[j] = rev[n - 1 - j] = (f[j] - a[1 : j + 1].dot(rev[n - j :])) / a[0]
+    return x.astype(float)
+
+
+# Grid sizes on both sides of one block of all nodes and of block boundaries.
+SOLVE_NODES = st.sampled_from(
+    [2 * _BLOCK, 2 * _BLOCK + 1, 3 * _BLOCK - 1, 3 * _BLOCK + 1, 5 * _BLOCK + 1]
+)
+SOLVE_ORDERS = st.one_of(st.sampled_from([1.0, 2.0]), st.floats(0.0, 2.5, exclude_min=True))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=SOLVE_NODES,
+    orders=st.lists(SOLVE_ORDERS, min_size=1, max_size=3, unique_by=lambda mu: round(mu, 6)),
+    coefs=st.lists(st.floats(0.2, 1.0), min_size=3, max_size=3),
+    c0=st.floats(0.0, 1.0),
+    freq=st.floats(0.0, 6.0),
+)
+@example(n=3 * _BLOCK + 1, orders=[2.0, 1.5], coefs=[1.0, 1.0, 1.0], c0=1.0, freq=0.0)
+@example(n=5 * _BLOCK + 1, orders=[2.5, 1.0, 0.3], coefs=[1.0, 0.5, 0.2], c0=0.0, freq=6.0)
+def test_block_solve_matches_forward_substitution(n, orders, coefs, c0, freq):
+    h = 2.0**-10
+    fde = MultiTermFDE(
+        terms=tuple(zip(coefs, orders)),
+        zero_order_coeff=c0,
+        forcing=lambda t: math.cos(freq * t) + t,
+        t_end=(n - 1) * h,
+    )
+    x = solve_multiterm(fde, h).solution.values
+    ref = forward_substitution(fde, h)
+    rel = float(np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
+    target(rel, label="error relative to max |x|")
+    assert rel <= 1e-8
+
+
 # === residual substitution ==================================================
 
 
@@ -172,6 +220,24 @@ def test_free_fractional_motion():
     assert rep.aux is not None  # velocity channel
     assert rep.aux.n_pts == rep.solution.n_pts
     assert rep.max_defect <= 1e-10
+
+
+def test_right_side_is_called_once_per_node():
+    calls = []
+
+    def rhs(t, x, v):
+        calls.append(t)
+        return 1.0 - x - 0.3 * v
+
+    h = 2**-9
+    rep = solve_fode2(FODE2(alpha=0.6, rhs=rhs), h)
+    n = rep.solution.n_pts
+    assert calls == [j * h for j in range(n)]
+    # The defect equals the one from evaluating F afresh at every node.
+    x, v = rep.solution.values, rep.aux.values
+    dx, dv = h**-0.6 * _history(np.array([x, v]), gl_weights(FracOrder(0.6), n))
+    f = np.array([rhs(t, xj, vj) for t, xj, vj in zip(h * np.arange(n), x, v)])
+    assert rep.max_defect == max(np.max(np.abs(dx[1:] - v[1:])), np.max(np.abs(dv[1:] - f[1:])))
 
 
 def test_initial_values_are_injected():

@@ -127,6 +127,31 @@ def test_linearity():
     assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([33, 257, 1025]),
+    mu=st.floats(0.05, 2.5),
+    # Subnormal factors round with less than full relative precision.
+    a=st.floats(-3.0, 3.0, allow_subnormal=False),
+    b=st.floats(-3.0, 3.0, allow_subnormal=False),
+    side=st.sampled_from([Side.LEFT, Side.RIGHT]),
+)
+def test_linearity_property(seed, n, mu, a, b, side):
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0.0, 1.0, n)
+    f = SampledPath(0.0, t[1], np.sin(rng.uniform(1, 6) * t) + rng.uniform(-1, 1) * t**3)
+    g = SampledPath(0.0, t[1], np.exp(-rng.uniform(0, 3) * t))
+    order = FracOrder(mu)
+    df, dg = frac_deriv(f, order, side).values, frac_deriv(g, order, side).values
+    combo = frac_deriv(f.with_values(a * f.values + b * g.values), order, side).values
+    # Roundoff of the samples, summed with the weights and scaled by h**-mu.
+    scale = f.h**-mu * np.sum(np.abs(gl_weights(order, n))) * (
+        abs(a) * np.max(np.abs(f.values)) + abs(b) * np.max(np.abs(g.values))
+    )
+    assert np.max(np.abs(combo - (a * df + b * dg))) <= 1e-13 * scale
+
+
 def test_minimum_sample_count():
     p = SampledPath(0.0, 0.1, np.array([0.0, 1.0, 2.0]))
     with pytest.raises(ValueError):
@@ -415,6 +440,31 @@ def test_history_rows_equal_single_rows(seed, n, mu):
     ws = np.array([w, _weights(mu / 2, n)])
     per_weight = _history(g2[0], ws)
     assert np.array_equal(per_weight[1], _history(g2[0], ws[1]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=KERNEL_LENGTHS, a=st.floats(-1.0, 1.5),
+       b=st.floats(-1.0, 1.5))
+def test_history_weights_compose(seed, n, a, b):
+    # (1 - z)**a (1 - z)**b = (1 - z)**(a + b): two sums in a row are one.
+    g = kernel_input(seed, n, 1.0)
+    wa, wb = _weights(a, n), _weights(b, n)
+    twice = _history(_history(g, wa), wb)
+    once = _history(g, _weights(a + b, n))
+    bound = 1e-13 * np.convolve(np.convolve(np.abs(g), np.abs(wa))[:n], np.abs(wb))[:n]
+    assert np.all(np.abs(twice - once) <= bound)
+
+
+@pytest.mark.parametrize("n", [3 * _BLOCK + 1, 5 * _BLOCK + 1])
+def test_integer_rows_among_blocked_rows_sum_directly(n):
+    # Weights that end within a block add no FFT roundoff to the later nodes
+    # of a blocked call: the integer-order row stays at the direct sum's
+    # rounding level.
+    g = kernel_input(n, n, 1.0)
+    w = np.array([_weights(0.5, n), _weights(2.0, n)])
+    out = _history(g, w)
+    direct = np.convolve(g, w[1])[:n]
+    assert np.all(np.abs(out[1] - direct) <= 1e-15 * np.convolve(np.abs(g), np.abs(w[1]))[:n])
 
 
 @settings(max_examples=20, deadline=None)
