@@ -22,15 +22,17 @@ update to the explicit Euler step.
 
 Every history sum, in the solves and in the defect checks, goes through
 the blocks of the kernel ``fracops._far_blocks``. Up to 1024 nodes, and
-for integer orders, there is one block of all nodes and the sums are
-direct, O(n**2). On longer grids the blocks hold 512 nodes, and the
-history of all earlier blocks enters through FFTs of length 1024.
-``solve_multiterm`` solves each block at once with the inverse series of
-its symbol and one correction step, O(512**2) per block. ``solve_fode2``,
-whose right side is nonlinear, steps node by node, each node adding a dot
-product over the block's nodes before it. Either way a solve costs
-O(n * 512 + n**2 / 512), and each node reads only the nodes before it:
-the schemes stay exactly causal.
+for integer orders alone in ``solve_multiterm``, there is one block of all
+nodes and the sums are direct, O(n**2). On longer grids the blocks hold
+512 nodes, and the history of all earlier blocks enters through FFTs of
+length 1024 (directly for integer orders). ``solve_multiterm`` evaluates
+the forcing once on the time array and solves each block at once with the
+inverse series of its symbol and one correction step, O(512**2) per
+block. ``solve_fode2``, whose right side is nonlinear, steps node by node,
+each node adding two dot products over the block's nodes before it.
+Either way a solve costs O(n * 512 + n**2 / 512), and each node reads only
+the nodes before it: the schemes stay exactly causal. A non-finite
+solution raises ``DivergenceError`` naming the first bad node.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .fracops import (
+    _BLOCK,
     FracOrder,
     SampledPath,
     Side,
@@ -71,7 +74,7 @@ DIVERGENCE_GUARD = 1e12
 
 
 class DivergenceError(RuntimeError):
-    """Raised when an explicit solve leaves the trust region."""
+    """Raised when a solve turns non-finite or leaves the trust region."""
 
 
 @dataclass(frozen=True)
@@ -81,7 +84,11 @@ class MultiTermFDE:
     ``terms`` holds (coefficient, order) pairs with positive orders; they
     are sorted by descending order at construction. Orders must be distinct
     and the leading coefficient nonzero. ``zero_order_coeff`` multiplies
-    x itself and ``forcing`` is the right-hand side (callable or constant).
+    x itself and ``forcing`` is the right-hand side, a constant or a
+    callable of t. A callable is called once, on the array of node times;
+    one that raises TypeError or ValueError there (``math.sin``, a branch
+    on ``t < 0.5``) or returns a shape that does not broadcast is called
+    once per node instead.
     """
 
     terms: tuple
@@ -174,6 +181,14 @@ def _inverse_series(a: np.ndarray, count: int) -> np.ndarray:
     return rev[::-1]
 
 
+def _forcing_values(fde: MultiTermFDE, t: np.ndarray) -> np.ndarray:
+    """``fde.forcing`` at the times ``t``: one call on the array, else one per node."""
+    try:
+        return np.broadcast_to(np.asarray(fde.forcing(t), dtype=np.float64), t.shape)
+    except (TypeError, ValueError):
+        return np.array([fde.forcing(s) for s in t.tolist()], dtype=np.float64)
+
+
 def solve_multiterm(fde: MultiTermFDE, h: float) -> SolveReport:
     """Implicit solve of a linear multi-term equation, a block at a time.
 
@@ -188,7 +203,7 @@ def solve_multiterm(fde: MultiTermFDE, h: float) -> SolveReport:
     x_b = r * rhs, followed by one correction step
     x_b += r * (rhs - c_0 x_b - sum_i s_i (w_i * x_b)), whose residual is
     taken term by term. The same residual of the final nodes gives
-    ``max_defect``.
+    ``max_defect``. A block with a non-finite node raises DivergenceError.
     """
     steps = _grid_steps(fde.t_end, h)
     n = steps + 1
@@ -202,7 +217,7 @@ def solve_multiterm(fde: MultiTermFDE, h: float) -> SolveReport:
     a[0] += c0
     if a[0] == 0.0:
         raise ValueError("degenerate implicit update: operator diagonal is zero at this h")
-    f = np.array([fde.forcing(t) for t in (h * np.arange(n)).tolist()])
+    f = _forcing_values(fde, h * np.arange(n))
 
     def residual(rhs, xb):
         res = rhs - c0 * xb
@@ -213,14 +228,20 @@ def solve_multiterm(fde: MultiTermFDE, h: float) -> SolveReport:
     x = np.zeros(n)
     r = None
     defects = []
-    for lo, hi, far in _far_blocks(x, weights):
+    # Integer orders alone keep one block: block boundaries cancel sums of
+    # size h**-mu |x|, up to 10x the single block's roundoff against long double.
+    for lo, hi, far in _far_blocks(x, weights, blocked=supports.max() > _BLOCK):
         if r is None:
             r = _inverse_series(a[:hi], hi)
         first = max(lo, 1)
         rb = r[: hi - first]
         rhs = f[first:hi] - scales @ far[:, first - lo :]
-        xb = np.convolve(rb, rhs)[: rb.size]
-        xb += np.convolve(rb, residual(rhs, xb))[: rb.size]
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite raises below
+            xb = np.convolve(rb, rhs)[: rb.size]
+            xb += np.convolve(rb, residual(rhs, xb))[: rb.size]
+        if not np.all(np.isfinite(xb)):
+            bad = first + int(np.argmin(np.isfinite(xb)))
+            raise DivergenceError(f"solution is not finite at t = {h * bad:g}")
         x[first:hi] = xb
         defects.append(np.max(np.abs(residual(rhs, xb))))
     return SolveReport(SampledPath(0.0, h, x), float(np.max(defects)), steps)
@@ -229,34 +250,44 @@ def solve_multiterm(fde: MultiTermFDE, h: float) -> SolveReport:
 def solve_fode2(fode: FODE2, h: float) -> SolveReport:
     """Explicit stepping of the coupled pair with lagged right side.
 
-    Advances X = x - x0 and V = v - v0, both with zero history, using the
-    convolution weights of order alpha. X and V are stepped as the two rows
-    of one array, so one ``fracops._history`` call serves both. Raises
-    DivergenceError when a node passes the trust bound.
+    Advances X = x - x0 and V = v - v0, both with zero history, with the
+    weights of order alpha: X_j = -H_j(X) + h**alpha (v0 + V_{j-1}) and
+    V_j = -H_j(V) + h**alpha F(t_{j-1}, x_{j-1}, v_{j-1}), where H_j sums
+    the lags k >= 1. On each block of ``fracops._far_blocks``, H_j is the
+    block's far part plus one dot product over the block's nodes before j,
+    kept time-reversed; a finished block is written to the (2, n) array of
+    X and V before the kernel takes its spectrum. F is called once per
+    node, in node order, and the defect check reuses its values. Raises
+    DivergenceError at the first node where X or V is non-finite or passes
+    DIVERGENCE_GUARD.
     """
     steps = _grid_steps(fode.t_end, h)
     n = steps + 1
     w = gl_weights(FracOrder(fode.alpha), n)
     ha = h**fode.alpha
     big_xv = np.zeros((2, n))
-    # F at every node: the stepping loop evaluates it at nodes 0 .. n-2,
-    # and the defect check reuses those values.
-    f_now = np.empty(n)
-
-    def step(j, hists):
-        hist_x, hist_v = hists
-        big_x, big_v = big_xv[0, j - 1], big_xv[1, j - 1]
-        f_now[j - 1] = f_prev = fode.rhs(h * (j - 1), fode.x0 + big_x, fode.v0 + big_v)
-        v_j = -hist_v + ha * f_prev
-        x_j = -hist_x + ha * (fode.v0 + big_v)
-        if abs(x_j) > DIVERGENCE_GUARD or abs(v_j) > DIVERGENCE_GUARD:
-            raise DivergenceError(f"solution exceeded {DIVERGENCE_GUARD:g} at t = {h * j:g}")
-        return x_j, v_j
-
-    _history(big_xv, w, step)
-    x = fode.x0 + big_xv[0]
-    v = fode.v0 + big_xv[1]
-    f_now[-1] = fode.rhs(h * steps, x[-1], v[-1])
+    # X and V time-reversed: the nodes before j read as one contiguous slice.
+    rev_x, rev_v = rev = np.zeros((2, n))
+    big_x = big_v = 0.0
+    f_now = []
+    for lo, hi, far in _far_blocks(big_xv, w):
+        far_x, far_v = far.tolist()
+        for j in range(max(lo, 1), hi):
+            i = j - lo
+            f_prev = fode.rhs(h * (j - 1), fode.x0 + big_x, fode.v0 + big_v)
+            f_now.append(f_prev)
+            w_near = w[1 : i + 1]
+            x_j = -(far_x[i] + float(w_near.dot(rev_x[n - j : n - lo]))) + ha * (fode.v0 + big_v)
+            v_j = -(far_v[i] + float(w_near.dot(rev_v[n - j : n - lo]))) + ha * f_prev
+            if not (abs(x_j) <= DIVERGENCE_GUARD and abs(v_j) <= DIVERGENCE_GUARD):
+                raise DivergenceError(
+                    f"solution is not finite or exceeded {DIVERGENCE_GUARD:g} at t = {h * j:g}"
+                )
+            rev_x[n - 1 - j] = big_x = x_j
+            rev_v[n - 1 - j] = big_v = v_j
+        big_xv[:, lo:hi] = rev[:, n - hi : n - lo][:, ::-1]
+    x, v = fode.x0 + big_xv[0], fode.v0 + big_xv[1]
+    f_now.append(fode.rhs(h * steps, x[-1], v[-1]))
     dx, dv = h ** (-fode.alpha) * _history(big_xv, w)
     defect = float(max(np.max(np.abs(dx[1:] - v[1:])), np.max(np.abs(dv[1:] - f_now[1:]))))
     return SolveReport(SampledPath(0.0, h, x), defect, steps, SampledPath(0.0, h, v))
@@ -274,7 +305,7 @@ def fde_residual(fde: MultiTermFDE, path: SampledPath) -> SampledPath:
     acc = fde.zero_order_coeff * path.values.copy()
     for c, mu in fde.terms:
         acc = acc + c * frac_deriv(path, FracOrder(mu), Side.LEFT).values
-    f = np.array([fde.forcing(t) for t in path.times()])
+    f = _forcing_values(fde, path.times())
     res = acc - f
     drop = FracOrder(fde.max_order).m + 1
     if drop >= n - 1:

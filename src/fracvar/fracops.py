@@ -23,7 +23,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -179,28 +179,28 @@ def _far_blocks(g: np.ndarray, w: np.ndarray, blocked: bool = True):
     takes that block's spectrum.
 
     One block of all n nodes (far is zero) for sums of at most 2 * _BLOCK
-    nodes, for sums whose weights vanish beyond the first _BLOCK lags
-    (integer orders) and when ``blocked`` is false. Otherwise blocks of
-    _BLOCK nodes: each earlier block enters through real FFTs of length
-    2 * _BLOCK of the block and of the weights w[(d-1)B:(d+1)B] at block
-    lag d (Hairer, Lubich and Schlichte 1985), and about three complex
-    arrays of n entries are kept. Rows whose weights end within a block
-    (integer orders among fractional ones) reach only the last few nodes
-    before it, so their far sums are direct: an FFT would add roundoff of
-    the whole block's size to every node.
+    nodes and when ``blocked`` is false. Otherwise blocks of _BLOCK nodes:
+    each earlier block enters through real FFTs of length 2 * _BLOCK of the
+    block and of the weights w[(d-1)B:(d+1)B] at block lag d (Hairer,
+    Lubich and Schlichte 1985), and about three complex arrays of n entries
+    are kept. Rows whose weights end within a block (integer orders) reach
+    only the last few nodes before it, so their far sums are direct: an FFT
+    would add roundoff of the whole block's size to every node. Integer
+    orders alone thus cost O(n * _BLOCK), not O(n**2).
     """
     g2, w2 = np.atleast_2d(g), np.atleast_2d(w)
     n = g2.shape[-1]
     rows = max(len(g2), len(w2))
     support = np.broadcast_to(_support(w2), (rows,))
-    blk = _BLOCK if blocked and n > 2 * _BLOCK and support.max() > _BLOCK else n
+    blk = _BLOCK if blocked and n > 2 * _BLOCK else n
     nb = -(-n // blk)
     if nb > 1:
         fft = np.flatnonzero(support > blk)
         short = [(r, p - 1) for r, p in enumerate(support) if 1 < p <= blk]
         g_rows, w_rows = np.broadcast_to(g2, (rows, n)), np.broadcast_to(w2, (rows, n))
-        g_fft = slice(None) if len(g2) == 1 else fft
-        w_fft = slice(None) if len(w2) == 1 else fft
+        # A single row of g or w serves every FFT row; without FFT rows none is taken.
+        g_fft = slice(None) if len(g2) == 1 and fft.size else fft
+        w_fft = slice(None) if len(w2) == 1 and fft.size else fft
         # Lag 0 never reaches a later block (its products land in the
         # discarded half of the FFT output). Leaving it out keeps its
         # roundoff out of the far sums, which matters when w[0] dominates
@@ -226,67 +226,36 @@ def _far_blocks(g: np.ndarray, w: np.ndarray, blocked: bool = True):
             spec_g[:, b] = np.fft.rfft(g2[g_fft, lo:hi], 2 * blk)
 
 
-def _history(
-    g: np.ndarray,
-    w: np.ndarray,
-    step: Callable[[int, list], Sequence[float]] | None = None,
-    *,
-    blocked: bool = True,
-) -> np.ndarray | None:
+def _history(g: np.ndarray, w: np.ndarray, *, blocked: bool = True) -> np.ndarray:
     """History sums y[..., j] = sum_{k<=j} w[..., k] g[..., j-k], exactly causal.
 
     ``g`` and ``w`` have shape (n,) or (rows, n) and broadcast along rows.
-    Called without ``step`` it returns the sums (offline). With ``step`` it
-    fills ``g`` in place (online): g[..., 0] is given, and for j = 1 .. n-1
-    ``step(j, hist)`` returns the values of node j, one for each row of g,
-    where ``hist`` lists for each row of the output the sum over lags
-    k >= 1, which only needs nodes before j.
-
-    The blocks come from `_far_blocks`: within a block the sum is direct,
-    one convolution offline and one dot product per node online, and the
-    earlier blocks enter through the block's far part. One block costs
-    O(n**2); blocks of _BLOCK nodes cost O(n * _BLOCK + n**2 / _BLOCK).
-    Blocked results differ from the direct sums by FFT roundoff, which
-    scales with whole blocks rather than with each node's own terms. Node j
-    reads g only at nodes up to j on both paths, so changing g at a node
-    leaves every earlier output bit-identical.
+    The blocks come from `_far_blocks`: within a block the sum is one
+    direct convolution, and the earlier blocks enter through the block's
+    far part. One block costs O(n**2); blocks of _BLOCK nodes cost
+    O(n * _BLOCK + n**2 / _BLOCK). Blocked results differ from the direct
+    sums by FFT roundoff, which scales with whole blocks rather than with
+    each node's own terms. Node j reads g only at nodes up to j on both
+    paths, so changing g at a node leaves every earlier output
+    bit-identical. The solvers, which fill g as they go, loop over
+    `_far_blocks` themselves.
     """
     g2, w2 = np.atleast_2d(g), np.atleast_2d(w)
     n = g2.shape[-1]
     rows = max(len(g2), len(w2))
-    w_rows = np.broadcast_to(w2, (rows, n))
-    if step is None:
-        out = np.empty((rows, n))
-        g_rows = np.broadcast_to(g2, (rows, n))
-    else:
-        # g time-reversed, so that the nodes before j read as one contiguous
-        # slice g[j-1], g[j-2], ... for the dot products.
-        rev = g2[:, ::-1].copy()
-        pairs = list(zip(w_rows, np.broadcast_to(rev, (rows, n))))
+    g_rows, w_rows = np.broadcast_to(g2, (rows, n)), np.broadcast_to(w2, (rows, n))
+    out = np.empty((rows, n))
     for lo, hi, far in _far_blocks(g2, w2, blocked):
-        if step is None:
-            for r in range(rows):
-                near = np.convolve(g_rows[r, lo:hi], w_rows[r, : hi - lo])[: hi - lo]
-                out[r, lo:hi] = far[r] + near
-        else:
-            far_rows = far.tolist()
-            for j in range(max(lo, 1), hi):
-                i = j - lo
-                hist = [
-                    f[i] + float(wv[1 : i + 1].dot(rv[n - j : n - lo]))
-                    for (wv, rv), f in zip(pairs, far_rows)
-                ]
-                for r, value in enumerate(step(j, hist)):
-                    g2[r, j] = rev[r, n - 1 - j] = value
-    if step is not None:
-        return None
+        for r in range(rows):
+            near = np.convolve(g_rows[r, lo:hi], w_rows[r, : hi - lo])[: hi - lo]
+            out[r, lo:hi] = far[r] + near
     return out if np.ndim(g) > 1 or np.ndim(w) > 1 else out[0]
 
 
 def _convolve_history(g: np.ndarray, mu: float, h: float) -> np.ndarray:
     # Derivatives (and the lifts and residuals built on them) keep the
     # direct sum for now, although the blocked one is 15-30x faster from
-    # 8193 nodes: see ROADMAP item 2 for why and for what it waits on.
+    # 8193 nodes: see ROADMAP item 6 for why and for what it waits on.
     return _history(g, _weights(mu, g.size), blocked=False) * h ** (-mu)
 
 

@@ -123,6 +123,31 @@ def test_non_finite_table_is_a_numerical_error(capsys, argv, row):
     assert f"{argv[0]} output is not finite at row {row}" in err
 
 
+# The solvers stop at the first non-finite node with a typed error, without
+# a RuntimeWarning, before any table is written.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["solve", "--model", "bagley-torvik", "--forcing-fn", "const",
+             "--forcing-cval", "inf"],
+            "solution is not finite at t = 0.000976562",
+        ),
+        (
+            ["solve", "--model", "phillips", "--variant", "fractional", "--f", "nan"],
+            "solution is not finite or exceeded 1e+12 at t = 0.00488281",
+        ),
+    ],
+    ids=["multiterm", "fode2"],
+)
+def test_non_finite_solution_is_a_numerical_error(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert message in err
+
+
 # === output formats =========================================================
 
 

@@ -1,6 +1,7 @@
 """Multi-term and coupled fractional initial value solvers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from fracvar.fodesolve import (
     solve_fode2,
     solve_multiterm,
 )
-from fracvar.fracops import _BLOCK, FracOrder, _history, gl_weights
+from fracvar.fracops import _BLOCK, FracOrder, SampledPath, _history, gl_weights
 from fracvar.specfun import gamma
 
 
@@ -131,6 +132,87 @@ def test_solver_is_deterministic():
     a = solve_multiterm(fde, 2**-9).solution.values
     b = solve_multiterm(fde, 2**-9).solution.values
     assert np.array_equal(a, b)
+
+
+# === forcing evaluation =====================================================
+
+
+def test_array_forcing_is_called_once_with_the_time_array():
+    calls = []
+
+    def forcing(t):
+        calls.append(t)
+        return t**2
+
+    h = 2**-10
+    fde = MultiTermFDE(terms=((1.0, 1.5), (0.5, 0.5)), forcing=forcing)
+    rep = solve_multiterm(fde, h)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], h * np.arange(1025))
+    fde_residual(fde, rep.solution)
+    assert len(calls) == 2
+    assert np.array_equal(calls[1], rep.solution.times())
+
+
+@pytest.mark.parametrize("h", [2**-9, 2**-11])
+def test_scalar_forcing_falls_back_to_one_call_per_node(h):
+    calls = []
+
+    def branching(t):
+        calls.append(t)
+        return 1.0 if t < 0.5 else 2.0 * t
+
+    mk = lambda f: MultiTermFDE(terms=((1.0, 1.5),), zero_order_coeff=1.0, forcing=f)
+    scalar = solve_multiterm(mk(branching), h)
+    vector = solve_multiterm(mk(lambda t: np.where(t < 0.5, 1.0, 2.0 * t)), h)
+    assert np.array_equal(scalar.solution.values, vector.solution.values)
+    assert scalar.max_defect == vector.max_defect
+    # One call on the array, which raises, then one call per node.
+    n = scalar.solution.n_pts
+    assert len(calls) == 1 + n
+    assert all(type(t) is float for t in calls[1:])
+
+
+def test_constant_forcing_broadcasts():
+    mk = lambda f: MultiTermFDE(terms=((1.0, 0.7),), zero_order_coeff=0.5, forcing=f)
+    h = 2**-11
+    ref = solve_multiterm(mk(lambda t: np.full(t.shape, 3.0)), h).solution.values
+    for forcing in (3.0, lambda t: 3.0, lambda t: np.float64(3.0)):
+        assert np.array_equal(solve_multiterm(mk(forcing), h).solution.values, ref)
+    fde = mk(lambda t: 3.0)
+    res = fde_residual(fde, solve_multiterm(fde, h).solution)
+    assert res.n_pts == 2049 - 2  # ceil(0.7) + 1 startup nodes dropped
+
+
+@pytest.mark.parametrize("error", [TypeError, ValueError, ZeroDivisionError])
+def test_forcing_errors_still_propagate(error):
+    def forcing(t):
+        raise error("no forcing here")
+
+    fde = MultiTermFDE(terms=((1.0, 1.5),), forcing=forcing)
+    with pytest.raises(error, match="no forcing here"):
+        solve_multiterm(fde, 2**-8)
+    path = SampledPath.from_function(lambda t: t**2, 0.0, 1.0, 65)
+    with pytest.raises(error, match="no forcing here"):
+        fde_residual(fde, path)
+
+
+# === non-finite values ======================================================
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("n", [257, 3 * _BLOCK + 1])
+def test_non_finite_forcing_is_a_divergence_error(bad, n):
+    h = 1.0 / (n - 1)
+    first_bad = h * (n // 2 + 1)  # the first node past t = 0.5
+    array = lambda t: np.where(t > 0.5, bad, 1.0)
+    scalar = lambda t: bad if t > 0.5 else 1.0
+    for forcing in (array, scalar):
+        fde = MultiTermFDE(terms=((1.0, 1.5), (0.5, 0.5)), zero_order_coeff=1.0, forcing=forcing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a typed error, not a RuntimeWarning
+            with pytest.raises(DivergenceError, match=f"not finite at t = {first_bad:g}"):
+                solve_multiterm(fde, h)
 
 
 def forward_substitution(fde, h):
@@ -251,6 +333,77 @@ def test_growth_guard_raises():
     fode = FODE2(alpha=0.5, rhs=lambda t, x, v: 40.0 * v, v0=1.0, t_end=4.0)
     with pytest.raises(DivergenceError):
         solve_fode2(fode, 2**-6)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("n", [257, 3 * _BLOCK + 1])
+def test_non_finite_right_side_is_a_divergence_error(bad, n):
+    calls = []
+
+    def rhs(t, x, v):
+        calls.append(t)
+        return bad if t > 0.5 else -x
+
+    h = 1.0 / (n - 1)
+    # F at the first node past t = 0.5 enters V at the node after it.
+    first_bad = h * (n // 2 + 2)
+    message = f"not finite or exceeded 1e\\+12 at t = {first_bad:g}"
+    with pytest.raises(DivergenceError, match=message):
+        solve_fode2(FODE2(alpha=0.6, rhs=rhs, x0=1.0), h)
+    assert len(calls) == n // 2 + 2  # stepping stopped at the first bad node
+
+
+# Grid sizes on both sides of one block of all nodes and of block boundaries.
+FODE2_NODES = [2 * _BLOCK, 2 * _BLOCK + 1, 3 * _BLOCK - 1, 3 * _BLOCK + 1]
+
+
+def plain_fode2(fode, h):
+    """The explicit scheme of ``solve_fode2`` as a plain O(N**2) loop.
+
+    Returns X, V and, for each, the sum of the absolute values of the terms
+    that make up each node.
+    """
+    n = int(round(fode.t_end / h)) + 1
+    w = gl_weights(FracOrder(fode.alpha), n)
+    ha = h**fode.alpha
+    big = np.zeros((2, n))
+    rev = np.zeros((2, n))  # big time-reversed: nodes j-1, j-2, ... are contiguous
+    size = np.zeros((2, n))
+    for j in range(1, n):
+        x_prev, v_prev = big[:, j - 1]
+        f = fode.rhs(h * (j - 1), fode.x0 + x_prev, fode.v0 + v_prev)
+        hist = [w[1 : j + 1].dot(r[n - j :]) for r in rev]
+        drive = ha * (fode.v0 + v_prev), ha * f
+        for r in range(2):
+            big[r, j] = rev[r, n - 1 - j] = -hist[r] + drive[r]
+            size[r, j] = np.abs(w[1 : j + 1]).dot(np.abs(rev[r, n - j :])) + abs(drive[r])
+    return big, size
+
+
+@pytest.mark.parametrize("n", FODE2_NODES)
+@pytest.mark.parametrize("alpha", [0.3, 0.6, 0.95, 1.0])
+@pytest.mark.parametrize(
+    "rhs",
+    [
+        lambda t, x, v: 1.0 - 2.0 * x - 0.5 * v,
+        lambda t, x, v: math.cos(3.0 * t) + math.sin(x) - 0.3 * v * abs(v),
+    ],
+    ids=["linear", "nonlinear"],
+)
+def test_fode2_matches_plain_explicit_stepping(n, alpha, rhs):
+    # x0 = v0 = 0, so that x and v are the stepped deviations X and V.
+    h = 2**-10
+    rep = solve_fode2(FODE2(alpha=alpha, rhs=rhs, t_end=(n - 1) * h), h)
+    got = np.array([rep.solution.values, rep.aux.values])
+    big, size = plain_fode2(FODE2(alpha=alpha, rhs=rhs, t_end=(n - 1) * h), h)
+    if n <= 2 * _BLOCK:
+        # One block: the same dot products, so the same bits.
+        assert np.array_equal(got, big)
+    else:
+        # The earlier blocks enter through FFTs. A node also inherits the
+        # roundoff of the nodes before it, so its bound is the largest sum
+        # of absolute terms up to it.
+        assert np.all(np.abs(got - big) <= 1e-13 * np.maximum.accumulate(size, axis=1))
 
 
 def test_explicit_euler_reduction_at_order_one():

@@ -465,21 +465,3 @@ def test_integer_rows_among_blocked_rows_sum_directly(n):
     out = _history(g, w)
     direct = np.convolve(g, w[1])[:n]
     assert np.all(np.abs(out[1] - direct) <= 1e-15 * np.convolve(np.abs(g), np.abs(w[1]))[:n])
-
-
-@settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=KERNEL_LENGTHS, mu=KERNEL_ORDERS)
-def test_online_history_matches_offline(seed, n, mu):
-    target, w = kernel_input(seed, n, 1.0), _weights(mu, n)
-    g = np.zeros(n)
-    g[0] = target[0]
-    seen = np.zeros(n)
-
-    def step(j, hist):
-        assert np.all(g[j:] == 0.0)  # nodes from j on are not written yet
-        seen[j] = hist[0]
-        return (target[j],)
-
-    assert _history(g, w, step) is None
-    assert np.array_equal(g, target)
-    assert_near_direct(seen + w[0] * g, g, w)
