@@ -97,12 +97,6 @@ class JetTrajectory:
     def times(self) -> np.ndarray:
         return self.base[0].times()
 
-    def point_at(self, j: int) -> JetPoint:
-        t = self.base[0].t0 + j * self.h
-        x = tuple(p.values[j] for p in self.base)
-        y = tuple(tuple(p.values[j] for p in row) for row in self.y)
-        return JetPoint(t, x, y)
-
 
 def lift(
     paths: Union[SampledPath, Sequence[SampledPath]],

@@ -22,6 +22,21 @@ levels keep the copied-neighbor value (their limit is an ordinary derivative
 and generally nonzero). Without this the copied base sample of a lifted
 coordinate, which is O(h**frac) rather than 0, smears a spurious power-law
 tail through the outer derivative and the residual stops converging.
+
+Lagrangians are evaluated on whole arrays. A callback (``eval_fn`` or an
+analytic partial) gets one argument with the layout of a `JetPoint`,
+``p.t``, ``p.x[i]`` and ``p.y[a-1][i]``, whose fields are numpy arrays of
+one broadcast shape: the nodes of a trajectory, the samples of a partial's
+internal grid, or both when partials nest. It must act elementwise (numpy
+operations; ``np.where`` or ``np.any`` rather than ``if`` on a value),
+must not write to its argument, and returns that shape or a scalar, which
+is broadcast. There is no per-point fallback: a callable that accepts only
+floats raises its own error.
+
+A fractional partial in one coordinate samples the callback at
+FRAC_PARTIAL_NODES points from the coordinate's lower terminal to its value,
+the last sample being the value itself, and takes the last node of the
+Grunwald-Letnikov sum on that grid. It is zero at the terminal.
 """
 
 from __future__ import annotations
@@ -29,11 +44,13 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from enum import Enum
+from types import SimpleNamespace
 from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .fracops import FracOrder, SampledPath, Side, frac_deriv, frac_deriv_from_base
+# perfbench/tracing.py patches frac_deriv and frac_deriv_from_base here by name.
+from .fracops import FracOrder, SampledPath, frac_deriv, frac_deriv_from_base, gl_weights
 from .jet import JetPoint, JetTrajectory
 from .specfun import gamma
 
@@ -54,9 +71,8 @@ __all__ = [
     "make_lagrangian",
 ]
 
-# Internal grid for one-dimensional fractional partials.
+# Samples of the internal grid of a fractional partial, terminal to value.
 FRAC_PARTIAL_NODES = 513
-FRAC_PARTIAL_MIN_SPAN = 1e-3
 
 # Step policy for classical finite-difference partials.
 _FD_REL_STEP = 1e-6
@@ -71,7 +87,12 @@ class Variant(str, Enum):
 
 
 Coord = tuple
-PointFn = Callable[[JetPoint], float]
+# A callback gets JetPoint's layout with array fields (see the module
+# docstring). A ColumnsFn maps coordinate columns (t, x^0 .. x^(n-1), then
+# each jet level's n entries), arrays of one shape, to that shape.
+PointFn = Callable[[SimpleNamespace], np.ndarray]
+Columns = tuple
+ColumnsFn = Callable[[Columns], np.ndarray]
 
 
 def _normalize_coord(coord, n: int, k: int) -> Coord:
@@ -96,45 +117,35 @@ def _normalize_coord(coord, n: int, k: int) -> Coord:
     raise ValueError(f"unrecognized coordinate selector: {coord!r}")
 
 
-def _coord_value(point: JetPoint, coord: Coord) -> float:
-    if coord[0] == "t":
-        return point.t
-    if coord[0] == "x":
-        return point.x[coord[1]]
-    return point.y[coord[1] - 1][coord[2]]
+def _columns(t, x, y) -> Columns:
+    """Columns from a time, n coordinates and k rows of n jet values."""
+    return tuple(np.asarray(v, dtype=np.float64) for v in (t, *x, *(v for row in y for v in row)))
 
 
-def _point_with(point: JetPoint, coord: Coord, value: float) -> JetPoint:
-    if coord[0] == "t":
-        return JetPoint(value, point.x, point.y)
-    if coord[0] == "x":
-        x = list(point.x)
-        x[coord[1]] = value
-        return JetPoint(point.t, tuple(x), point.y)
-    a, i = coord[1], coord[2]
-    y = [list(row) for row in point.y]
-    y[a - 1][i] = value
-    return JetPoint(point.t, point.x, tuple(tuple(row) for row in y))
+def _call(fn: PointFn, n: int) -> ColumnsFn:
+    """A callback as a function of columns; scalar returns are broadcast."""
 
+    def call(cols: Columns) -> np.ndarray:
+        y = tuple(cols[i : i + n] for i in range(n + 1, len(cols), n))
+        p = SimpleNamespace(t=cols[0], x=cols[1 : n + 1], y=y)
+        return np.broadcast_to(np.asarray(fn(p), dtype=np.float64), cols[0].shape)
 
-def _central_diff(fn: PointFn, point: JetPoint, coord: Coord) -> float:
-    v = _coord_value(point, coord)
-    s = max(_FD_REL_STEP * abs(v), _FD_ABS_FLOOR)
-    hi = fn(_point_with(point, coord, v + s))
-    lo = fn(_point_with(point, coord, v - s))
-    return (hi - lo) / (2.0 * s)
+    return call
 
 
 @dataclass(frozen=True)
 class Lagrangian:
     """A scalar function of (t, x, y^(alpha), ..., y^(k alpha)).
 
-    ``eval_fn`` must be effect free. Analytic partials are optional; when
-    provided they are cross-checked against central differences on a fixed
-    set of random points at construction time (positive coordinate ranges,
-    so power-law integrands stay real). ``frac_partial_base`` maps
-    coordinate selectors to lower terminals for fractional partials; missing
-    entries default to zero.
+    ``eval_fn`` and the optional analytic partials ``partial_x[i]`` and
+    ``partial_y[a-1][i]`` are effect-free callbacks on whole arrays: their
+    argument has JetPoint's layout with array fields of one shape, and they
+    return that shape or a scalar (see the module docstring). Analytic
+    partials are cross-checked against central differences at construction,
+    in one batched call per coordinate over a fixed set of random points
+    (positive coordinate ranges, so power-law integrands stay real).
+    ``frac_partial_base`` maps coordinate selectors to lower terminals for
+    fractional partials; missing entries default to zero.
     """
 
     k: int
@@ -163,89 +174,111 @@ class Lagrangian:
         self._validate_partials()
 
     def _validate_partials(self) -> None:
-        if self.partial_x is None and self.partial_y is None:
+        n, k = self.n, self.k
+        coords = [("x", i) for i in range(n)] if self.partial_x is not None else []
+        if self.partial_y is not None:
+            coords += [("y", a, i) for a in range(1, k + 1) for i in range(n)]
+        if not coords:
             return
-        rng = np.random.default_rng(170451)
-        for _ in range(_VALIDATION_POINTS):
-            t = float(rng.uniform(0.05, 1.0))
-            x = tuple(rng.uniform(0.3, 1.2, self.n))
-            y = tuple(tuple(rng.uniform(0.3, 1.2, self.n)) for _ in range(self.k))
-            point = JetPoint(t, x, y)
-            pairs = []
-            if self.partial_x is not None:
-                pairs += [(("x", i), self.partial_x[i]) for i in range(self.n)]
-            if self.partial_y is not None:
-                pairs += [
-                    (("y", a, i), self.partial_y[a - 1][i])
-                    for a in range(1, self.k + 1)
-                    for i in range(self.n)
-                ]
-            for coord, pfn in pairs:
-                ana = pfn(point)
-                fd = _central_diff(self.eval_fn, point, _normalize_coord(coord, self.n, self.k))
-                if abs(ana - fd) > 1e-6 * max(1.0, abs(ana), abs(fd)):
-                    raise ValueError(
-                        f"analytic partial at {coord} disagrees with finite differences "
-                        f"({ana:.6g} vs {fd:.6g})"
-                    )
+        width = n * (k + 1)
+        lo, hi = [0.05] + [0.3] * width, [1.0] + [1.2] * width
+        pts = np.random.default_rng(170451).uniform(lo, hi, (_VALIDATION_POINTS, 1 + width))
+        cols = tuple(np.ascontiguousarray(pts.T))
+        evaluate = _call(self.eval_fn, n)
+        for coord in coords:
+            ana, fd = (_partial(self, coord, 1.0, fn)(cols) for fn in (None, evaluate))
+            # Written so that a NaN on either side fails the check.
+            scale = np.maximum(1.0, np.maximum(np.abs(ana), np.abs(fd)))
+            bad = ~(np.abs(ana - fd) <= 1e-6 * scale)
+            if np.any(bad):
+                j = int(np.argmax(bad))
+                raise ValueError(
+                    f"analytic partial at {coord} disagrees with finite differences "
+                    f"({ana[j]:.6g} vs {fd[j]:.6g})"
+                )
 
     def eval(self, point: JetPoint) -> float:
-        return float(self.eval_fn(point))
+        return float(_call(self.eval_fn, self.n)(_columns(point.t, point.x, point.y)))
 
     def classical_partial(self, coord, point: JetPoint) -> float:
         """Ordinary partial in one coordinate: analytic if available."""
         c = _normalize_coord(coord, self.n, self.k)
-        if c[0] == "x" and self.partial_x is not None:
-            return float(self.partial_x[c[1]](point))
-        if c[0] == "y" and self.partial_y is not None:
-            return float(self.partial_y[c[1] - 1][c[2]](point))
-        return _central_diff(self.eval_fn, point, c)
+        return float(_partial(self, c, 1.0)(_columns(point.t, point.x, point.y)))
 
 
-def _frac_partial_fn(
-    fn: PointFn,
-    coord: Coord,
-    point: JetPoint,
-    alpha: float,
-    terminal: float,
-) -> float:
-    value = _coord_value(point, coord)
-    if value < terminal - 1e-12:
-        raise ValueError(
-            f"coordinate value {value:g} lies below its lower terminal {terminal:g}"
-        )
-    span = value - terminal
-    grid_span = max(span, FRAC_PARTIAL_MIN_SPAN)
-    hg = grid_span / (FRAC_PARTIAL_NODES - 1)
-    idx = int(round(span / hg))
-    if idx == 0:
+def _partial(
+    L: Lagrangian, coord: Coord, alpha: float, fn: Optional[ColumnsFn] = None
+) -> ColumnsFn:
+    """Partial of ``fn`` (default: L) in one coordinate, over whole arrays.
+
+    The result maps columns of one shape to that shape. It calls ``fn`` once,
+    on the columns with one trailing axis appended: the varied coordinate at
+    full size, the others as broadcast views. So a partial of a partial
+    makes one call on a 2-D grid. alpha = 1: the ordinary partial, L's
+    analytic one if ``fn`` is L and it is given, else a central difference
+    on v +- s. 0 < alpha < 1: the order-alpha partial from the coordinate's
+    lower terminal (see the module docstring).
+    """
+    head, *idx = coord
+    if fn is None and alpha == 1.0 and head == "x" and L.partial_x is not None:
+        return _call(L.partial_x[idx[0]], L.n)
+    if fn is None and alpha == 1.0 and head == "y" and L.partial_y is not None:
+        return _call(L.partial_y[idx[0] - 1][idx[1]], L.n)
+    fn = fn or _call(L.eval_fn, L.n)
+    j = 0 if head == "t" else 1 + idx[0] if head == "x" else 1 + L.n * idx[0] + idx[1]
+    terminal = L.frac_partial_base.get(coord, 0.0)
+    # Only the last node of each sample row's history sum is needed.
+    w = gl_weights(FracOrder(alpha), FRAC_PARTIAL_NODES)[::-1].copy()
+
+    def partial(cols: Columns) -> np.ndarray:
+        v = cols[j]
+        if alpha == 1.0:
+            s = np.maximum(_FD_REL_STEP * np.abs(v), _FD_ABS_FLOOR)
+            grid = np.stack((v + s, v - s), axis=-1)
+        elif np.any(v < terminal - 1e-12):
+            raise ValueError(
+                f"coordinate value {float(np.min(v)):g} lies below its lower terminal {terminal:g}"
+            )
+        else:
+            grid = np.linspace(terminal, np.maximum(v, terminal), FRAC_PARTIAL_NODES, axis=-1)
+        grid.setflags(write=False)
+        grow = lambda c: np.broadcast_to(c[..., None], grid.shape)  # noqa: E731
+        f = fn(tuple(grid if m == j else grow(c) for m, c in enumerate(cols)))
+        if alpha == 1.0:
+            return (f[..., 0] - f[..., 1]) / (2.0 * s)
+        hg = (grid[..., -1] - terminal) / (FRAC_PARTIAL_NODES - 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = ((f - f[..., :1]) @ w) * hg**-alpha
         # At the terminal itself the regularized derivative vanishes.
-        return 0.0
-    s = terminal + hg * np.arange(FRAC_PARTIAL_NODES)
-    samples = np.array([fn(_point_with(point, coord, float(si))) for si in s])
-    deriv = frac_deriv(SampledPath(terminal, hg, samples), FracOrder(alpha), Side.LEFT)
-    return float(deriv.values[idx])
+        return np.where(hg == 0.0, 0.0, out)
+
+    return partial
 
 
 def frac_partial(L: Lagrangian, coord, point: JetPoint, alpha: Optional[float] = None) -> float:
     """Left fractional derivative of L along one coordinate direction.
 
-    Samples s -> L(..., s, ...) on an internal grid from the coordinate's
-    lower terminal (default 0) to its current value, with a floor of
-    FRAC_PARTIAL_MIN_SPAN on the grid length, and differentiates to order
-    ``alpha`` (the Lagrangian's own alpha when omitted). Exactly at the
-    terminal the result is zero. For alpha equal to one this reduces to the
-    classical partial.
+    Samples s -> L(..., s, ...) from the coordinate's lower terminal
+    (default 0) to its value, as the module docstring describes, and
+    differentiates to order ``alpha`` (L's own alpha when omitted). For
+    alpha equal to one this is the classical partial.
     """
-    if alpha is None:
-        alpha = L.alpha
+    alpha = L.alpha if alpha is None else alpha
     c = _normalize_coord(coord, L.n, L.k)
-    if alpha == 1.0:
-        return L.classical_partial(c, point)
-    if not 0.0 < alpha < 1.0:
+    if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1] for a fractional partial")
-    terminal = L.frac_partial_base.get(c, 0.0)
-    return _frac_partial_fn(L.eval_fn, c, point, alpha, terminal)
+    return float(_partial(L, c, alpha)(_columns(point.t, point.x, point.y)))
+
+
+def _trajectory_columns(L: Lagrangian, traj: JetTrajectory) -> Columns:
+    """The trajectory's columns, once it agrees with L in alpha, k and n."""
+    if traj.k != L.k or abs(traj.alpha - L.alpha) > 1e-12:
+        raise ValueError("trajectory and Lagrangian disagree in alpha or order k")
+    if traj.n != L.n:
+        raise ValueError("trajectory and Lagrangian disagree in dimension")
+    return _columns(
+        traj.times(), [p.values for p in traj.base], [[p.values for p in row] for row in traj.y]
+    )
 
 
 def action(L: Lagrangian, traj: JetTrajectory) -> float:
@@ -254,11 +287,7 @@ def action(L: Lagrangian, traj: JetTrajectory) -> float:
     The base node is excluded by substituting the first interior value,
     since jet values at the base carry the copied-neighbor convention.
     """
-    if abs(traj.alpha - L.alpha) > 1e-12 or traj.k != L.k:
-        raise ValueError("trajectory and Lagrangian disagree in alpha or order k")
-    if traj.n != L.n:
-        raise ValueError("trajectory and Lagrangian disagree in dimension")
-    vals = np.array([L.eval(traj.point_at(j)) for j in range(traj.n_pts)])
+    vals = np.array(_call(L.eval_fn, L.n)(_trajectory_columns(L, traj)))
     vals[0] = vals[1]
     return float(np.trapezoid(vals, dx=traj.h))
 
@@ -269,7 +298,7 @@ class ELResidualReport:
 
     ``norm_inf`` is the max absolute residual over interior nodes, with the
     first and last ``excluded`` nodes dropped (startup region of the
-    history sums).
+    history sums). It is NaN when any interior residual is.
     """
 
     residual: tuple[SampledPath, ...]
@@ -278,39 +307,18 @@ class ELResidualReport:
     excluded: int
 
 
-def _momentum_base_point(traj: JetTrajectory) -> JetPoint:
-    """Base point with non-integer-order jet levels zeroed.
+def _momentum_base(L: Lagrangian, cols: Columns) -> Columns:
+    """The first node's columns with non-integer-order jet levels zeroed.
 
     The copied-neighbor base sample of a level with non-integer order a
     alpha is O(h**frac) while the true limit on a smooth path is zero, so
     momenta are anchored at zero there. Integer-order levels keep the copy:
     their limit is a classical derivative and need not vanish.
     """
-    p0 = traj.point_at(0)
-    y = []
-    for a in range(1, traj.k + 1):
-        if FracOrder(traj.alpha * a).is_integer:
-            y.append(p0.y[a - 1])
-        else:
-            y.append(tuple(0.0 for _ in range(traj.n)))
-    return JetPoint(p0.t, p0.x, tuple(y))
-
-
-def _partial_fn(
-    L: Lagrangian, coord: Coord, variant: Variant, fn: Optional[PointFn] = None
-) -> PointFn:
-    """Partial of ``fn`` (default: L) in one coordinate, as momenta take it.
-
-    Classical: the ordinary partial, L's analytic one when present.
-    Fractional: the order-alpha partial from the coordinate's lower terminal.
-    """
-    if variant is Variant.CLASSICAL:
-        if fn is None:
-            return lambda pt: L.classical_partial(coord, pt)
-        return lambda pt: _central_diff(fn, pt, coord)
-    terminal = L.frac_partial_base.get(coord, 0.0)
-    target = L.eval_fn if fn is None else fn
-    return lambda pt: _frac_partial_fn(target, coord, pt, L.alpha, terminal)
+    return tuple(
+        np.zeros(1) if m > L.n and not FracOrder(L.alpha * ((m - 1) // L.n)).is_integer else c[:1]
+        for m, c in enumerate(cols)
+    )
 
 
 def el_residual(
@@ -328,33 +336,27 @@ def el_residual(
     the module docstring).
     """
     variant = Variant(variant)
-    if traj.k != L.k or abs(traj.alpha - L.alpha) > 1e-12:
-        raise ValueError("trajectory and Lagrangian disagree in alpha or order k")
-    if traj.n != L.n:
-        raise ValueError("trajectory and Lagrangian disagree in dimension")
+    cols = _trajectory_columns(L, traj)
     n_pts = traj.n_pts
-    points = [traj.point_at(j) for j in range(n_pts)]
-    base_point = _momentum_base_point(traj)
-
-    residuals = []
-    for i in range(L.n):
-        px = _partial_fn(L, ("x", i), variant)
-        res = np.array([px(pt) for pt in points])
-        for a in range(1, L.k + 1):
-            pa = _partial_fn(L, ("y", a, i), variant)
-            momenta = SampledPath(traj.base[0].t0, traj.h, np.array([pa(pt) for pt in points]))
-            base_val = pa(base_point)
-            deriv = frac_deriv_from_base(momenta, FracOrder(L.alpha * a), base_val)
-            res = res + (-1.0) ** a * deriv.values
-        residuals.append(SampledPath(traj.base[0].t0, traj.h, res))
-
     excluded = FracOrder(L.alpha * L.k).m + 1
     if 2 * excluded >= n_pts:
         raise ValueError("grid is too short for the interior norm")
-    norm = max(
-        float(np.max(np.abs(r.values[excluded : n_pts - excluded]))) for r in residuals
-    )
-    return ELResidualReport(tuple(residuals), norm, variant, excluded)
+    order = L.alpha if variant is Variant.FRACTIONAL else 1.0
+    base = _momentum_base(L, cols)
+    path = traj.base[0]
+
+    residuals = []
+    for i in range(L.n):
+        res = _partial(L, ("x", i), order)(cols)
+        for a in range(1, L.k + 1):
+            pa = _partial(L, ("y", a, i), order)
+            momenta = path.with_values(pa(cols))
+            deriv = frac_deriv_from_base(momenta, FracOrder(L.alpha * a), float(pa(base)[0]))
+            res = res + (-1.0) ** a * deriv.values
+        residuals.append(path.with_values(res))
+
+    interior = np.stack([r.values for r in residuals])[:, excluded : n_pts - excluded]
+    return ELResidualReport(tuple(residuals), float(np.max(np.abs(interior))), variant, excluded)
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,16 +373,18 @@ def hessian_g(L: Lagrangian, point: JetPoint, variant: Variant = Variant.CLASSIC
 
     The classical variant nests finite differences (or differentiates the
     analytic first partials when present). The fractional variant nests two
-    fractional partials of order alpha. Singularity is reported through the
-    ``regular`` flag rather than an error.
+    fractional partials of order alpha, one callback call on a grid of
+    FRAC_PARTIAL_NODES squared samples per entry. Singularity is reported
+    through the ``regular`` flag rather than an error.
     """
-    variant = Variant(variant)
+    order = L.alpha if Variant(variant) is Variant.FRACTIONAL else 1.0
+    cols = _columns(point.t, point.x, point.y)
     n = L.n
     g = np.empty((n, n))
     for j in range(n):
-        first = _partial_fn(L, ("y", 1, j), variant)
+        first = _partial(L, ("y", 1, j), order)
         for i in range(n):
-            g[i, j] = _partial_fn(L, ("y", 1, i), variant, first)(point)
+            g[i, j] = _partial(L, ("y", 1, i), order, first)(cols)
     det = float(np.linalg.det(g))
     return HessianG(g, det, abs(det) > 1e-10)
 
@@ -400,18 +404,16 @@ def el_explicit_rhs(L: Lagrangian, point: JetPoint) -> tuple[float, ...]:
     hess = hessian_g(L, point, Variant.CLASSICAL)
     if not hess.regular:
         raise ValueError("Lagrangian is singular at this point (det g is zero)")
-    frac = Variant.FRACTIONAL
-    n = L.n
+    cols = _columns(point.t, point.x, point.y)
+    alpha, n = L.alpha, L.n
     force = np.empty(n)
     for kk in range(n):
-        phi = _partial_fn(L, ("y", 1, kk), frac)
-        dt_phi = _partial_fn(L, ("t",), frac, phi)(point)
+        phi = _partial(L, ("y", 1, kk), alpha)
+        dt_phi = _partial(L, ("t",), alpha, phi)(cols)
         for j in range(n):
-            dt_phi += point.y[0][j] * _partial_fn(L, ("x", j), frac, phi)(point)
-        dx_l = _partial_fn(L, ("x", kk), frac)(point)
-        force[kk] = dx_l - dt_phi
-    m = np.linalg.solve(hess.g, force)
-    return tuple(float(v) for v in m)
+            dt_phi = dt_phi + point.y[0][j] * _partial(L, ("x", j), alpha, phi)(cols)
+        force[kk] = _partial(L, ("x", kk), alpha)(cols) - dt_phi
+    return tuple(float(v) for v in np.linalg.solve(hess.g, force))
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +518,7 @@ def order_potential_lagrangian(
     def evaluate(p: JetPoint) -> float:
         out = u(p.t, p.x[0])
         for a in range(1, k + 1):
-            out += (-1.0) ** a * 0.5 * damp[a - 1] * cs[a - 1] * p.y[a - 1][0] ** 2
+            out = out + (-1.0) ** a * 0.5 * damp[a - 1] * cs[a - 1] * p.y[a - 1][0] ** 2
         return out
 
     partial_x = None
@@ -618,7 +620,7 @@ def power_law_mixed_lagrangian(
 
         def evaluate(p: JetPoint) -> float:
             y1, y2 = p.y[0][0], p.y[1][0]
-            if y1 < 0.0 or y2 < 0.0:
+            if np.any(y1 < 0.0) or np.any(y2 < 0.0):
                 raise ValueError("fractional jet powers need non-negative jet values")
             return (
                 c / (1.0 + gamma_exp - alpha) * p.x[0] ** gamma_exp

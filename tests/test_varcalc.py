@@ -1,5 +1,7 @@
 """Lagrangians, fractional partials, stationarity residuals, explicit fields."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,18 @@ def test_wrong_analytic_partial_is_rejected():
         )
 
 
+def test_non_finite_analytic_partial_is_rejected():
+    with pytest.raises(ValueError):
+        Lagrangian(
+            k=1,
+            n=1,
+            alpha=0.5,
+            eval_fn=lambda p: p.x[0] ** 2,
+            partial_x=(lambda p: np.nan * p.x[0],),
+            partial_y=((lambda p: 0.0,),),
+        )
+
+
 def test_shape_and_range_validation():
     ok = lambda p: 0.0
     with pytest.raises(ValueError):
@@ -122,6 +136,34 @@ def test_frac_partial_defaults_to_lagrangian_alpha(quad_lagrangian):
 def test_frac_partial_at_terminal_is_zero(quad_lagrangian):
     pt = JetPoint.scalar(0.5, 0.0, (0.3,))
     assert frac_partial(quad_lagrangian, ("x", 0), pt, alpha=0.5) == 0.0
+
+
+@pytest.mark.parametrize(
+    "coord, terminal, alpha",
+    [(("x", 0), 0.0, 0.5), (("x", 0), 0.3, 0.7), (("y", 1, 0), -0.2, 0.4), ("t", 0.1, 0.9)],
+)
+def test_frac_partial_is_the_last_node_of_a_sampled_derivative(coord, terminal, alpha):
+    # reference: frac_deriv of L sampled on the grid from the terminal to the value
+    fn = lambda p: np.exp(0.3 * p.t) * p.x[0] ** 3 + p.y[0][0] ** 2 * p.x[0]
+    L = Lagrangian(k=1, n=1, alpha=0.5, eval_fn=fn, frac_partial_base={coord: terminal})
+    t, x, y = 0.6, 0.8, 0.45
+    value = {"x": x, "y": y, "t": t}[coord[0]]
+    s = np.linspace(terminal, value, 513)
+    at = lambda name, v: s if coord[0] == name else np.full_like(s, v)
+    samples = fn(SimpleNamespace(t=at("t", t), x=(at("x", x),), y=((at("y", y),),)))
+    path = SampledPath(terminal, (value - terminal) / 512, samples)
+    ref = frac_deriv(path, FracOrder(alpha)).values[-1]
+    got = frac_partial(L, coord, JetPoint.scalar(t, x, (y,)), alpha=alpha)
+    assert got == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("x", [1e-4, 3e-6, 9e-7])
+def test_frac_partial_near_the_terminal(quad_lagrangian, x):
+    # the internal grid ends at the value itself however close it lies to
+    # the terminal, so the relative error is that of a unit-span grid
+    got = frac_partial(quad_lagrangian, ("x", 0), JetPoint.scalar(0.5, x, (0.3,)), alpha=0.5)
+    exact = 2.0 * x**1.5 / gamma(2.5)
+    assert abs(got - exact) <= 1e-3 * exact
 
 
 def test_frac_partial_rejects_bad_arguments(quad_lagrangian):
@@ -252,6 +294,26 @@ def test_el_residual_fractional_variant_smoke():
     assert rep.norm_inf >= 0.0
 
 
+def test_el_residual_norm_sees_a_non_finite_coordinate():
+    # the analytic partial of coordinate 1 is NaN only outside the range
+    # that construction checks, so the residual of that coordinate is NaN
+    L = Lagrangian(
+        k=1,
+        n=2,
+        alpha=0.5,
+        eval_fn=lambda p: 0.5 * (p.x[0] ** 2 + p.x[1] ** 2),
+        partial_x=(lambda p: p.x[0], lambda p: np.where(p.x[1] > 2.0, np.nan, p.x[1])),
+        partial_y=((lambda p: 0.0, lambda p: 0.0),),
+    )
+    paths = [
+        SampledPath.from_function(fn, 0.0, 1.0, 65) for fn in (lambda t: t, lambda t: 3.0 + t)
+    ]
+    rep = el_residual(L, lift(paths, 0.5, 1))
+    assert np.all(np.isfinite(rep.residual[0].values))
+    assert np.all(np.isnan(rep.residual[1].values))
+    assert np.isnan(rep.norm_inf)
+
+
 def test_el_residual_mismatch_and_short_grid():
     L = order_potential_lagrangian(1, alpha=0.5)
     with pytest.raises(ValueError):
@@ -300,6 +362,11 @@ def test_fractional_jet_powers_need_nonnegative_jets():
     bad = JetPoint.scalar(0.2, 0.5, (-0.3, 0.4))
     with pytest.raises(ValueError):
         L.eval_fn(bad)
+    ones = np.ones(3)
+    jets = lambda y1: SimpleNamespace(t=0.2 * ones, x=(0.5 * ones,), y=((y1,), (0.4 * ones,)))
+    assert np.all(np.isfinite(L.eval_fn(jets(np.array([0.3, 0.1, 0.2])))))
+    with pytest.raises(ValueError, match="non-negative"):
+        L.eval_fn(jets(np.array([0.3, -0.1, 0.2])))
 
 
 # === hessians and explicit fields ===========================================
@@ -366,6 +433,101 @@ def test_explicit_field_rejects_degenerate_or_higher_order():
         el_explicit_rhs(
             order_potential_lagrangian(2), JetPoint.scalar(0.3, 0.8, (0.4, 0.2))
         )
+
+
+# === several coordinates and whole arrays ===================================
+
+
+def _coordinate(p, i):
+    """The one-coordinate view of coordinate i of a callback argument."""
+    return SimpleNamespace(t=p.t, x=(p.x[i],), y=tuple((row[i],) for row in p.y))
+
+
+def _separable_pair(first, second):
+    """The n = 2 Lagrangian first(x^0, y^0) + second(x^1, y^1)."""
+    parts = (first, second)
+    return Lagrangian(
+        k=1,
+        n=2,
+        alpha=first.alpha,
+        eval_fn=lambda p: first.eval_fn(_coordinate(p, 0)) + second.eval_fn(_coordinate(p, 1)),
+        partial_x=tuple(
+            (lambda p, i=i: parts[i].partial_x[0](_coordinate(p, i))) for i in range(2)
+        ),
+        partial_y=(
+            tuple((lambda p, i=i: parts[i].partial_y[0][0](_coordinate(p, i))) for i in range(2)),
+        ),
+    )
+
+
+def test_separable_pair_matches_each_coordinate_alone():
+    alpha = 0.6
+    first = order_potential_lagrangian(
+        1, alpha=alpha, potential=lambda t, x: 0.5 * x**2, potential_x=lambda t, x: x
+    )
+    second = order_potential_lagrangian(
+        1, alpha=alpha, potential=lambda t, x: 0.3 * x**3, potential_x=lambda t, x: 0.9 * x**2
+    )
+    pair = _separable_pair(first, second)
+    t, xs, ys = 0.3, (0.8, 0.5), (0.4, 0.7)
+    point = JetPoint(t, xs, (ys,))
+    alone = [JetPoint.scalar(t, xs[i], (ys[i],)) for i in range(2)]
+
+    rhs = el_explicit_rhs(pair, point)
+    for i, L in enumerate((first, second)):
+        assert rhs[i] == pytest.approx(el_explicit_rhs(L, alone[i])[0], rel=1e-12)
+
+    g = hessian_g(pair, point, Variant.FRACTIONAL).g
+    for i, L in enumerate((first, second)):
+        alone_g = hessian_g(L, alone[i], Variant.FRACTIONAL).g[0, 0]
+        assert g[i, i] == pytest.approx(alone_g, rel=1e-12)
+    assert abs(g[0, 1]) <= 1e-12 * abs(g[0, 0]) and abs(g[1, 0]) <= 1e-12 * abs(g[0, 0])
+
+    # Both paths have a slope at t = 0, so no jet approaches its terminal
+    # (zero) fast. Near the terminal a fractional partial of the sum loses
+    # the digits of the other coordinate's term: its roundoff, eps |L|, is
+    # amplified by hg**-alpha of the partial's internal grid.
+    paths = [
+        SampledPath.from_function(lambda tt: 0.8 + 0.3 * tt + 0.5 * tt**2, 0.0, 1.0, 65),
+        SampledPath.from_function(lambda tt: 0.5 + 0.4 * tt + 0.3 * tt**3, 0.0, 1.0, 65),
+    ]
+    rep = el_residual(pair, lift(paths, alpha, 1), Variant.FRACTIONAL)
+    for i, L in enumerate((first, second)):
+        ref = el_residual(L, lift(paths[i], alpha, 1), Variant.FRACTIONAL).residual[0].values
+        err = np.max(np.abs(rep.residual[i].values - ref))
+        assert err <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_callbacks_take_whole_arrays():
+    # a return to per-node evaluation would make hundreds of thousands of
+    # callback calls here
+    calls = []
+
+    def counted(fn):
+        def wrapper(p):
+            calls.append(np.shape(p.t))
+            return fn(p)
+
+        return wrapper
+
+    base = order_potential_lagrangian(
+        1, alpha=0.6, potential=lambda t, x: 0.5 * x**2, potential_x=lambda t, x: x
+    )
+    L = Lagrangian(
+        k=1,
+        n=1,
+        alpha=0.6,
+        eval_fn=counted(base.eval_fn),
+        partial_x=(counted(base.partial_x[0]),),
+        partial_y=((counted(base.partial_y[0][0]),),),
+    )
+    calls.clear()
+    el_explicit_rhs(L, JetPoint.scalar(0.3, 0.8, (0.4,)))
+    assert 0 < len(calls) <= 24
+    calls.clear()
+    el_residual(L, lift(cubic_path(2**-7), 0.6, 1), Variant.FRACTIONAL)
+    assert 0 < len(calls) <= 24
+    assert max(int(np.prod(s)) for s in calls) >= 129 * 513
 
 
 # === catalog ================================================================
