@@ -261,6 +261,13 @@ def _cmd_action(args) -> int:
 
 def _cmd_el_check(args) -> int:
     lag = _build_lagrangian(args)
+    if args.coefficients == "literature-fractional" and args.variant == "classical":
+        # The classical partial of y**alpha is unbounded at the momentum base
+        # point, where the jet levels are zeroed.
+        raise CliError(
+            "coefficients 'literature-fractional' raise the jets to the power alpha, whose "
+            "classical partial is unbounded at zero jets; use --variant fractional"
+        )
     path = _sample(args)
     args.alpha = lag.alpha
     traj = lift((path,), lag.alpha, lag.k)

@@ -162,6 +162,11 @@ def gl_weights(order: FracOrder, count: int) -> np.ndarray:
 # and 1024, 512 gave the fastest derivatives from 2049 to 65537 nodes.
 _BLOCK = 512
 
+# Sub-block length of `fodesolve.solve_fode2`'s stepping on blocked grids:
+# lags within a sub-block are summed in Python floats, the earlier
+# sub-blocks of the block through one matrix product per sub-block.
+_SUB = 8
+
 
 def _support(w: np.ndarray) -> np.ndarray:
     """One past the last nonzero entry of each row of ``w`` (0 for none)."""

@@ -74,6 +74,11 @@ __all__ = [
 # Samples of the internal grid of a fractional partial, terminal to value.
 FRAC_PARTIAL_NODES = 513
 
+# Leading rows of columns a fractional partial samples at once, at least
+# this many and fewer than twice: each of its grids of _PARTIAL_ROWS x
+# FRAC_PARTIAL_NODES values takes about 1 MiB.
+_PARTIAL_ROWS = 256
+
 # Step policy for classical finite-difference partials.
 _FD_REL_STEP = 1e-6
 _FD_ABS_FLOOR = 1e-8
@@ -217,7 +222,11 @@ def _partial(
     makes one call on a 2-D grid. alpha = 1: the ordinary partial, L's
     analytic one if ``fn`` is L and it is given, else a central difference
     on v +- s. 0 < alpha < 1: the order-alpha partial from the coordinate's
-    lower terminal (see the module docstring).
+    lower terminal (see the module docstring). Its grid has
+    FRAC_PARTIAL_NODES samples per value, so columns of 2 * _PARTIAL_ROWS
+    or more leading rows are taken in chunks of _PARTIAL_ROWS rows (the last
+    chunk takes the remainder), with one call each; every row's result is
+    the same as from one call.
     """
     head, *idx = coord
     if fn is None and alpha == 1.0 and head == "x" and L.partial_x is not None:
@@ -239,6 +248,12 @@ def _partial(
             raise ValueError(
                 f"coordinate value {float(np.min(v)):g} lies below its lower terminal {terminal:g}"
             )
+        elif v.ndim and len(v) >= 2 * _PARTIAL_ROWS:
+            # The last chunk takes the remainder: BLAS would round a chunk of a
+            # few rows differently from the same rows of one call.
+            cuts = range(_PARTIAL_ROWS, len(v) - _PARTIAL_ROWS + 1, _PARTIAL_ROWS)
+            parts = zip(*(np.split(c, cuts) for c in cols))
+            return np.concatenate([partial(part) for part in parts])
         else:
             grid = np.linspace(terminal, np.maximum(v, terminal), FRAC_PARTIAL_NODES, axis=-1)
         grid.setflags(write=False)

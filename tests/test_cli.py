@@ -105,6 +105,18 @@ def test_el_check_file_errors(capsys, tmp_path):
     assert "uniform" in err
 
 
+def test_el_check_rejects_classical_variant_of_fractional_powers(capsys):
+    argv = ["el-check", "--lagrangian", "power-law-mixed", "--coefficients",
+            "literature-fractional", "--fn", "exp", "--grid", "0:1:257"]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "--variant fractional" in err
+    code, out, _ = run(capsys, argv + ["--variant", "fractional"])
+    assert code == 0
+    assert len(parse_csv(out)[1]) == 257
+
+
 # t**-1 is infinite at the base node, so every derivative row is NaN;
 # exp(800) overflows the last rows of the sampled path.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -19,7 +19,7 @@ from fracvar.fodesolve import (
     solve_fode2,
     solve_multiterm,
 )
-from fracvar.fracops import _BLOCK, FracOrder, SampledPath, _history, gl_weights
+from fracvar.fracops import _BLOCK, _SUB, FracOrder, SampledPath, _history, gl_weights
 from fracvar.specfun import gamma
 
 
@@ -322,6 +322,35 @@ def test_right_side_is_called_once_per_node():
     assert rep.max_defect == max(np.max(np.abs(dx[1:] - v[1:])), np.max(np.abs(dv[1:] - f[1:])))
 
 
+def test_right_side_calls_on_a_blocked_grid():
+    n = 3 * _BLOCK + 1
+    h = 1.0 / (n - 1)
+    calls = []
+
+    def rhs(t, x, v):
+        calls.append(t)
+        return 1.0 - x - 0.3 * v
+
+    rep = solve_fode2(FODE2(alpha=0.6, rhs=rhs), h)
+    assert calls == [j * h for j in range(n)]
+    x, v = rep.solution.values, rep.aux.values
+    dx, dv = h**-0.6 * _history(np.array([x, v]), gl_weights(FracOrder(0.6), n))
+    f = np.array([rhs(t, xj, vj) for t, xj, vj in zip(h * np.arange(n), x, v)])
+    assert rep.max_defect == max(np.max(np.abs(dx[1:] - v[1:])), np.max(np.abs(dv[1:] - f[1:])))
+
+    # A NaN from F enters V at the next node: here the middle of a sub-block.
+    bad_node = 2 * _BLOCK + 3 * _SUB + _SUB // 2
+    calls.clear()
+
+    def nan_rhs(t, x, v):
+        calls.append(t)
+        return math.nan if len(calls) == bad_node else -x
+
+    with pytest.raises(DivergenceError, match=f"at t = {h * bad_node:g}$"):
+        solve_fode2(FODE2(alpha=0.6, rhs=nan_rhs, x0=1.0), h)
+    assert calls == [j * h for j in range(bad_node)]  # F is not called again
+
+
 def test_initial_values_are_injected():
     fode = FODE2(alpha=0.7, rhs=lambda t, x, v: -x, x0=2.0, v0=-1.0, t_end=1.0)
     rep = solve_fode2(fode, 2**-8)
@@ -355,6 +384,8 @@ def test_non_finite_right_side_is_a_divergence_error(bad, n):
 
 # Grid sizes on both sides of one block of all nodes and of block boundaries.
 FODE2_NODES = [2 * _BLOCK, 2 * _BLOCK + 1, 3 * _BLOCK - 1, 3 * _BLOCK + 1]
+# Blocked grids whose last block ends on, just past or short of a sub-block edge.
+FODE2_SUB_BLOCK_NODES = [2 * _BLOCK + _SUB, 2 * _BLOCK + _SUB + 1, 4 * _BLOCK + 2]
 
 
 def plain_fode2(fode, h):
@@ -380,7 +411,7 @@ def plain_fode2(fode, h):
     return big, size
 
 
-@pytest.mark.parametrize("n", FODE2_NODES)
+@pytest.mark.parametrize("n", FODE2_NODES + FODE2_SUB_BLOCK_NODES)
 @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.95, 1.0])
 @pytest.mark.parametrize(
     "rhs",

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import fracvar.varcalc as varcalc
 from fracvar.fracops import FracOrder, SampledPath, frac_deriv
 from fracvar.jet import JetPoint, lift
 from fracvar.specfun import gamma
@@ -528,6 +529,28 @@ def test_callbacks_take_whole_arrays():
     el_residual(L, lift(cubic_path(2**-7), 0.6, 1), Variant.FRACTIONAL)
     assert 0 < len(calls) <= 24
     assert max(int(np.prod(s)) for s in calls) >= 129 * 513
+
+
+def test_fractional_partial_samples_rows_in_chunks(monkeypatch):
+    # Chunks bound the partial's (rows, FRAC_PARTIAL_NODES) grids and change no bit.
+    rows = []
+    base = bagley_torvik_lagrangian(forcing=lambda t: 1.0 + t)
+
+    def counted(p):
+        rows.append(np.shape(p.t))
+        return base.eval_fn(p)
+
+    L = Lagrangian(k=base.k, n=1, alpha=base.alpha, eval_fn=counted)
+    chunk = varcalc._PARTIAL_ROWS
+    traj = lift(cubic_path(1.0 / (2 * chunk + 4)), L.alpha, L.k)
+    chunked = el_residual(L, traj, Variant.FRACTIONAL)
+    # 2 * chunk + 5 nodes: chunks of chunk and chunk + 5 rows, plus the
+    # momentum base point's one row.
+    assert {s[0] for s in rows if len(s) == 2} == {1, chunk, chunk + 5}
+    monkeypatch.setattr(varcalc, "_PARTIAL_ROWS", 10**6)
+    whole = el_residual(L, traj, Variant.FRACTIONAL)
+    assert np.array_equal(chunked.residual[0].values, whole.residual[0].values)
+    assert chunked.norm_inf == whole.norm_inf
 
 
 # === catalog ================================================================
