@@ -21,7 +21,9 @@ residual checks. Alpha equal to one is allowed in ``FODE2`` and reduces the
 update to the explicit Euler step.
 
 Every history sum, in the solves and in the defect checks, goes through
-the blocks of the kernel ``fracops._far_blocks``. Up to 1024 nodes, and
+the blocks of the kernel ``fracops._far_blocks``; ``solve_fode2``'s defect
+check takes them through ``fracops._history``, which keeps one block up to
+2048 nodes. In the solves, up to 1024 nodes, and
 for integer orders alone in ``solve_multiterm``, there is one block of all
 nodes and the sums are direct, O(n**2). On longer grids the blocks hold
 512 nodes, and the history of all earlier blocks enters through FFTs of

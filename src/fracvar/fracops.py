@@ -231,26 +231,29 @@ def _far_blocks(g: np.ndarray, w: np.ndarray, blocked: bool = True):
             spec_g[:, b] = np.fft.rfft(g2[g_fft, lo:hi], 2 * blk)
 
 
-def _history(g: np.ndarray, w: np.ndarray, *, blocked: bool = True) -> np.ndarray:
+def _history(g: np.ndarray, w: np.ndarray) -> np.ndarray:
     """History sums y[..., j] = sum_{k<=j} w[..., k] g[..., j-k], exactly causal.
 
     ``g`` and ``w`` have shape (n,) or (rows, n) and broadcast along rows.
     The blocks come from `_far_blocks`: within a block the sum is one
     direct convolution, and the earlier blocks enter through the block's
-    far part. One block costs O(n**2); blocks of _BLOCK nodes cost
-    O(n * _BLOCK + n**2 / _BLOCK). Blocked results differ from the direct
-    sums by FFT roundoff, which scales with whole blocks rather than with
-    each node's own terms. Node j reads g only at nodes up to j on both
-    paths, so changing g at a node leaves every earlier output
-    bit-identical. The solvers, which fill g as they go, loop over
-    `_far_blocks` themselves.
+    far part. Sums of at most 4 * _BLOCK nodes take one block, O(n**2);
+    longer sums take blocks of _BLOCK nodes, O(n * _BLOCK + n**2 / _BLOCK),
+    which overtake the direct sum between 3 and 4 * _BLOCK nodes and are
+    8x faster at 16 * _BLOCK (order 0.7, one thread of a 2-vCPU Xeon).
+    Blocked results differ from the direct sums by FFT roundoff, which
+    scales with whole blocks rather than with each node's own terms; rows
+    whose weights end within a block (integer orders) keep the direct sum's
+    bits. Node j reads g only at nodes up to j on both paths, so changing g
+    at a node leaves every earlier output bit-identical. The solvers, which
+    fill g as they go, loop over `_far_blocks` themselves.
     """
     g2, w2 = np.atleast_2d(g), np.atleast_2d(w)
     n = g2.shape[-1]
     rows = max(len(g2), len(w2))
     g_rows, w_rows = np.broadcast_to(g2, (rows, n)), np.broadcast_to(w2, (rows, n))
     out = np.empty((rows, n))
-    for lo, hi, far in _far_blocks(g2, w2, blocked):
+    for lo, hi, far in _far_blocks(g2, w2, blocked=n > 4 * _BLOCK):
         for r in range(rows):
             near = np.convolve(g_rows[r, lo:hi], w_rows[r, : hi - lo])[: hi - lo]
             out[r, lo:hi] = far[r] + near
@@ -258,10 +261,9 @@ def _history(g: np.ndarray, w: np.ndarray, *, blocked: bool = True) -> np.ndarra
 
 
 def _convolve_history(g: np.ndarray, mu: float, h: float) -> np.ndarray:
-    # Derivatives (and the lifts and residuals built on them) keep the
-    # direct sum for now, although the blocked one is 15-30x faster from
-    # 8193 nodes: see ROADMAP item 6 for why and for what it waits on.
-    return _history(g, _weights(mu, g.size), blocked=False) * h ** (-mu)
+    # Lifts and residual momenta come through here too, so they share
+    # `_history`'s switch to blocked sums above 4 * _BLOCK nodes.
+    return _history(g, _weights(mu, g.size)) * h ** (-mu)
 
 
 def _onesided_estimate(values: np.ndarray, h: float, r: int) -> float:

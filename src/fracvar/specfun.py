@@ -51,6 +51,11 @@ def gen_binomial(alpha: float, k: int) -> float:
 # (small alpha is the worst case) and the evaluation raises instead.
 ML_ARG_BUDGET = 50.0
 
+# Largest rounding estimate 2**-52 * max|term| / |sum| the series may
+# return with. On the negative axis the terms grow far beyond the sum and
+# cancel, so the sum loses their digits; past this it raises instead.
+_ML_ROUNDING_LIMIT = 1e-8
+
 
 @dataclass(frozen=True)
 class MLParams:
@@ -78,7 +83,11 @@ def mittag_leffler(params: MLParams, z: float) -> float:
     in powers of t**alpha, pass z = t**alpha.
 
     Raises ConvergenceError when the term budget runs out or the terms
-    overflow before the tolerance is reached.
+    overflow before the tolerance is reached, and when the sum's rounding
+    estimate 2**-52 * max|term| / |sum| exceeds _ML_ROUNDING_LIMIT = 1e-8:
+    on the negative axis the alternating terms then cancel to a value with
+    few or no correct digits (E_1(-20), E_0.5(-10)). For z >= 0 every term
+    is positive and the estimate stays at or below 2**-52.
     """
     z = float(z)
     if abs(z) > ML_ARG_BUDGET:
@@ -88,6 +97,7 @@ def mittag_leffler(params: MLParams, z: float) -> float:
     alpha = params.alpha
     term = 1.0
     total = 1.0
+    biggest = 1.0
     for a in range(1, params.max_terms):
         # term_a = z**a / Gamma(1 + alpha a), built up incrementally through
         # log-gamma ratios so no intermediate gamma value overflows on its own.
@@ -98,7 +108,13 @@ def mittag_leffler(params: MLParams, z: float) -> float:
                 f"Mittag-Leffler series overflowed at term {a} for alpha={alpha:g}, z={z:g}"
             )
         total = new_total
+        biggest = max(biggest, abs(term))
         if abs(term) <= params.tol * abs(total):
+            if 2.0**-52 * biggest > _ML_ROUNDING_LIMIT * abs(total):
+                raise ConvergenceError(
+                    f"Mittag-Leffler series lost its digits to cancellation for "
+                    f"alpha={alpha:g}, z={z:g}: largest term {biggest:.3g}, sum {total:.3g}"
+                )
             return total
     raise ConvergenceError(
         f"Mittag-Leffler series did not converge within {params.max_terms} terms "

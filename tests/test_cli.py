@@ -75,6 +75,14 @@ def test_series_overflow_is_a_numerical_error(capsys):
     assert "overflow" in err.lower()
 
 
+def test_series_cancellation_is_a_numerical_error(capsys):
+    # E_1(-20) = 2.1e-9; the series sums to 2.7e-7 through terms of 4e7.
+    code, out, err = run(capsys, ["mlf", "--alpha", "1", "--z", "-20"])
+    assert code == 3
+    assert out == ""
+    assert "cancellation" in err
+
+
 def test_series_budget_is_a_usage_error(capsys):
     code, _, err = run(capsys, ["mlf", "--alpha", "0.25", "--z", "60"])
     assert code == 2

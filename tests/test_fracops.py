@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import binom
 
+from fracvar import fracops
 from fracvar.fracops import (
     _BLOCK,
     FracOrder,
@@ -18,6 +19,7 @@ from fracvar.fracops import (
     gl_weights,
     ibp_residual,
     _history,
+    _taylor_base_poly,
     _weights,
     leibniz_series,
 )
@@ -106,7 +108,7 @@ def test_weights_of_order_one_are_first_difference():
 
 
 @pytest.mark.parametrize("mu", [0.3, 0.5, 0.8, 1.5, 2.5])
-@pytest.mark.parametrize("n", [33, 257])
+@pytest.mark.parametrize("n", [33, 257, 4 * _BLOCK + 1])
 def test_constants_annihilate_exactly(mu, n):
     p = SampledPath.from_function(lambda t: 4.25, 0.0, 1.0, n)
     for side in (Side.LEFT, Side.RIGHT):
@@ -130,7 +132,7 @@ def test_linearity():
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n=st.sampled_from([33, 257, 1025]),
+    n=st.sampled_from([33, 257, 1025, 4 * _BLOCK + 1]),
     mu=st.floats(0.05, 2.5),
     # Subnormal factors round with less than full relative precision.
     a=st.floats(-3.0, 3.0, allow_subnormal=False),
@@ -219,25 +221,25 @@ def test_classical_limit_on_sin():
 def test_right_side_mirrors_left():
     # the right operator is (-1)**m times the mirrored left one: the sign
     # is what makes the summation-by-parts residual cancel, so for m = 1
-    # the mirror shows up negated
-    h = 2**-9
-    p = grid_path(lambda t: (1.0 - t) ** 2, h)
-    q = grid_path(lambda t: t**2, h)
+    # the mirror shows up negated; 4097 nodes take the blocked kernel
     order = FracOrder(0.5)
-    right = frac_deriv(p, order, Side.RIGHT).values
-    left = frac_deriv(q, order, Side.LEFT).values
-    assert np.max(np.abs(right + left[::-1])) <= 1e-12
+    for h in (2**-9, 2**-12):
+        p = grid_path(lambda t: (1.0 - t) ** 2, h)
+        q = grid_path(lambda t: t**2, h)
+        right = frac_deriv(p, order, Side.RIGHT).values
+        left = frac_deriv(q, order, Side.LEFT).values
+        assert np.max(np.abs(right + left[::-1])) <= 1e-12
 
 
 def test_right_side_sign_at_integer_orders():
     # with the parts-friendly sign the order-one right derivative is the
-    # plain ordinary derivative
-    h = 2**-10
-    p = grid_path(lambda t: t**2, h)
-    d = frac_deriv(p, FracOrder(1.0), Side.RIGHT)
-    t = p.times()
-    err = np.max(np.abs(d.values[8:-8] - 2.0 * t[8:-8]))
-    assert err <= 5e-3
+    # plain ordinary derivative; 4097 nodes take the blocked kernel
+    for h in (2**-10, 2**-12):
+        p = grid_path(lambda t: t**2, h)
+        d = frac_deriv(p, FracOrder(1.0), Side.RIGHT)
+        t = p.times()
+        err = np.max(np.abs(d.values[8:-8] - 2.0 * t[8:-8]))
+        assert err <= 5e-3
 
 
 # === semigroup ==============================================================
@@ -382,9 +384,12 @@ def test_parts_identity_rejects_high_orders():
 
 # === history kernel =========================================================
 
-# Lengths on both sides of the direct/blocked switch and of block boundaries.
+# Lengths on both sides of the direct/blocked switch (4 * _BLOCK nodes for
+# `_history`, 2 * _BLOCK for the solvers' blocks) and of block boundaries;
+# 4 * _BLOCK + 1 and 6 * _BLOCK + 1 end in a one-node block.
 KERNEL_LENGTHS = st.sampled_from(
-    [2 * _BLOCK, 2 * _BLOCK + 1, 3 * _BLOCK - 1, 3 * _BLOCK + 1, 4 * _BLOCK, 5 * _BLOCK + 1]
+    [2 * _BLOCK, 2 * _BLOCK + 1, 3 * _BLOCK - 1, 3 * _BLOCK + 1, 4 * _BLOCK, 4 * _BLOCK + 1,
+     5 * _BLOCK - 1, 5 * _BLOCK + 1, 6 * _BLOCK + 1]
 )
 KERNEL_ORDERS = st.floats(-1.5, 2.5)
 
@@ -422,7 +427,7 @@ def test_history_is_exactly_causal(seed, n, mu, bump, size):
     assert after[p] != before[p]
 
 
-@pytest.mark.parametrize("n", [2 * _BLOCK, 3 * _BLOCK + 1])
+@pytest.mark.parametrize("n", [2 * _BLOCK, 3 * _BLOCK + 1, 4 * _BLOCK + 1, 6 * _BLOCK + 1])
 @pytest.mark.parametrize("mu", [-0.7, 0.5, 1.5])
 def test_history_of_zero_is_exactly_zero(n, mu):
     out = _history(np.zeros(n), _weights(mu, n))
@@ -455,7 +460,7 @@ def test_history_weights_compose(seed, n, a, b):
     assert np.all(np.abs(twice - once) <= bound)
 
 
-@pytest.mark.parametrize("n", [3 * _BLOCK + 1, 5 * _BLOCK + 1])
+@pytest.mark.parametrize("n", [4 * _BLOCK + 1, 5 * _BLOCK + 1])
 def test_integer_rows_among_blocked_rows_sum_directly(n):
     # Weights that end within a block add no FFT roundoff to the later nodes
     # of a blocked call: the integer-order row stays at the direct sum's
@@ -465,3 +470,63 @@ def test_integer_rows_among_blocked_rows_sum_directly(n):
     out = _history(g, w)
     direct = np.convolve(g, w[1])[:n]
     assert np.all(np.abs(out[1] - direct) <= 1e-15 * np.convolve(np.abs(g), np.abs(w[1]))[:n])
+
+
+# === derivatives on both kernel paths =======================================
+
+
+def direct_deriv(values, h, order, base=None):
+    """`frac_deriv`'s left derivative (`frac_deriv_from_base`'s with ``base``)
+    as one np.convolve, with each node's sum of absolute terms times h**-mu."""
+    if base is None:
+        g = values - _taylor_base_poly(values, h, order.m - 1)
+    else:
+        g = values - base
+        g[0] = 0.0
+    w = _weights(order.mu, values.size)
+    out = np.convolve(g, w)[: values.size] * h ** (-order.mu)
+    size = np.convolve(np.abs(g), np.abs(w))[: values.size] * h ** (-order.mu)
+    out[0], size[0] = out[1], size[1]
+    return out, size
+
+
+@pytest.mark.parametrize("n", [1025, 4 * _BLOCK, 4 * _BLOCK + 1, 8 * _BLOCK + 1])
+@pytest.mark.parametrize("mu", [0.3, 0.7, 1.0, 1.5, 1.95, 2.0])
+def test_derivatives_match_the_direct_sum(n, mu):
+    # Up to 4 * _BLOCK nodes the sums are direct: the same bits. Longer ones
+    # are blocked: fractional orders within FFT roundoff of each node's
+    # terms, integer orders (whose far terms are direct) to the same bits.
+    rng = np.random.default_rng(n)
+    t = np.linspace(0.0, 1.0, n)
+    values = np.sin(rng.uniform(1, 6) * t) + rng.uniform(0.5, 1.5) * t**2.5 - t**4
+    p, order = SampledPath(0.0, t[1], values), FracOrder(mu)
+    base = rng.uniform(-1, 1)
+    pairs = [
+        (frac_deriv(p, order).values, direct_deriv(p.values, p.h, order)),
+        # The right derivative is (-1)**m times the mirrored left one.
+        ((-1.0) ** order.m * frac_deriv(p, order, Side.RIGHT).values[::-1],
+         direct_deriv(p.values[::-1], p.h, order)),
+        (frac_deriv_from_base(p, order, base).values, direct_deriv(p.values, p.h, order, base)),
+    ]
+    for got, (ref, size) in pairs:
+        if n <= 4 * _BLOCK or order.is_integer:
+            assert np.array_equal(got, ref)
+        else:
+            assert np.all(np.abs(got - ref) <= 1e-13 * size)
+
+
+@pytest.mark.parametrize("n", [4 * _BLOCK, 4 * _BLOCK + 1, 8 * _BLOCK + 1])
+def test_long_derivatives_take_the_blocked_path(monkeypatch, n):
+    # A derivative that silently went back to one O(n**2) block would still
+    # pass every accuracy test; count the kernel's blocks instead.
+    blocks = []
+    real = fracops._far_blocks
+
+    def counted(*args, **kwargs):
+        for block in real(*args, **kwargs):
+            blocks.append(block)
+            yield block
+
+    monkeypatch.setattr(fracops, "_far_blocks", counted)
+    frac_deriv(SampledPath.from_function(np.sin, 0.0, 1.0, n), FracOrder(0.5))
+    assert len(blocks) == (1 if n <= 4 * _BLOCK else -(-n // _BLOCK))

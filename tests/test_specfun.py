@@ -112,6 +112,31 @@ def test_term_cap_raises():
         mittag_leffler(MLParams(alpha=0.1, max_terms=3), 30.0)
 
 
+# (alpha, z) where the alternating series cancels: the sum it returned
+# without error, then the true value (mpmath).
+CANCELLING_POINTS = [
+    (1.0, -15.0),  # 3.063e-7, 3.059e-7
+    (1.0, -20.0),  # 2.7e-7, 2.1e-9
+    (1.0, -50.0),  # -1.5e7, 1.9e-22
+    (0.5, -10.0),  # -7.6e28, 0.0561
+    (0.75, -40.0),  # 9.4e43, 7.1e-3
+]
+
+
+@pytest.mark.parametrize("alpha, z", CANCELLING_POINTS)
+def test_cancelling_series_raises(alpha, z):
+    with pytest.raises(ConvergenceError, match="cancellation"):
+        mittag_leffler(MLParams(alpha=alpha), z)
+
+
+def test_cancellation_check_ignores_the_tolerance_on_the_positive_axis():
+    # All terms are positive for z >= 0: no cancellation, whatever the tolerance.
+    for tol in (1e-15, 1e-8, 0.5):
+        p = MLParams(alpha=0.6, tol=tol)
+        assert math.isfinite(mittag_leffler(p, 50.0))
+        assert mittag_leffler(p, 0.0) == 1.0
+
+
 def test_series_is_deterministic():
     p = MLParams(alpha=0.7)
     a = mittag_leffler(p, 3.3)
