@@ -20,25 +20,25 @@ the package, so their output composes consistently with ``frac_deriv`` for
 residual checks. Alpha equal to one is allowed in ``FODE2`` and reduces the
 update to the explicit Euler step.
 
-Every history sum, in the solves and in the defect checks, goes through
-the blocks of the kernel ``fracops._far_blocks``; ``solve_fode2``'s defect
-check takes them through ``fracops._history``, which keeps one block up to
-2048 nodes. In the solves, up to 1024 nodes, and
-for integer orders alone in ``solve_multiterm``, there is one block of all
-nodes and the sums are direct, O(n**2). On longer grids the blocks hold
-512 nodes, and the history of all earlier blocks enters through FFTs of
-length 1024 (directly for integer orders). ``solve_multiterm`` evaluates
-the forcing once on the time array and solves each block at once with the
-inverse series of its symbol and one correction step, O(512**2) per
-block. ``solve_fode2``, whose right side may be nonlinear, steps node by
-node. On one block it adds two dot products over the nodes before each
-node, as plain stepping does, to the same bits. On longer grids it cuts
-each block into sub-blocks of 8 nodes: one matrix product per sub-block
-brings in the block's earlier sub-blocks, and each node adds at most 7
-lags of its own sub-block in Python floats, so that no numpy call is
-made per node. Either way a solve costs O(n * 512 + n**2 / 512), and each
-node reads only the nodes before it: the schemes stay exactly causal. A
-non-finite solution raises ``DivergenceError`` naming the first bad node.
+Every history sum uses the blocks of ``fracops._block_layout``: the solves
+step them one at a time through ``fracops._far_blocks``, and the defect
+checks sum them in ``fracops._history`` (one block up to 2048 nodes, all
+blocks at once above 3072). In the solves, up to 1024 nodes, and for integer orders alone in
+``solve_multiterm``, one block holds all nodes and the sums are direct,
+O(n**2). On longer grids the blocks hold 512 nodes, and the history of all
+earlier blocks enters through FFTs of length 1024 (directly for integer
+orders). ``solve_multiterm`` evaluates the forcing once on the time array
+and solves each block at once with the inverse series of its symbol and one
+correction step, O(512**2) per block. ``solve_fode2``, whose right side may
+be nonlinear, steps node by node. On one block it adds two dot products
+over the nodes before each node, as plain stepping does, to the same bits.
+On longer grids it cuts each block into sub-blocks of 8 nodes: one matrix
+product per sub-block brings in the block's earlier sub-blocks, and each
+node adds at most 7 lags of its own sub-block in Python floats, so that no
+numpy call is made per node. Either way a solve costs O(n * 512 + n**2 /
+512), and each node reads only the nodes before it: the schemes stay
+exactly causal. A non-finite solution raises ``DivergenceError`` naming the
+first bad node.
 """
 
 from __future__ import annotations

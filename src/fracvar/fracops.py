@@ -26,6 +26,7 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .specfun import gen_binomial
 
@@ -174,48 +175,54 @@ def _support(w: np.ndarray) -> np.ndarray:
     return np.where(np.any(w2, axis=1), w2.shape[-1] - np.argmax(w2[:, ::-1] != 0, axis=1), 0)
 
 
+def _block_layout(g2: np.ndarray, w2: np.ndarray, blocked: bool) -> tuple:
+    """(blk, nb, fft, short, g_fft, spec_w) of the history sums of ``g2``, ``w2``.
+
+    ``nb`` blocks of ``blk`` nodes: one for at most 2 * _BLOCK nodes or if
+    not ``blocked`` (the rest is then empty or None), else _BLOCK nodes each.
+    ``fft`` rows have weights that reach past a block and read rows ``g_fft``
+    of ``g2``; ``short`` rows' lags 1 .. p end within one. spec_w[:, d - 1]
+    pairs blocks d apart: the FFT rows' w[(d-1)blk : (d+1)blk], real FFT.
+    """
+    n = g2.shape[-1]
+    blk = _BLOCK if blocked and n > 2 * _BLOCK else n
+    nb = -(-n // blk)
+    if nb == 1:
+        return blk, nb, (), [], slice(0), None
+    support = np.broadcast_to(_support(w2), (max(len(g2), len(w2)),))
+    fft = np.flatnonzero(support > blk)
+    short = [(r, p - 1) for r, p in enumerate(support) if 1 < p <= blk]
+    # A single row of g or w serves every FFT row; without FFT rows none is taken.
+    g_fft = slice(None) if len(g2) == 1 and fft.size else fft
+    w_fft = slice(None) if len(w2) == 1 and fft.size else fft
+    # Lag 0 never reaches a later block (its products land in the
+    # discarded half of the FFT output). Leaving it out keeps its
+    # roundoff out of the far sums, which matters when w[0] dominates
+    # the weights (orders near zero).
+    wpad = np.zeros((len(w2[w_fft]), nb * blk))
+    wpad[:, 1:n] = w2[w_fft, 1:]
+    segments = sliding_window_view(wpad, 2 * blk, axis=-1)[:, ::blk]
+    return blk, nb, fft, short, g_fft, np.fft.rfft(segments, axis=-1)
+
+
 def _far_blocks(g: np.ndarray, w: np.ndarray, blocked: bool = True):
-    """The blocks of the history sums of ``_history``, with their far parts.
+    """The blocks of `_block_layout`, one at a time, with their far parts.
 
-    Yields (lo, hi, far) for consecutive blocks [lo, hi) of the grid, where
-    far[r, i] is row r's sum, at node lo + i, over the lags that reach
-    nodes before lo. The caller fills g[..., lo:hi] before it asks for the
-    next block (the generator keeps a view of ``g``); the generator then
-    takes that block's spectrum.
-
-    One block of all n nodes (far is zero) for sums of at most 2 * _BLOCK
-    nodes and when ``blocked`` is false. Otherwise blocks of _BLOCK nodes:
-    each earlier block enters through real FFTs of length 2 * _BLOCK of the
-    block and of the weights w[(d-1)B:(d+1)B] at block lag d (Hairer,
-    Lubich and Schlichte 1985), and about three complex arrays of n entries
-    are kept. Rows whose weights end within a block (integer orders) reach
-    only the last few nodes before it, so their far sums are direct: an FFT
-    would add roundoff of the whole block's size to every node. Integer
-    orders alone thus cost O(n * _BLOCK), not O(n**2).
+    Yields (lo, hi, far) for consecutive blocks [lo, hi), where far[r, i]
+    is row r's sum, at node lo + i, over the lags that reach nodes before
+    lo. The caller fills g[..., lo:hi] before it asks for the next block
+    (the generator keeps a view of ``g``), whose spectrum it then takes.
+    Earlier blocks enter through their spectra times the weights' at their
+    block lags, largest lag first (Hairer, Lubich and Schlichte 1985). Short
+    rows (integer orders) reach only a few nodes back, so their far sums are
+    direct, without a whole block's FFT roundoff, and cost O(n * _BLOCK).
     """
     g2, w2 = np.atleast_2d(g), np.atleast_2d(w)
     n = g2.shape[-1]
     rows = max(len(g2), len(w2))
-    support = np.broadcast_to(_support(w2), (rows,))
-    blk = _BLOCK if blocked and n > 2 * _BLOCK else n
-    nb = -(-n // blk)
-    if nb > 1:
-        fft = np.flatnonzero(support > blk)
-        short = [(r, p - 1) for r, p in enumerate(support) if 1 < p <= blk]
-        g_rows, w_rows = np.broadcast_to(g2, (rows, n)), np.broadcast_to(w2, (rows, n))
-        # A single row of g or w serves every FFT row; without FFT rows none is taken.
-        g_fft = slice(None) if len(g2) == 1 and fft.size else fft
-        w_fft = slice(None) if len(w2) == 1 and fft.size else fft
-        # Lag 0 never reaches a later block (its products land in the
-        # discarded half of the FFT output). Leaving it out keeps its
-        # roundoff out of the far sums, which matters when w[0] dominates
-        # the weights (orders near zero).
-        wpad = np.zeros((len(w2[w_fft]), nb * blk))
-        wpad[:, 1:n] = w2[w_fft, 1:]
-        # spec_w[:, d - 1] pairs a block with the one d blocks later.
-        segments = np.lib.stride_tricks.sliding_window_view(wpad, 2 * blk, axis=-1)[:, ::blk]
-        spec_w = np.fft.rfft(segments, axis=-1)
-        spec_g = np.empty((len(g2[g_fft]), nb - 1, blk + 1), dtype=complex)
+    blk, nb, fft, short, g_fft, spec_w = _block_layout(g2, w2, blocked)
+    g_rows, w_rows = np.broadcast_to(g2, (rows, n)), np.broadcast_to(w2, (rows, n))
+    spec_g = np.empty((len(g2[g_fft]), nb - 1, blk + 1), dtype=complex)
     for b in range(nb):
         lo, hi = b * blk, min(n, (b + 1) * blk)
         far = np.zeros((rows, hi - lo))
@@ -235,28 +242,54 @@ def _history(g: np.ndarray, w: np.ndarray) -> np.ndarray:
     """History sums y[..., j] = sum_{k<=j} w[..., k] g[..., j-k], exactly causal.
 
     ``g`` and ``w`` have shape (n,) or (rows, n) and broadcast along rows.
-    The blocks come from `_far_blocks`: within a block the sum is one
-    direct convolution, and the earlier blocks enter through the block's
-    far part. Sums of at most 4 * _BLOCK nodes take one block, O(n**2);
-    longer sums take blocks of _BLOCK nodes, O(n * _BLOCK + n**2 / _BLOCK),
-    which overtake the direct sum between 3 and 4 * _BLOCK nodes and are
-    8x faster at 16 * _BLOCK (order 0.7, one thread of a 2-vCPU Xeon).
-    Blocked results differ from the direct sums by FFT roundoff, which
-    scales with whole blocks rather than with each node's own terms; rows
-    whose weights end within a block (integer orders) keep the direct sum's
-    bits. Node j reads g only at nodes up to j on both paths, so changing g
-    at a node leaves every earlier output bit-identical. The solvers, which
-    fill g as they go, loop over `_far_blocks` themselves.
+    Sums of at most 4 * _BLOCK nodes are one np.convolve per row, O(n**2).
+    Longer ones take blocks of _BLOCK nodes, O(n * _BLOCK + n**2 / _BLOCK),
+    each one np.convolve plus the far part that `_far_blocks` yields. Above
+    6 * _BLOCK nodes, where it is faster, FFT rows sum all blocks at once:
+    within blocks as one product of the (nb, _BLOCK) blocks with the upper-
+    triangular Toeplitz slab of w[:_BLOCK], across them to `_far_blocks`'
+    bits by one FFT of all blocks, the spectra summed by block lag and one
+    inverse FFT. Blocked sums overtake direct ones between 3 and 4 * _BLOCK
+    nodes and differ from them by FFT roundoff of whole blocks, not of each
+    node's terms. Node j reads g only at nodes up to j: changing g at a
+    node, to NaN or inf too, leaves earlier outputs bit-identical.
     """
     g2, w2 = np.atleast_2d(g), np.atleast_2d(w)
     n = g2.shape[-1]
     rows = max(len(g2), len(w2))
     g_rows, w_rows = np.broadcast_to(g2, (rows, n)), np.broadcast_to(w2, (rows, n))
-    out = np.empty((rows, n))
-    for lo, hi, far in _far_blocks(g2, w2, blocked=n > 4 * _BLOCK):
-        for r in range(rows):
-            near = np.convolve(g_rows[r, lo:hi], w_rows[r, : hi - lo])[: hi - lo]
-            out[r, lo:hi] = far[r] + near
+    blocked, rest, out = n > 4 * _BLOCK, range(rows), np.empty((rows, n))
+    if n > 6 * _BLOCK:
+        blk, nb, fft, _, g_fft, spec_w = _block_layout(g2, w2, blocked)
+        rest, slab = [r for r in rest if r not in fft], None
+        for r in fft:
+            if slab is None or len(w2) > 1:
+                wpad = np.concatenate((np.zeros(blk - 1), w_rows[r, :blk]))
+                slab = np.ascontiguousarray(sliding_window_view(wpad, blk)[::-1])
+            # A slab zero times a later inf or NaN is NaN: the product takes g as
+            # zero from its first non-finite node q, and q's block sums directly.
+            q = np.append(np.flatnonzero(~np.isfinite(g_rows[r])), n)[0]
+            blocks = np.concatenate((g_rows[r, :q], np.zeros(nb * blk - q)))
+            out[r] = (blocks.reshape(nb, blk) @ slab).ravel()[:n]
+            if q < n:
+                lo, hi = q - q % blk, min(n, q - q % blk + blk)
+                out[r, q:hi] = np.convolve(g_rows[r, lo:hi], w_rows[r, : hi - lo])[q - lo : hi - lo]
+        del slab  # frees the slab before the FFT temporaries
+        if fft.size:
+            spec_g = np.fft.rfft(g2[g_fft, : (nb - 1) * blk].reshape(-1, nb - 1, blk), 2 * blk)
+            acc = np.zeros((fft.size, nb - 1, blk + 1), dtype=complex)  # block b at b - 1
+            for d in range(nb - 1, 0, -1):
+                acc[:, d - 1 :] += spec_g[:, : nb - d] * spec_w[:, d - 1 : d]
+            far = np.fft.irfft(acc, 2 * blk)[..., blk:].reshape(fft.size, -1)
+            # near + far equals `_far_blocks`' far + near bit for bit.
+            out[fft, blk:] += far[:, : n - blk]
+    if rest:
+        # If the product took some rows, w2 has one row for each row.
+        sub = slice(None) if len(rest) == rows else rest
+        for lo, hi, far in _far_blocks(g2 if len(g2) == 1 else g2[sub], w2[sub], blocked):
+            for i, r in enumerate(rest):
+                near = np.convolve(g_rows[r, lo:hi], w_rows[r, : hi - lo])[: hi - lo]
+                out[r, lo:hi] = far[i] + near
     return out if np.ndim(g) > 1 or np.ndim(w) > 1 else out[0]
 
 

@@ -83,6 +83,15 @@ def test_series_cancellation_is_a_numerical_error(capsys):
     assert "cancellation" in err
 
 
+def test_compounded_term_rounding_is_a_numerical_error(capsys):
+    # E_1.5(-49) = -4.7949127e-3; the series returned -4.7949122e-3, its
+    # terms' compounded log-gamma rounding unaccounted for.
+    code, out, err = run(capsys, ["mlf", "--alpha", "1.5", "--z", "-49"])
+    assert code == 3
+    assert out == ""
+    assert "cancellation" in err
+
+
 def test_series_budget_is_a_usage_error(capsys):
     code, _, err = run(capsys, ["mlf", "--alpha", "0.25", "--z", "60"])
     assert code == 2

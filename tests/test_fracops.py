@@ -460,7 +460,7 @@ def test_history_weights_compose(seed, n, a, b):
     assert np.all(np.abs(twice - once) <= bound)
 
 
-@pytest.mark.parametrize("n", [4 * _BLOCK + 1, 5 * _BLOCK + 1])
+@pytest.mark.parametrize("n", [4 * _BLOCK + 1, 5 * _BLOCK + 1, 8 * _BLOCK + 1])
 def test_integer_rows_among_blocked_rows_sum_directly(n):
     # Weights that end within a block add no FFT roundoff to the later nodes
     # of a blocked call: the integer-order row stays at the direct sum's
@@ -470,6 +470,56 @@ def test_integer_rows_among_blocked_rows_sum_directly(n):
     out = _history(g, w)
     direct = np.convolve(g, w[1])[:n]
     assert np.all(np.abs(out[1] - direct) <= 1e-15 * np.convolve(np.abs(g), np.abs(w[1]))[:n])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("mus", [(0.7,), (2.0,), (0.7, 2.0)], ids=["fractional", "integer", "both"])
+def test_history_is_exactly_causal_with_non_finite_samples(bad, mus):
+    # A zero weight times a later NaN or inf is NaN: no in-block sum may
+    # multiply the nodes after the one it sums for.
+    n = 8 * _BLOCK + 1
+    p = 5 * _BLOCK + _BLOCK // 2
+    g = kernel_input(n, n, 1.0)
+    w = np.array([_weights(mu, n) for mu in mus])
+    spoiled = g.copy()
+    spoiled[p] = bad
+    before = _history(g, w)
+    with np.errstate(invalid="ignore"):  # inf - inf in the later blocks' spectra
+        after = _history(spoiled, w)
+    assert np.array_equal(before[:, :p], after[:, :p])
+    assert not np.all(np.isfinite(after[:, p]))
+
+
+# Lengths of 33 and 65 blocks: far sums over many block lags.
+MANY_BLOCKS = [32 * _BLOCK + 1, 64 * _BLOCK + 1]
+
+
+@pytest.mark.parametrize("n", MANY_BLOCKS)
+@pytest.mark.parametrize("mu", [-1.5, -0.7, 0.05, 0.7, 1.5, 1.95, 2.5])
+def test_history_over_many_blocks(n, mu):
+    g, w = kernel_input(n, 2 * n, 1.0).reshape(2, n), _weights(mu, n)
+    out = _history(g[0], w)
+    # The direct sums at the first and last node of every block and at a
+    # few nodes between (np.convolve of all nodes would take seconds).
+    rng = np.random.default_rng(n)
+    nodes = np.unique(np.concatenate((np.arange(0, n, _BLOCK), np.arange(_BLOCK - 1, n, _BLOCK),
+                                      rng.integers(0, n, 64))))
+    direct = np.array([w[: j + 1] @ g[0, j::-1] for j in nodes])
+    size = np.array([np.abs(w[: j + 1]) @ np.abs(g[0, j::-1]) for j in nodes])
+    assert np.all(np.abs(out[nodes] - direct) <= 1e-13 * size)
+    for p in (3 * _BLOCK - 1, n // 2, n - _BLOCK + 5):
+        bumped = g[0].copy()
+        bumped[p] += 1.0
+        after = _history(bumped, w)
+        assert np.array_equal(out[:p], after[:p])
+        assert after[p] != out[p]
+    both = _history(g, w)
+    assert np.array_equal(both[0], out)
+    assert np.array_equal(both[1], _history(g[1], w))
+    ws = np.array([w, _weights(mu / 2, n)])
+    per_weight = _history(g[0], ws)
+    assert np.array_equal(per_weight[0], out)
+    assert np.array_equal(per_weight[1], _history(g[0], ws[1]))
 
 
 # === derivatives on both kernel paths =======================================
@@ -518,15 +568,22 @@ def test_derivatives_match_the_direct_sum(n, mu):
 @pytest.mark.parametrize("n", [4 * _BLOCK, 4 * _BLOCK + 1, 8 * _BLOCK + 1])
 def test_long_derivatives_take_the_blocked_path(monkeypatch, n):
     # A derivative that silently went back to one O(n**2) block would still
-    # pass every accuracy test; count the kernel's blocks instead.
-    blocks = []
-    real = fracops._far_blocks
+    # pass every accuracy test; count the blocks of the kernel's layout, and
+    # the lengths of the direct sums it makes, instead.
+    blocks, segments = [], [0]
+    real, convolve = fracops._block_layout, np.convolve
 
     def counted(*args, **kwargs):
-        for block in real(*args, **kwargs):
-            blocks.append(block)
-            yield block
+        layout = real(*args, **kwargs)
+        blocks.extend(range(layout[1]))
+        return layout
 
-    monkeypatch.setattr(fracops, "_far_blocks", counted)
+    def measured(a, v, *args, **kwargs):
+        segments.append(min(len(a), len(v)))
+        return convolve(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(fracops, "_block_layout", counted)
+    monkeypatch.setattr(np, "convolve", measured)
     frac_deriv(SampledPath.from_function(np.sin, 0.0, 1.0, n), FracOrder(0.5))
     assert len(blocks) == (1 if n <= 4 * _BLOCK else -(-n // _BLOCK))
+    assert max(segments) == (n if n <= 4 * _BLOCK else 0 if n > 6 * _BLOCK else _BLOCK)

@@ -120,6 +120,11 @@ CANCELLING_POINTS = [
     (1.0, -50.0),  # -1.5e7, 1.9e-22
     (0.5, -10.0),  # -7.6e28, 0.0561
     (0.75, -40.0),  # 9.4e43, 7.1e-3
+    # Cancellation alone would leave these digits; the rounding that each
+    # term's log-gamma ratios compound does not.
+    (1.5, -40.0),  # -9.930965378e-3, -9.930965479e-3
+    (1.5, -49.0),  # -4.794912215e-3, -4.794912669e-3
+    (1.5, -50.0),  # -4.578384593e-3, -4.578385106e-3
 ]
 
 
@@ -127,6 +132,31 @@ CANCELLING_POINTS = [
 def test_cancelling_series_raises(alpha, z):
     with pytest.raises(ConvergenceError, match="cancellation"):
         mittag_leffler(MLParams(alpha=alpha), z)
+
+
+def ml_reference(alpha, z):
+    """E_alpha(z) summed in mpmath, at twice the digits of the largest term plus 30."""
+    mpmath = pytest.importorskip("mpmath")
+    reach = abs(z) ** (1.0 / alpha)
+    with mpmath.workdps(30 + 2 * int(reach / math.log(10.0))):
+        total, k = mpmath.mpf(0), 0
+        while True:
+            term = mpmath.mpf(z) ** k * mpmath.rgamma(mpmath.mpf(alpha) * k + 1)
+            total += term
+            if alpha * k > 1.5 * reach + 10 and abs(term) < mpmath.mpf(10) ** -40 * abs(total):
+                return float(total)
+            k += 1
+
+
+@pytest.mark.parametrize("alpha", [0.75, 1.0, 1.5, 2.0])
+def test_negative_axis_is_accurate_or_raises(alpha):
+    for z in range(-5, -55, -5):
+        try:
+            value = mittag_leffler(MLParams(alpha=alpha), z)
+        except ConvergenceError:
+            continue
+        ref = ml_reference(alpha, z)
+        assert abs(value - ref) <= 1e-8 * abs(ref), (alpha, z, value, ref)
 
 
 def test_cancellation_check_ignores_the_tolerance_on_the_positive_axis():
