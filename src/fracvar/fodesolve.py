@@ -23,20 +23,19 @@ update to the explicit Euler step.
 Every history sum uses the blocks of ``fracops._block_layout``: the solves
 step them one at a time through ``fracops._far_blocks``, and the defect
 checks sum them in ``fracops._history`` (one block up to 2048 nodes, all
-blocks at once above 3072). In the solves, up to 1024 nodes, and for integer orders alone in
-``solve_multiterm``, one block holds all nodes and the sums are direct,
-O(n**2). On longer grids the blocks hold 512 nodes, and the history of all
-earlier blocks enters through FFTs of length 1024 (directly for integer
-orders). ``solve_multiterm`` evaluates the forcing once on the time array
-and solves each block at once with the inverse series of its symbol and one
-correction step, O(512**2) per block. ``solve_fode2``, whose right side may
-be nonlinear, steps node by node. On one block it adds two dot products
-over the nodes before each node, as plain stepping does, to the same bits.
-On longer grids it cuts each block into sub-blocks of 8 nodes: one matrix
+blocks at once above 3072). In the solves, up to 1024 nodes, and for
+integer orders alone in ``solve_multiterm``, one block holds all nodes and
+the sums take O(n**2) work. On longer grids the blocks hold 512 nodes, and
+the history of all earlier blocks enters through FFTs of length 1024
+(directly for integer orders). ``solve_multiterm`` evaluates the forcing
+once on the time array and solves each block at once with the inverse
+series of its symbol and one correction step, O(512**2) per block.
+``solve_fode2``, whose right side may be nonlinear, steps node by node and
+cuts every block, a single one too, into sub-blocks of 8 nodes: one matrix
 product per sub-block brings in the block's earlier sub-blocks, and each
 node adds at most 7 lags of its own sub-block in Python floats, so that no
-numpy call is made per node. Either way a solve costs O(n * 512 + n**2 /
-512), and each node reads only the nodes before it: the schemes stay
+numpy call is made per node. On blocked grids a solve costs O(n * 512 +
+n**2 / 512), and each node reads only the nodes before it: the schemes stay
 exactly causal. A non-finite solution raises ``DivergenceError`` naming the
 first bad node.
 """
@@ -53,7 +52,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .fracops import (
     _BLOCK,
-    _SUB,
     FracOrder,
     SampledPath,
     Side,
@@ -79,6 +77,11 @@ __all__ = [
 ]
 
 DIVERGENCE_GUARD = 1e12
+
+# Sub-block length of `solve_fode2`'s stepping: lags within a sub-block are
+# summed in Python floats, the earlier sub-blocks of the block through one
+# matrix product per sub-block.
+_SUB = 8
 
 
 class DivergenceError(RuntimeError):
@@ -117,8 +120,8 @@ class MultiTermFDE:
             raise ValueError("the leading coefficient must be nonzero")
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "forcing", _as_fn(self.forcing))
-        if self.t_end <= 0.0:
-            raise ValueError("t_end must be positive")
+        if not 0.0 < self.t_end < math.inf:
+            raise ValueError("t_end must be positive and finite")
 
     @property
     def max_order(self) -> float:
@@ -140,8 +143,11 @@ class FODE2:
             raise ValueError("alpha must lie in (0, 1]")
         if not callable(self.rhs):
             raise ValueError("rhs must be callable")
-        if self.t_end <= 0.0:
-            raise ValueError("t_end must be positive")
+        for name in ("x0", "v0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if not 0.0 < self.t_end < math.inf:
+            raise ValueError("t_end must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,8 +169,8 @@ class SolveReport:
 
 
 def _grid_steps(t_end: float, h: float) -> int:
-    if h <= 0.0:
-        raise ValueError("step size must be positive")
+    if not 0.0 < h < math.inf:
+        raise ValueError("step size h must be positive and finite")
     steps = int(round(t_end / h))
     if steps < 8:
         raise ValueError("at least 8 steps are required (reduce h)")
@@ -255,11 +261,6 @@ def solve_multiterm(fde: MultiTermFDE, h: float) -> SolveReport:
     return SolveReport(SampledPath(0.0, h, x), float(np.max(defects)), steps)
 
 
-def _diverged(h: float, j: int) -> DivergenceError:
-    message = f"solution is not finite or exceeded {DIVERGENCE_GUARD:g} at t = {h * j:g}"
-    return DivergenceError(message)
-
-
 def solve_fode2(fode: FODE2, h: float) -> SolveReport:
     """Explicit stepping of the coupled pair with lagged right side.
 
@@ -269,97 +270,64 @@ def solve_fode2(fode: FODE2, h: float) -> SolveReport:
     the lags k >= 1. On each block of ``fracops._far_blocks``, H_j is the
     block's far part plus the lags within the block, and a finished block
     is in the (2, n) array of X and V before the kernel takes its spectrum.
-    A grid of one block (at most 1024 nodes) adds one dot product per node
-    over the nodes before j, kept time-reversed: the bits of plain O(n**2)
-    stepping. Longer grids step each block in sub-blocks, with no numpy
-    call per node (`_step_sub_blocks`), and agree with plain stepping to
-    roundoff. F is called once per node, in node order, and the defect
-    check reuses its values. Raises DivergenceError at the first node where
-    X or V is non-finite or passes DIVERGENCE_GUARD.
+    The block's nodes come in sub-blocks of _SUB. Per sub-block, the lags
+    that reach the block's earlier sub-blocks enter through one product
+    (2, p) @ (p, _SUB) with the Toeplitz slab ``cross``: O(_BLOCK) work per
+    node in BLAS. Per node, the block's far part, that product's entry and
+    the at most _SUB - 1 lags within the sub-block are added in Python
+    floats, so that no numpy call is made per node. The result agrees with
+    plain O(n**2) stepping to roundoff. F is called once per node, in node
+    order, and the defect check reuses its values. Raises DivergenceError at
+    the first node where X or V is non-finite or passes DIVERGENCE_GUARD.
     """
     steps = _grid_steps(fode.t_end, h)
     n = steps + 1
     w = gl_weights(FracOrder(fode.alpha), n)
-    ha = h**fode.alpha
+    rhs, x0, v0, ha = fode.rhs, fode.x0, fode.v0, h**fode.alpha
+    # near[r] lists w[r], ..., w[1]: the lags from a sub-block's first r
+    # nodes to its node r.
+    near = [w[r:0:-1].tolist() for r in range(_SUB)]
     big_xv = np.zeros((2, n))
+    big_x = big_v = 0.0
     f_now = []
-    sub_weights = None
     for lo, hi, far in _far_blocks(big_xv, w):
-        if hi - lo < n:
-            sub_weights = sub_weights or _sub_block_weights(w)
-            _step_sub_blocks(fode, h, big_xv, lo, far, f_now, *sub_weights)
-            continue
-        # One block of all nodes. X and V time-reversed: the nodes before j
-        # read as one contiguous slice.
-        rev_x, rev_v = rev = np.zeros((2, n))
-        big_x = big_v = 0.0
+        if not lo:
+            # cross[len(cross) - p + k, c] = w[p + c - k], the weight from a
+            # block's node k to node p + c of its sub-block at p (p > k).
+            # On a single block the slab reaches lags past the grid, which
+            # no product reads: they are zeros.
+            pad = np.concatenate([w[1:], np.zeros(_SUB)])[: hi + _SUB - 1]
+            cross = np.ascontiguousarray(sliding_window_view(pad, _SUB)[::-1])
         far_x, far_v = far.tolist()
-        for j in range(1, n):
-            f_prev = fode.rhs(h * (j - 1), fode.x0 + big_x, fode.v0 + big_v)
-            f_now.append(f_prev)
-            w_near = w[1 : j + 1]
-            x_j = -(far_x[j] + float(w_near.dot(rev_x[n - j :]))) + ha * (fode.v0 + big_v)
-            v_j = -(far_v[j] + float(w_near.dot(rev_v[n - j :]))) + ha * f_prev
-            if not (abs(x_j) <= DIVERGENCE_GUARD and abs(v_j) <= DIVERGENCE_GUARD):
-                raise _diverged(h, j)
-            rev_x[n - 1 - j] = big_x = x_j
-            rev_v[n - 1 - j] = big_v = v_j
-        big_xv[:] = rev[:, ::-1]
-    x, v = fode.x0 + big_xv[0], fode.v0 + big_xv[1]
-    f_now.append(fode.rhs(h * steps, x[-1], v[-1]))
+        for p in range(0, hi - lo, _SUB):
+            q = min(p + _SUB, hi - lo)
+            early = big_xv[:, lo : lo + p] @ cross[len(cross) - p :, : q - p]
+            early_x, early_v = early.tolist()
+            # Node 0 is given, and zero: it takes its sub-block's first place.
+            xs, vs = ([0.0], [0.0]) if lo + p == 0 else ([], [])
+            for r in range(len(xs), q - p):
+                j = lo + p + r
+                f_prev = rhs(h * (j - 1), x0 + big_x, v0 + big_v)
+                f_now.append(f_prev)
+                hist_x, hist_v = far_x[p + r] + early_x[r], far_v[p + r] + early_v[r]
+                for w_k, x_k, v_k in zip(near[r], xs, vs):
+                    hist_x += w_k * x_k
+                    hist_v += w_k * v_k
+                x_j = ha * (v0 + big_v) - hist_x
+                v_j = ha * f_prev - hist_v
+                if not (abs(x_j) <= DIVERGENCE_GUARD and abs(v_j) <= DIVERGENCE_GUARD):
+                    raise DivergenceError(
+                        f"solution is not finite or exceeded {DIVERGENCE_GUARD:g} at t = {h * j:g}"
+                    )
+                xs.append(x_j)
+                vs.append(v_j)
+                big_x, big_v = x_j, v_j
+            big_xv[:, lo + p : lo + q] = xs, vs
+    x, v = x0 + big_xv[0], v0 + big_xv[1]
+    f_now.append(rhs(h * steps, x[-1], v[-1]))
     dx, dv = h ** (-fode.alpha) * _history(big_xv, w)
     defect = float(max(np.max(np.abs(dx[1:] - v[1:])), np.max(np.abs(dv[1:] - f_now[1:]))))
     return SolveReport(SampledPath(0.0, h, x), defect, steps, SampledPath(0.0, h, v))
-
-
-def _sub_block_weights(w: np.ndarray) -> tuple:
-    """The weights `_step_sub_blocks` reads, built once per grid.
-
-    ``cross`` is the (_BLOCK, _SUB) Toeplitz slab with
-    cross[_BLOCK - p + k, c] = w[p + c - k], the weight from a block's node
-    k to node p + c of its sub-block at p (p > k). ``near[r]`` lists
-    w[r], ..., w[1] as Python floats: the lags from a sub-block's first r
-    nodes to its node r.
-    """
-    cross = np.ascontiguousarray(sliding_window_view(w[1 : _BLOCK + _SUB], _SUB)[::-1])
-    return cross, [w[r:0:-1].tolist() for r in range(_SUB)]
-
-
-def _step_sub_blocks(fode, h, big_xv, lo, far, f_now, cross, near):
-    """Step the nodes of one block of ``_far_blocks`` (node 0 is given).
-
-    The block's nodes come in sub-blocks of _SUB. Per sub-block, the lags
-    that reach the block's earlier sub-blocks enter through one product
-    (2, p) @ (p, _SUB) with ``cross``: O(_BLOCK) work per node in BLAS.
-    Per node, the block's far part, that product's entry and the at most
-    _SUB - 1 lags within the sub-block are added in Python floats. A
-    finished sub-block is written to ``big_xv``, which holds the node
-    before ``lo`` on entry.
-    """
-    rhs, x0, v0, ha = fode.rhs, fode.x0, fode.v0, h**fode.alpha
-    big_x, big_v = big_xv[:, lo - 1].tolist() if lo else (0.0, 0.0)
-    far_x, far_v = far.tolist()
-    for p in range(0, len(far_x), _SUB):
-        q = min(p + _SUB, len(far_x))
-        early_x, early_v = (big_xv[:, lo : lo + p] @ cross[_BLOCK - p :, : q - p]).tolist()
-        # Node 0 is given, and zero: it takes its sub-block's first place.
-        xs, vs = ([0.0], [0.0]) if lo + p == 0 else ([], [])
-        for r in range(len(xs), q - p):
-            j = lo + p + r
-            f_prev = rhs(h * (j - 1), x0 + big_x, v0 + big_v)
-            f_now.append(f_prev)
-            hist_x, hist_v = far_x[p + r] + early_x[r], far_v[p + r] + early_v[r]
-            for w_k, x_k, v_k in zip(near[r], xs, vs):
-                hist_x += w_k * x_k
-                hist_v += w_k * v_k
-            x_j = ha * (v0 + big_v) - hist_x
-            v_j = ha * f_prev - hist_v
-            if not (abs(x_j) <= DIVERGENCE_GUARD and abs(v_j) <= DIVERGENCE_GUARD):
-                raise _diverged(h, j)
-            xs.append(x_j)
-            vs.append(v_j)
-            big_x, big_v = x_j, v_j
-        big_xv[:, lo + p : lo + q] = xs, vs
 
 
 def fde_residual(fde: MultiTermFDE, path: SampledPath) -> SampledPath:

@@ -202,9 +202,6 @@ class Lagrangian:
                     f"({ana[j]:.6g} vs {fd[j]:.6g})"
                 )
 
-    def eval(self, point: JetPoint) -> float:
-        return float(_call(self.eval_fn, self.n)(_columns(point.t, point.x, point.y)))
-
     def classical_partial(self, coord, point: JetPoint) -> float:
         """Ordinary partial in one coordinate: analytic if available."""
         c = _normalize_coord(coord, self.n, self.k)

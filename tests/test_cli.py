@@ -177,6 +177,25 @@ def test_non_finite_solution_is_a_numerical_error(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--model", "friction", "--x0", "inf"], "x0 must be finite"),
+        (["--model", "friction", "--v0", "nan"], "v0 must be finite"),
+        (["--model", "phillips", "--t-end", "inf", "--h", "0.01"], "t_end must be positive"),
+        (["--model", "phillips", "--variant", "classical", "--t-end", "nan"],
+         "t_end must be positive"),
+        (["--model", "friction", "--h", "nan"], "step size h must be positive"),
+    ],
+    ids=["x0", "v0", "t_end-fode2", "t_end-multiterm", "h"],
+)
+def test_non_finite_solver_inputs_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, ["solve", *argv])
+    assert code == 2
+    assert out == ""
+    assert f"error: {message}" in err
+
+
 # === output formats =========================================================
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from fracvar.fodesolve import (
+    _SUB,
     FODE2,
     DivergenceError,
     MultiTermFDE,
@@ -19,7 +20,7 @@ from fracvar.fodesolve import (
     solve_fode2,
     solve_multiterm,
 )
-from fracvar.fracops import _BLOCK, _SUB, FracOrder, SampledPath, _history, gl_weights
+from fracvar.fracops import _BLOCK, FracOrder, SampledPath, _history, gl_weights
 from fracvar.specfun import gamma
 
 
@@ -65,6 +66,21 @@ def test_grid_guards():
         solve_multiterm(fde, 0.3)  # does not divide t_end
     with pytest.raises(ValueError):
         solve_multiterm(fde, 0.25)  # only 4 steps
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_inputs_are_rejected_by_name(bad):
+    rhs = lambda t, x, v: -v
+    for field in ("x0", "v0", "t_end"):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            FODE2(alpha=0.6, rhs=rhs, **{field: bad})
+    with pytest.raises(ValueError, match="^t_end must be"):
+        MultiTermFDE(terms=((1.0, 0.5),), forcing=0.0, t_end=bad)
+    fde = MultiTermFDE(terms=((1.0, 2.0),), forcing=2.0, t_end=1.0)
+    with pytest.raises(ValueError, match="^step size h must be"):
+        solve_multiterm(fde, bad)
+    with pytest.raises(ValueError, match="^step size h must be"):
+        solve_fode2(FODE2(alpha=0.6, rhs=rhs), bad)
 
 
 # === implicit multi-term solver =============================================
@@ -382,8 +398,12 @@ def test_non_finite_right_side_is_a_divergence_error(bad, n):
     assert len(calls) == n // 2 + 2  # stepping stopped at the first bad node
 
 
-# Grid sizes on both sides of one block of all nodes and of block boundaries.
-FODE2_NODES = [2 * _BLOCK, 2 * _BLOCK + 1, 3 * _BLOCK - 1, 3 * _BLOCK + 1]
+# Grid sizes on both sides of one block of all nodes and of block boundaries,
+# and one-block grids from the smallest to one that ends mid-sub-block.
+FODE2_NODES = [
+    _SUB + 1, _SUB + 2, 257, 2 * _BLOCK - 3, 2 * _BLOCK, 2 * _BLOCK + 1, 3 * _BLOCK - 1,
+    3 * _BLOCK + 1,
+]
 # Blocked grids whose last block ends on, just past or short of a sub-block edge.
 FODE2_SUB_BLOCK_NODES = [2 * _BLOCK + _SUB, 2 * _BLOCK + _SUB + 1, 4 * _BLOCK + 2]
 
@@ -427,14 +447,10 @@ def test_fode2_matches_plain_explicit_stepping(n, alpha, rhs):
     rep = solve_fode2(FODE2(alpha=alpha, rhs=rhs, t_end=(n - 1) * h), h)
     got = np.array([rep.solution.values, rep.aux.values])
     big, size = plain_fode2(FODE2(alpha=alpha, rhs=rhs, t_end=(n - 1) * h), h)
-    if n <= 2 * _BLOCK:
-        # One block: the same dot products, so the same bits.
-        assert np.array_equal(got, big)
-    else:
-        # The earlier blocks enter through FFTs. A node also inherits the
-        # roundoff of the nodes before it, so its bound is the largest sum
-        # of absolute terms up to it.
-        assert np.all(np.abs(got - big) <= 1e-13 * np.maximum.accumulate(size, axis=1))
+    # Earlier sub-blocks enter through matrix products and earlier blocks
+    # through FFTs. A node also inherits the roundoff of the nodes before
+    # it, so its bound is the largest sum of absolute terms up to it.
+    assert np.all(np.abs(got - big) <= 1e-13 * np.maximum.accumulate(size, axis=1))
 
 
 def test_explicit_euler_reduction_at_order_one():
