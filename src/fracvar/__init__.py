@@ -3,87 +3,20 @@
 Everything operates on uniformly sampled paths with convolution-weight
 discretizations, so derivative, lift, residual, and solver outputs compose
 consistently. See the README for conventions (base-node handling, interior
-norms, coefficient sets).
+norms, coefficient sets). The package exports every public name of
+`specfun`, `fracops`, `jet`, `varcalc` and `fodesolve`, as listed in each
+module's ``__all__``.
 """
 
 __version__ = "0.1.0"
 
-from .specfun import ConvergenceError, MLParams, gamma, gen_binomial, mittag_leffler
-from .fracops import (
-    FracOrder,
-    SampledPath,
-    Side,
-    frac_deriv,
-    frac_deriv_from_base,
-    gl_weights,
-    ibp_residual,
-    leibniz_series,
-)
-from .jet import JetPoint, JetTrajectory, lift, taylor_reconstruct
-from .varcalc import (
-    ELResidualReport,
-    HessianG,
-    Lagrangian,
-    Variant,
-    action,
-    el_explicit_rhs,
-    el_residual,
-    frac_partial,
-    hessian_g,
-    lagrangian_catalog,
-    make_lagrangian,
-)
-from .fodesolve import (
-    FODE2,
-    DivergenceError,
-    ModelTemplate,
-    MultiTermFDE,
-    SolveReport,
-    fde_residual,
-    find_model,
-    model_catalog,
-    solve_fode2,
-    solve_multiterm,
-)
+from .specfun import *  # noqa: F401,F403
+from .fracops import *  # noqa: F401,F403
+from .jet import *  # noqa: F401,F403
+from .varcalc import *  # noqa: F401,F403
+from .fodesolve import *  # noqa: F401,F403
+from . import fodesolve, fracops, jet, specfun, varcalc
 
-__all__ = [
-    "__version__",
-    "ConvergenceError",
-    "MLParams",
-    "gamma",
-    "gen_binomial",
-    "mittag_leffler",
-    "FracOrder",
-    "SampledPath",
-    "Side",
-    "frac_deriv",
-    "frac_deriv_from_base",
-    "gl_weights",
-    "ibp_residual",
-    "leibniz_series",
-    "JetPoint",
-    "JetTrajectory",
-    "lift",
-    "taylor_reconstruct",
-    "ELResidualReport",
-    "HessianG",
-    "Lagrangian",
-    "Variant",
-    "action",
-    "el_explicit_rhs",
-    "el_residual",
-    "frac_partial",
-    "hessian_g",
-    "lagrangian_catalog",
-    "make_lagrangian",
-    "FODE2",
-    "DivergenceError",
-    "ModelTemplate",
-    "MultiTermFDE",
-    "SolveReport",
-    "fde_residual",
-    "find_model",
-    "model_catalog",
-    "solve_fode2",
-    "solve_multiterm",
+__all__ = ["__version__"] + [
+    name for module in (specfun, fracops, jet, varcalc, fodesolve) for name in module.__all__
 ]

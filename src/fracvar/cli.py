@@ -166,8 +166,11 @@ def _path_from_csv(path: str) -> SampledPath:
     t, x = data[:, 0], data[:, 1]
     if len(t) < _MIN_NODES:
         raise CliError(f"sampled input too short: need at least {_MIN_NODES} nodes")
-    h = t[1] - t[0]
-    if h <= 0 or np.max(np.abs(np.diff(t) - h)) > 1e-9 * max(1.0, abs(h)):
+    # Written so that a NaN or an infinite time fails the check.
+    with np.errstate(invalid="ignore"):
+        h = t[1] - t[0]
+        uniform = h > 0 and np.max(np.abs(np.diff(t) - h)) <= 1e-9 * max(1.0, abs(h))
+    if not uniform:
         raise CliError("sampled input must sit on a uniform time grid")
     return SampledPath(float(t[0]), float(h), x)
 

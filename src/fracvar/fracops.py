@@ -66,6 +66,8 @@ class SampledPath:
             raise ValueError("a path needs at least two samples")
         if not self.h > 0.0:
             raise ValueError("step h must be positive")
+        if not (math.isfinite(self.t0) and math.isfinite(self.h)):
+            raise ValueError("start t0 and step h must be finite")
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -98,6 +100,8 @@ class SampledPath:
         if not t1 > t0:
             raise ValueError("t1 must exceed t0")
         h = (t1 - t0) / (n_pts - 1)
+        if not (math.isfinite(t0) and math.isfinite(h)):
+            raise ValueError("grid ends t0, t1 and their step must be finite")
         t = t0 + h * np.arange(n_pts)
         vals = np.asarray(fn(t), dtype=np.float64)
         if vals.shape != t.shape:

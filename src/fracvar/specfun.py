@@ -79,8 +79,8 @@ def mittag_leffler(params: MLParams, z: float) -> float:
 
     Evaluates sum_{a >= 0} z**a / Gamma(1 + alpha a), truncating once the
     current term drops below ``params.tol`` times the running partial sum.
-    The argument must satisfy |z| <= ML_ARG_BUDGET. To reproduce the series
-    in powers of t**alpha, pass z = t**alpha.
+    The argument must satisfy |z| <= ML_ARG_BUDGET; a NaN raises ValueError
+    too. To reproduce the series in powers of t**alpha, pass z = t**alpha.
 
     Raises ConvergenceError when the term budget runs out or the terms
     overflow before the tolerance is reached, and when the sum's rounding
@@ -97,6 +97,8 @@ def mittag_leffler(params: MLParams, z: float) -> float:
         raise ValueError(
             f"|z|={abs(z):g} exceeds the series budget {ML_ARG_BUDGET:g}"
         )
+    if math.isnan(z):
+        raise ValueError("z must be a number, got nan")
     alpha = params.alpha
     term = 1.0
     total = 1.0

@@ -448,6 +448,48 @@ def _as_fn(value) -> Callable[[float], float]:
     return lambda t: v
 
 
+def _level_factors(coefficients: str, alpha: float, levels) -> list:
+    """Gamma(1 + a alpha) ("normalized") or Gamma(1 + 2 a alpha) ("literature") per jet level a."""
+    scale = {"normalized": 1, "literature": 2}.get(coefficients)
+    if scale is None:
+        raise ValueError(f"unknown coefficient set: {coefficients!r}")
+    return [gamma(1 + scale * a * alpha) for a in levels]
+
+
+def _quadratic(alpha: float, u, u_x, coefs, cross: float = 0.0) -> Lagrangian:
+    """L = U(t, x) + sum_a (coefs[a-1]/2) (y^(a alpha))**2 + cross y^(alpha) y^(2 alpha).
+
+    One coordinate, of order k = len(coefs). ``u`` is U(t, x) and ``u_x``
+    its x-derivative, or None for finite differences. The level-a momentum
+    is coefs[a-1] y^(a alpha), plus cross times the other level's jet at
+    levels one and two; a level with a zero coefficient adds nothing to L.
+    """
+    # Jet rows are 0-based: row r holds level r + 1.
+    halves = [(r, c / 2) for r, c in enumerate(coefs) if c]
+
+    def evaluate(p: JetPoint) -> float:
+        out = u(p.t, p.x[0])
+        for r, half in halves:
+            out = out + half * p.y[r][0] ** 2
+        if cross:
+            out = out + cross * p.y[0][0] * p.y[1][0]
+        return out
+
+    def momentum(r: int) -> PointFn:
+        # (coefficient, row) of row r's own jet, then of the cross term's other row.
+        terms = [(c, j) for c, j in ((coefs[r], r), (cross if r < 2 else 0.0, 1 - r)) if c]
+        return lambda p: sum((c * p.y[j][0] for c, j in terms), 0.0)
+
+    return Lagrangian(
+        k=len(coefs),
+        n=1,
+        alpha=alpha,
+        eval_fn=evaluate,
+        partial_x=None if u_x is None else (lambda p: u_x(p.t, p.x[0]),),
+        partial_y=tuple((momentum(r),) for r in range(len(coefs))),
+    )
+
+
 def bagley_torvik_lagrangian(
     a: float = 1.0,
     b: float = 1.0,
@@ -467,27 +509,12 @@ def bagley_torvik_lagrangian(
     C3 = Gamma(1+6 alpha), C4 = Gamma(1+8 alpha).
     """
     f = _as_fn(forcing)
-    if coefficients == "normalized":
-        c3, c4 = gamma(1 + 3 * alpha), gamma(1 + 4 * alpha)
-    elif coefficients == "literature":
-        c3, c4 = gamma(1 + 6 * alpha), gamma(1 + 8 * alpha)
-    else:
-        raise ValueError(f"unknown coefficient set: {coefficients!r}")
-    return Lagrangian(
-        k=4,
-        n=1,
-        alpha=alpha,
-        eval_fn=lambda p: 0.5 * c * p.x[0] ** 2
-        - f(p.t) * p.x[0]
-        - 0.5 * b * c3 * p.y[2][0] ** 2
-        + 0.5 * a * c4 * p.y[3][0] ** 2,
-        partial_x=(lambda p: c * p.x[0] - f(p.t),),
-        partial_y=(
-            (lambda p: 0.0,),
-            (lambda p: 0.0,),
-            (lambda p: -b * c3 * p.y[2][0],),
-            (lambda p: a * c4 * p.y[3][0],),
-        ),
+    c3, c4 = _level_factors(coefficients, alpha, (3, 4))
+    return _quadratic(
+        alpha,
+        lambda t, x: 0.5 * c * x**2 - f(t) * x,
+        lambda t, x: c * x - f(t),
+        (0.0, 0.0, -b * c3, a * c4),
     )
 
 
@@ -518,31 +545,11 @@ def order_potential_lagrangian(
     """
     if k not in (1, 2, 3):
         raise ValueError("the family is defined for k in {1, 2, 3}")
-    if coefficients == "normalized":
-        cs = [gamma(1 + a * alpha) for a in range(1, k + 1)]
-    elif coefficients == "literature":
-        cs = [gamma(1 + 2 * a * alpha) for a in range(1, k + 1)]
-    else:
-        raise ValueError(f"unknown coefficient set: {coefficients!r}")
-    damp = {1: (1.0,), 2: (a1, 1.0), 3: (a1, a2, 1.0)}[k]
+    cs = _level_factors(coefficients, alpha, range(1, k + 1))
+    damp = (a1, a2)[: k - 1] + (1.0,)
+    coefs = tuple((-1.0) ** a * q * c for a, (q, c) in enumerate(zip(damp, cs), 1))
     u = potential if potential is not None else (lambda t, x: 0.0)
-
-    def evaluate(p: JetPoint) -> float:
-        out = u(p.t, p.x[0])
-        for a in range(1, k + 1):
-            out = out + (-1.0) ** a * 0.5 * damp[a - 1] * cs[a - 1] * p.y[a - 1][0] ** 2
-        return out
-
-    partial_x = None
-    if potential_x is not None:
-        partial_x = (lambda p: potential_x(p.t, p.x[0]),)
-    partial_y = tuple(
-        (lambda p, _a=a: (-1.0) ** _a * damp[_a - 1] * cs[_a - 1] * p.y[_a - 1][0],)
-        for a in range(1, k + 1)
-    )
-    return Lagrangian(
-        k=k, n=1, alpha=alpha, eval_fn=evaluate, partial_x=partial_x, partial_y=partial_y
-    )
+    return _quadratic(alpha, u, potential_x, coefs)
 
 
 def power_law_mixed_lagrangian(
@@ -586,10 +593,8 @@ def power_law_mixed_lagrangian(
     cp = c * gamma(1 + gamma_exp) / gamma(1 + gamma_exp - alpha)
     # Where this divisor is zero, gamma(1 + gamma_exp - alpha) has raised at its pole.
     cpp = cp / (1.0 + gamma_exp - alpha)
-    x_term = lambda p: cpp * f(p.t) * p.x[0] ** (1.0 + gamma_exp - alpha)
-    partial_x = (
-        lambda p: cpp * (1.0 + gamma_exp - alpha) * f(p.t) * p.x[0] ** (gamma_exp - alpha),
-    )
+    u = lambda t, x: cpp * f(t) * x ** (1.0 + gamma_exp - alpha)
+    u_x = lambda t, x: cpp * (1.0 + gamma_exp - alpha) * f(t) * x ** (gamma_exp - alpha)
     if coefficients == "normalized":
         denom = 1.0 / gamma(1 + alpha) - 1.0 / gamma(1 + 2 * alpha)
         if abs(denom) < 1e-8:
@@ -597,36 +602,10 @@ def power_law_mixed_lagrangian(
                 "the cross-term construction degenerates at this alpha "
                 "(equal gamma factors at levels one and two)"
             )
-        beta = a2 / denom
-        c1 = gamma(1 + alpha)
-        return Lagrangian(
-            k=2,
-            n=1,
-            alpha=alpha,
-            eval_fn=lambda p: x_term(p)
-            - 0.5 * a1 * c1 * p.y[0][0] ** 2
-            + beta * p.y[0][0] * p.y[1][0],
-            partial_x=partial_x,
-            partial_y=(
-                (lambda p: -a1 * c1 * p.y[0][0] + beta * p.y[1][0],),
-                (lambda p: beta * p.y[0][0],),
-            ),
-        )
+        return _quadratic(alpha, u, u_x, (-a1 * gamma(1 + alpha), 0.0), cross=a2 / denom)
     if coefficients == "literature":
         c1, c2 = gamma(1 + 2 * alpha), gamma(1 + 3 * alpha)
-        return Lagrangian(
-            k=2,
-            n=1,
-            alpha=alpha,
-            eval_fn=lambda p: x_term(p)
-            - 0.5 * a1 * c1 * p.y[0][0] ** 2
-            + 0.5 * a2 * c2 * p.y[1][0] ** 2,
-            partial_x=partial_x,
-            partial_y=(
-                (lambda p: -a1 * c1 * p.y[0][0],),
-                (lambda p: a2 * c2 * p.y[1][0],),
-            ),
-        )
+        return _quadratic(alpha, u, u_x, (-a1 * c1, a2 * c2))
     if coefficients == "literature-fractional":
         c1, c2 = gamma(1 + 2 * alpha), gamma(1 + 3 * alpha)
 

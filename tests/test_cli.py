@@ -98,6 +98,16 @@ def test_series_budget_is_a_usage_error(capsys):
     assert "budget" in err
 
 
+# A NaN argument is an input error, not a series overflow; inf keeps the
+# budget message.
+@pytest.mark.parametrize("z, message", [("nan", "z must be a number"), ("inf", "budget")])
+def test_non_finite_series_argument_is_a_usage_error(capsys, z, message):
+    code, out, err = run(capsys, ["mlf", "--alpha", "1", "--z", z])
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_unknown_names_are_usage_errors(capsys):
     assert run(capsys, ["solve", "--model", "pendulum"])[0] == 2
     assert (
@@ -120,6 +130,31 @@ def test_el_check_file_errors(capsys, tmp_path):
     )
     assert code == 2
     assert "uniform" in err
+
+
+# A NaN or infinite time compares false against any tolerance, so the
+# uniform-grid check must be written to fail on it.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cells", [{4: "nan"}, {0: "nan"}, {4: "inf"}, {0: "-inf", 1: "-inf"}],
+                         ids=["nan", "nan-first", "inf", "inf-first"])
+def test_el_check_file_with_non_finite_times_is_a_usage_error(capsys, tmp_path, cells):
+    ts = [cells.get(j, str(0.1 * j)) for j in range(11)]
+    bad = tmp_path / "bad.csv"
+    bad.write_text("t,x\n" + "".join(f"{t},{0.01 * j * j}\n" for j, t in enumerate(ts)))
+    code, out, err = run(capsys, ["el-check", "--from-file", str(bad)])
+    assert code == 2
+    assert out == ""
+    assert err == "error: sampled input must sit on a uniform time grid\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["deriv", "lift", "action", "el-check"])
+@pytest.mark.parametrize("grid", ["0:inf:9", "-inf:1:9", "-1e308:1e308:9"])
+def test_non_finite_grid_is_a_usage_error(capsys, command, grid):
+    code, out, err = run(capsys, [command, f"--grid={grid}"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: grid ends t0, t1 and their step must be finite\n"
 
 
 def test_el_check_rejects_classical_variant_of_fractional_powers(capsys):

@@ -56,6 +56,24 @@ def test_sampled_path_validation_and_grid():
     assert not p.same_grid(q)
 
 
+@pytest.mark.parametrize(
+    "t0, h", [(math.inf, 0.1), (-math.inf, 0.1), (math.nan, 0.1), (0.0, math.inf)]
+)
+def test_sampled_path_rejects_non_finite_start_or_step(t0, h):
+    with pytest.raises(ValueError, match="finite"):
+        SampledPath(t0, h, np.array([1.0, 2.0]))
+
+
+# An infinite end, or ends whose difference overflows, would sample t at
+# inf * 0 = NaN; the grid is rejected before the function sees it.
+@pytest.mark.parametrize("t0, t1", [(0.0, math.inf), (-math.inf, 0.0), (-1e308, 1e308)])
+def test_from_function_rejects_non_finite_grids_before_sampling(t0, t1):
+    calls = []
+    with pytest.raises(ValueError, match="finite"):
+        SampledPath.from_function(calls.append, t0, t1, 9)
+    assert calls == []
+
+
 def test_path_values_are_read_only():
     p = SampledPath(0.0, 0.1, np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError):

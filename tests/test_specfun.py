@@ -101,6 +101,13 @@ def test_argument_budget_rejected():
         mittag_leffler(MLParams(alpha=0.25), ML_ARG_BUDGET + 10.0)
 
 
+def test_nan_argument_rejected():
+    with pytest.raises(ValueError, match="nan"):
+        mittag_leffler(MLParams(alpha=1.0), math.nan)
+    with pytest.raises(ValueError, match="budget"):
+        mittag_leffler(MLParams(alpha=1.0), math.inf)
+
+
 def test_overflowing_series_raises():
     # within the argument budget but the partial sums overflow the float range
     with pytest.raises(ConvergenceError):
