@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import math
 import sys
 from typing import Callable, Optional, Sequence
 
@@ -58,31 +57,27 @@ class CliError(Exception):
     """Invalid arguments or inputs; mapped to exit status 2."""
 
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
+def _render_csv(table: dict, row: str) -> str:
+    return "\n".join([",".join(table), *map(row.format, *table.values())]) + "\n"
 
 
-def _render_csv(columns: Sequence[str], rows: Sequence[Sequence]) -> str:
-    out = [",".join(columns)]
-    for row in rows:
-        out.append(",".join(c if isinstance(c, str) else _fmt(c) for c in row))
-    return "\n".join(out) + "\n"
-
-
-def _render_json(columns, rows, meta) -> str:
-    payload = {
-        "meta": meta,
-        "columns": list(columns),
-        "rows": [[c if isinstance(c, str) else float(c) for c in row] for row in rows],
-    }
+def _render_json(table: dict, meta) -> str:
+    payload = {"meta": meta, "columns": list(table), "rows": list(zip(*table.values()))}
     return json.dumps(payload, sort_keys=True) + "\n"
 
 
-def _emit(args, columns, rows, meta_extra=None) -> None:
-    for j, row in enumerate(rows):
-        for c in row:
-            if not (isinstance(c, str) or math.isfinite(c)):
-                raise FloatingPointError(f"{args.command} output is not finite at row {j}")
+def _emit(args, table, meta_extra=None) -> None:
+    """Write ``table``, column name -> 1-D float array or a sequence of strings."""
+    bad_rows = []
+    for col in table.values():
+        if isinstance(col, np.ndarray):
+            finite = np.isfinite(col)
+            if not finite.all():
+                bad_rows.append(int(finite.argmin()))
+    if bad_rows:
+        raise FloatingPointError(f"{args.command} output is not finite at row {min(bad_rows)}")
+    row = ",".join("{:.17g}" if isinstance(c, np.ndarray) else "{}" for c in table.values())
+    table = {name: c.tolist() if isinstance(c, np.ndarray) else c for name, c in table.items()}
     meta = {
         "alpha": getattr(args, "alpha", None),
         "h": getattr(args, "_h", None),
@@ -91,8 +86,7 @@ def _emit(args, columns, rows, meta_extra=None) -> None:
     }
     if meta_extra:
         meta.update(meta_extra)
-    csv = args.format == "csv"
-    text = _render_csv(columns, rows) if csv else _render_json(columns, rows, meta)
+    text = _render_csv(table, row) if args.format == "csv" else _render_json(table, meta)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -223,15 +217,14 @@ def _cmd_deriv(args) -> int:
     path = _sample(args)
     side = Side.LEFT if args.side == "left" else Side.RIGHT
     out = frac_deriv(path, FracOrder(args.alpha), side)
-    rows = list(zip(out.times(), out.values))
-    _emit(args, ["t", "value"], rows)
+    _emit(args, {"t": out.times(), "value": out.values})
     return 0
 
 
 def _cmd_mlf(args) -> int:
     params = MLParams(alpha=args.alpha, tol=args.tol, max_terms=args.max_terms)
     value = mittag_leffler(params, args.z)
-    _emit(args, ["value"], [[value]])
+    _emit(args, {"value": np.array([value])})
     return 0
 
 
@@ -242,13 +235,8 @@ def _cmd_lift(args) -> int:
         raise CliError("jet order k must be at least 1")
     path = _sample(args)
     traj = lift((path,), args.alpha, args.k)
-    cols = ["t", "x"] + [f"y{a}" for a in range(1, args.k + 1)]
-    times = path.times()
-    rows = [
-        [times[j], path.values[j]] + [traj.y[a][0].values[j] for a in range(args.k)]
-        for j in range(path.n_pts)
-    ]
-    _emit(args, cols, rows)
+    jets = {f"y{a + 1}": traj.y[a][0].values for a in range(args.k)}
+    _emit(args, {"t": path.times(), "x": path.values, **jets})
     return 0
 
 
@@ -258,7 +246,7 @@ def _cmd_action(args) -> int:
     args.alpha = lag.alpha
     traj = lift((path,), lag.alpha, lag.k)
     value = action_integral(lag, traj)
-    _emit(args, ["action"], [[value]], {"k": lag.k})
+    _emit(args, {"action": np.array([value])}, {"k": lag.k})
     return 0
 
 
@@ -276,11 +264,9 @@ def _cmd_el_check(args) -> int:
     traj = lift((path,), lag.alpha, lag.k)
     report = el_residual(lag, traj, Variant(args.variant))
     res = report.residual[0]
-    rows = list(zip(res.times(), res.values))
     _emit(
         args,
-        ["t", "residual"],
-        rows,
+        {"t": res.times(), "residual": res.values},
         {"norm_inf": report.norm_inf, "excluded": report.excluded, "variant": args.variant},
     )
     return 0
@@ -302,14 +288,13 @@ def _cmd_solve(args) -> int:
     args._h = h
     if isinstance(problem, MultiTermFDE):
         report = solve_multiterm(problem, h)
-        sol = report.solution
-        cols, rows = ["t", "x"], list(zip(sol.times(), sol.values))
     else:
         report = solve_fode2(problem, h)
-        sol, vel = report.solution, report.aux
         args.alpha = problem.alpha
-        cols, rows = ["t", "x", "v"], list(zip(sol.times(), sol.values, vel.values))
-    _emit(args, cols, rows, {"max_defect": report.max_defect, "model": args.model})
+    table = {"t": report.solution.times(), "x": report.solution.values}
+    if report.aux is not None:
+        table["v"] = report.aux.values
+    _emit(args, table, {"max_defect": report.max_defect, "model": args.model})
     return 0
 
 
@@ -324,8 +309,8 @@ def _cmd_models(args) -> int:
                 orders = ";".join(f"{mu:g}" for _, mu in problem.terms)
             else:
                 orders = f"{problem.alpha:g}"
-            rows.append([model.name, variant, kind, orders, model.description])
-    _emit(args, ["name", "variant", "kind", "orders", "description"], rows)
+            rows.append((model.name, variant, kind, orders, model.description))
+    _emit(args, dict(zip(("name", "variant", "kind", "orders", "description"), zip(*rows))))
     return 0
 
 

@@ -95,11 +95,12 @@ class MultiTermFDE:
     ``terms`` holds (coefficient, order) pairs with positive orders; they
     are sorted by descending order at construction. Orders must be distinct
     and the leading coefficient nonzero. ``zero_order_coeff`` multiplies
-    x itself and ``forcing`` is the right-hand side, a constant or a
-    callable of t. A callable is called once, on the array of node times;
-    one that raises TypeError or ValueError there (``math.sin``, a branch
-    on ``t < 0.5``) or returns a shape that does not broadcast is called
-    once per node instead.
+    x itself; it, the orders and the coefficients must be finite.
+    ``forcing`` is the right-hand side, a constant or a callable of t. A
+    callable is called once, on the array of node times; one that raises
+    TypeError or ValueError there (``math.sin``, a branch on ``t < 0.5``)
+    or returns a shape that does not broadcast is called once per node
+    instead.
     """
 
     terms: tuple
@@ -113,6 +114,12 @@ class MultiTermFDE:
             raise ValueError("at least one term with positive order is required")
         if any(mu <= 0.0 for _, mu in terms):
             raise ValueError("term orders must be positive")
+        if not all(math.isfinite(mu) for _, mu in terms):
+            raise ValueError("term orders must be finite")
+        if not all(math.isfinite(c) for c, _ in terms):
+            raise ValueError("term coefficients must be finite")
+        if not math.isfinite(self.zero_order_coeff):
+            raise ValueError("zero_order_coeff must be finite")
         orders = [mu for _, mu in terms]
         if any(abs(orders[i] - orders[i + 1]) < 1e-12 for i in range(len(orders) - 1)):
             raise ValueError("term orders must be distinct")

@@ -118,7 +118,7 @@ class SampledPath:
 
 @dataclass(frozen=True)
 class FracOrder:
-    """A positive derivative order mu with its integer ceiling m."""
+    """A positive, finite derivative order mu with its integer ceiling m."""
 
     mu: float
     m: int = field(init=False)
@@ -126,6 +126,8 @@ class FracOrder:
     def __post_init__(self) -> None:
         if not self.mu > 0.0:
             raise ValueError("order mu must be positive")
+        if not math.isfinite(self.mu):
+            raise ValueError("order mu must be finite")
         object.__setattr__(self, "m", int(math.ceil(self.mu)))
 
     @property

@@ -68,6 +68,8 @@ class MLParams:
     def __post_init__(self) -> None:
         if not self.alpha > 0.0:
             raise ValueError("alpha must be positive")
+        if not math.isfinite(self.alpha):
+            raise ValueError("alpha must be finite")
         if not 0.0 < self.tol < 1.0:
             raise ValueError("tol must lie in (0, 1)")
         if self.max_terms < 1:

@@ -3,9 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from fracvar import SampledPath, action, lift, make_lagrangian
+from fracvar import SampledPath, action, find_model, lift, make_lagrangian, solve_fode2
 from fracvar.cli import main
 
 
@@ -221,11 +222,37 @@ def test_non_finite_solution_is_a_numerical_error(capsys, argv, message):
         (["--model", "phillips", "--variant", "classical", "--t-end", "nan"],
          "t_end must be positive"),
         (["--model", "friction", "--h", "nan"], "step size h must be positive"),
+        (["--model", "business-cycle", "--alpha", "inf"], "term orders must be finite"),
+        (["--model", "bagley-torvik", "--alpha", "inf"], "term orders must be finite"),
+        (["--model", "bagley-torvik", "--a", "inf"], "term coefficients must be finite"),
+        (["--model", "bagley-torvik", "--b", "nan"], "term coefficients must be finite"),
+        (["--model", "business-cycle", "--b1", "nan"], "zero_order_coeff must be finite"),
+        (["--model", "phillips", "--variant", "classical", "--a1", "inf"],
+         "term coefficients must be finite"),
     ],
-    ids=["x0", "v0", "t_end-fode2", "t_end-multiterm", "h"],
+    ids=["x0", "v0", "t_end-fode2", "t_end-multiterm", "h", "business-cycle-alpha",
+         "bagley-torvik-alpha", "bagley-torvik-a", "bagley-torvik-b", "business-cycle-b1",
+         "phillips-a1"],
 )
 def test_non_finite_solver_inputs_are_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, ["solve", *argv])
+    assert code == 2
+    assert out == ""
+    assert f"error: {message}" in err
+
+
+# An infinite order used to overflow the order's integer ceiling or the
+# series (exit 3).
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["deriv", "--alpha", "inf"], "order mu must be finite"),
+        (["mlf", "--alpha", "inf", "--z", "2"], "alpha must be finite"),
+    ],
+    ids=["deriv", "mlf"],
+)
+def test_infinite_orders_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
     assert f"error: {message}" in err
@@ -263,6 +290,10 @@ def test_models_catalog_listing(capsys):
     assert len(lines) == 9  # four models, two variants each
     names = {ln.split(",")[0] for ln in lines[1:]}
     assert names == {"friction", "phillips", "business-cycle", "bagley-torvik"}
+    _, out, _ = run(capsys, ["models", "list", "--format", "json"])
+    doc = json.loads(out)
+    assert doc["columns"] == lines[0].split(",")
+    assert doc["rows"] == [ln.split(",") for ln in lines[1:]]
 
 
 # === determinism ============================================================
@@ -285,6 +316,47 @@ def test_out_files_are_byte_identical(capsys, tmp_path):
     assert ba == bb
     assert b"\r" not in ba
     assert ba.startswith(b"t,value\n")
+
+
+def table_columns(text):
+    """Column name -> float array of a CSV or JSON table."""
+    if text.startswith("{"):
+        doc = json.loads(text)
+        header, rows = doc["columns"], doc["rows"]
+    else:
+        header, rows = parse_csv(text)
+    return dict(zip(header, np.array(rows, dtype=float).T))
+
+
+def lift_columns():
+    path = SampledPath.from_function(lambda t: t**2.7, 0.0, 1.0, 257)
+    traj = lift(path, 0.3, 3)
+    jets = {f"y{a + 1}": traj.y[a][0].values for a in range(3)}
+    return {"t": path.times(), "x": path.values, **jets}
+
+
+def fode2_solve_columns():
+    problem = find_model("phillips").make("fractional")
+    report = solve_fode2(problem, problem.t_end / 1024.0)
+    return {"t": report.solution.times(), "x": report.solution.values, "v": report.aux.values}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv, columns",
+    [
+        (["lift", "--alpha", "0.3", "--k", "3", "--fn", "pow", "--gamma", "2.7",
+          "--grid", "0:1:257"], lift_columns),
+        (["solve", "--model", "phillips", "--variant", "fractional"], fode2_solve_columns),
+    ],
+    ids=["lift", "solve-fode2"],
+)
+def test_tables_carry_the_library_values_bit_for_bit(capsys, fmt, argv, columns):
+    code, out, _ = run(capsys, argv + ["--format", fmt])
+    assert code == 0
+    got, expected = table_columns(out), columns()
+    assert list(got) == list(expected)
+    assert all(np.array_equal(got[name], col) for name, col in expected.items())
 
 
 def test_values_print_with_full_precision(capsys):

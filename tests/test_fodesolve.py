@@ -76,6 +76,14 @@ def test_non_finite_inputs_are_rejected_by_name(bad):
             FODE2(alpha=0.6, rhs=rhs, **{field: bad})
     with pytest.raises(ValueError, match="^t_end must be"):
         MultiTermFDE(terms=((1.0, 0.5),), forcing=0.0, t_end=bad)
+    for fields, name in [
+        ({"terms": ((1.0, 2.0), (bad, 1.5))}, "term coefficients"),
+        ({"terms": ((bad, 2.0), (1.0, 1.5))}, "term coefficients"),
+        ({"terms": ((1.0, 2.0), (1.0, bad))}, "term orders"),
+        ({"terms": ((1.0, 2.0),), "zero_order_coeff": bad}, "zero_order_coeff"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            MultiTermFDE(forcing=0.0, **fields)
     fde = MultiTermFDE(terms=((1.0, 2.0),), forcing=2.0, t_end=1.0)
     with pytest.raises(ValueError, match="^step size h must be"):
         solve_multiterm(fde, bad)

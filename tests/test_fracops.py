@@ -94,6 +94,8 @@ def test_frac_order_requires_positive():
         FracOrder(0.0)
     with pytest.raises(ValueError):
         FracOrder(-0.5)
+    with pytest.raises(ValueError, match="^order mu must be finite"):
+        FracOrder(math.inf)
 
 
 # === weights ================================================================

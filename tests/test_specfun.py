@@ -65,6 +65,8 @@ def test_mlparams_defaults_and_validation():
         MLParams(alpha=0.5, tol=1.0)
     with pytest.raises(ValueError):
         MLParams(alpha=0.5, max_terms=0)
+    with pytest.raises(ValueError, match="^alpha must be finite"):
+        MLParams(alpha=math.inf)
 
 
 # === series values ==========================================================
