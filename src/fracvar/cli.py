@@ -186,6 +186,8 @@ def _build_lagrangian(args):
     names = inspect.signature(catalog[name]).parameters
     params = _set_flags(args, names)
     q = args.potential_quadratic
+    if not np.isfinite(q):
+        raise CliError("--potential-quadratic must be finite")
     if q and "potential" in names:
         params["potential"] = lambda t, x: 0.5 * q * x * x
         params["potential_x"] = lambda t, x: q * x

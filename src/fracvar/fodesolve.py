@@ -23,7 +23,7 @@ update to the explicit Euler step.
 Every history sum uses the blocks of ``fracops._block_layout``: the solves
 step them one at a time through ``fracops._far_blocks``, and the defect
 checks sum them in ``fracops._history`` (one block up to 2048 nodes, all
-blocks at once above 3072). In the solves, up to 1024 nodes, and for
+blocks at once above). In the solves, up to 1024 nodes, and for
 integer orders alone in ``solve_multiterm``, one block holds all nodes and
 the sums take O(n**2) work. On longer grids the blocks hold 512 nodes, and
 the history of all earlier blocks enters through FFTs of length 1024
@@ -57,6 +57,7 @@ from .fracops import (
     Side,
     _far_blocks,
     _history,
+    _require_finite,
     _support,
     frac_deriv,
     gl_weights,
@@ -118,8 +119,7 @@ class MultiTermFDE:
             raise ValueError("term orders must be finite")
         if not all(math.isfinite(c) for c, _ in terms):
             raise ValueError("term coefficients must be finite")
-        if not math.isfinite(self.zero_order_coeff):
-            raise ValueError("zero_order_coeff must be finite")
+        _require_finite(zero_order_coeff=self.zero_order_coeff)
         orders = [mu for _, mu in terms]
         if any(abs(orders[i] - orders[i + 1]) < 1e-12 for i in range(len(orders) - 1)):
             raise ValueError("term orders must be distinct")
@@ -150,9 +150,7 @@ class FODE2:
             raise ValueError("alpha must lie in (0, 1]")
         if not callable(self.rhs):
             raise ValueError("rhs must be callable")
-        for name in ("x0", "v0"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        _require_finite(x0=self.x0, v0=self.v0)
         if not 0.0 < self.t_end < math.inf:
             raise ValueError("t_end must be positive and finite")
 
@@ -391,6 +389,9 @@ class ModelTemplate:
 def _friction_factory(variant, m=1.0, gamma_coef=0.5, potential=None, x0=0.0, v0=1.0,
                       alpha=0.999, t_end=2.0):
     """Damped motion in a potential: m x'' + gamma x' - dU/dx = 0."""
+    _require_finite(m=m, gamma_coef=gamma_coef)
+    if m == 0.0:
+        raise ValueError("m must be nonzero")
     u = potential
 
     def u_x(t, x):
@@ -412,6 +413,7 @@ def _phillips_factory(variant, a1=0.5, b1=1.0, f=0.2, x0=1.0, v0=0.0, alpha=0.99
         return MultiTermFDE(
             terms=((1.0, 2.0), (a1, 1.0)), zero_order_coeff=b1, forcing=-f, t_end=t_end
         )
+    _require_finite(a1=a1, b1=b1, f=f)
     return FODE2(
         alpha=alpha,
         rhs=lambda t, x, v: -a1 * v - b1 * x - f,

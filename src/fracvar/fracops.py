@@ -50,6 +50,13 @@ DEFAULT_T1 = 1.0
 DEFAULT_NPTS = 1025
 
 
+def _require_finite(**values) -> None:
+    """Raise ValueError naming the first of ``values`` that is not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True, eq=False)
 class SampledPath:
     """A real function sampled on a uniform grid t_j = t0 + j h."""
@@ -244,13 +251,13 @@ def _history(g: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     ``g`` and ``w`` have shape (n,) or (rows, n) and broadcast along rows.
     Sums of at most 4 * _BLOCK nodes are one np.convolve per row, O(n**2).
-    Longer ones take blocks of _BLOCK nodes, O(n * _BLOCK + n**2 / _BLOCK),
-    each one np.convolve plus the far part that `_far_blocks` yields. Above
-    6 * _BLOCK nodes, where it is faster, FFT rows sum all blocks at once:
-    within blocks as one product of the (nb, _BLOCK) blocks with the upper-
-    triangular Toeplitz slab of w[:_BLOCK], across them to `_far_blocks`'
-    bits by one FFT of all blocks, the spectra summed by block lag and one
-    inverse FFT. Blocked sums overtake direct ones between 3 and 4 * _BLOCK
+    Longer ones take blocks of _BLOCK nodes, O(n * _BLOCK + n**2 / _BLOCK).
+    FFT rows sum all blocks at once: within blocks as one product of the
+    (nb, _BLOCK) blocks with the upper-triangular Toeplitz slab of
+    w[:_BLOCK], across them to `_far_blocks`' bits by one FFT of all blocks,
+    the spectra summed by block lag and one inverse FFT. Short rows take
+    each block's np.convolve plus the direct far part that `_far_blocks`
+    yields. Blocked sums overtake direct ones between 3 and 4 * _BLOCK
     nodes and differ from them by FFT roundoff of whole blocks, not of each
     node's terms. Node j reads g only at nodes up to j: changing g at a
     node, to NaN or inf too, leaves earlier outputs bit-identical.
@@ -260,7 +267,7 @@ def _history(g: np.ndarray, w: np.ndarray) -> np.ndarray:
     rows = max(len(g2), len(w2))
     g_rows, w_rows = np.broadcast_to(g2, (rows, n)), np.broadcast_to(w2, (rows, n))
     blocked, rest, out = n > 4 * _BLOCK, range(rows), np.empty((rows, n))
-    if n > 6 * _BLOCK:
+    if blocked:
         blk, nb, fft, _, g_fft, spec_w = _block_layout(g2, w2, blocked)
         rest, slab = [r for r in rest if r not in fft], None
         for r in fft:

@@ -51,6 +51,7 @@ import numpy as np
 
 # perfbench/tracing.py patches frac_deriv and frac_deriv_from_base here by name.
 from .fracops import FracOrder, SampledPath, frac_deriv, frac_deriv_from_base, gl_weights
+from .fracops import _require_finite
 from .jet import JetPoint, JetTrajectory
 from .specfun import gamma
 
@@ -639,4 +640,6 @@ def make_lagrangian(name: str, **params) -> Lagrangian:
     if name not in catalog:
         known = ", ".join(sorted(catalog))
         raise KeyError(f"unknown Lagrangian {name!r}; available: {known}")
+    # Forcing and potentials may also be callables; numeric ones must be finite.
+    _require_finite(**{k: v for k, v in params.items() if isinstance(v, (float, np.floating))})
     return catalog[name](**params)

@@ -189,7 +189,8 @@ def test_non_finite_table_is_a_numerical_error(capsys, argv, row):
 
 
 # The solvers stop at the first non-finite node with a typed error, without
-# a RuntimeWarning, before any table is written.
+# a RuntimeWarning, before any table is written. The FODE2 right side
+# -b1 x overflows to -inf at the first node from finite coefficients.
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "argv, message",
@@ -200,7 +201,8 @@ def test_non_finite_table_is_a_numerical_error(capsys, argv, row):
             "solution is not finite at t = 0.000976562",
         ),
         (
-            ["solve", "--model", "phillips", "--variant", "fractional", "--f", "nan"],
+            ["solve", "--model", "phillips", "--variant", "fractional", "--b1", "1e308",
+             "--x0", "10"],
             "solution is not finite or exceeded 1e+12 at t = 0.00488281",
         ),
     ],
@@ -229,16 +231,49 @@ def test_non_finite_solution_is_a_numerical_error(capsys, argv, message):
         (["--model", "business-cycle", "--b1", "nan"], "zero_order_coeff must be finite"),
         (["--model", "phillips", "--variant", "classical", "--a1", "inf"],
          "term coefficients must be finite"),
+        (["--model", "friction", "--m", "nan"], "m must be finite"),
+        (["--model", "friction", "--gamma-coef", "inf"], "gamma_coef must be finite"),
+        (["--model", "phillips", "--a1", "inf"], "a1 must be finite"),
+        (["--model", "phillips", "--b1", "nan"], "b1 must be finite"),
+        (["--model", "phillips", "--f", "inf"], "f must be finite"),
     ],
     ids=["x0", "v0", "t_end-fode2", "t_end-multiterm", "h", "business-cycle-alpha",
          "bagley-torvik-alpha", "bagley-torvik-a", "bagley-torvik-b", "business-cycle-b1",
-         "phillips-a1"],
+         "phillips-a1", "friction-m", "friction-gamma-coef", "phillips-fractional-a1",
+         "phillips-fractional-b1", "phillips-fractional-f"],
 )
 def test_non_finite_solver_inputs_are_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, ["solve", *argv])
     assert code == 2
     assert out == ""
     assert f"error: {message}" in err
+
+
+# m = 0 used to end in a ZeroDivisionError traceback, and non-finite
+# Lagrangian parameters in a RuntimeWarning and a misleading
+# finite-difference mismatch.
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--model", "friction", "--m", "0"], "m must be nonzero"),
+        (["el-check", "--lagrangian", "order2-potential", "--a1", "inf"], "a1 must be finite"),
+        (["el-check", "--lagrangian", "bagley-torvik", "--a", "nan"], "a must be finite"),
+        (["action", "--lagrangian", "power-law-mixed", "--gamma-exp", "inf"],
+         "gamma_exp must be finite"),
+        (["el-check", "--lagrangian", "bagley-torvik", "--forcing-fn", "const",
+          "--forcing-cval", "inf"], "forcing must be finite"),
+        (["el-check", "--lagrangian", "order1-potential", "--potential-quadratic", "inf"],
+         "--potential-quadratic must be finite"),
+        (["action", "--lagrangian", "order2-potential", "--a2", "nan"], "a2 must be finite"),
+    ],
+    ids=["friction-m-zero", "order2-a1", "bagley-torvik-a", "power-law-gamma-exp",
+         "forcing-cval", "potential-quadratic", "order2-a2"],
+)
+def test_bad_catalog_coefficients_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 # An infinite order used to overflow the order's integer ceiling or the
@@ -287,13 +322,22 @@ def test_models_catalog_listing(capsys):
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == "name,variant,kind,orders,description"
-    assert len(lines) == 9  # four models, two variants each
-    names = {ln.split(",")[0] for ln in lines[1:]}
-    assert names == {"friction", "phillips", "business-cycle", "bagley-torvik"}
+    expected = [  # four models, two variants each, at the factories' defaults
+        ["friction", "classical", "fode2", "1"],
+        ["friction", "fractional", "fode2", "0.999"],
+        ["phillips", "classical", "multiterm", "2;1"],
+        ["phillips", "fractional", "fode2", "0.999"],
+        ["business-cycle", "classical", "multiterm", "3;2;1"],
+        ["business-cycle", "fractional", "multiterm", "3;2;1"],
+        ["bagley-torvik", "classical", "multiterm", "2;1.5"],
+        ["bagley-torvik", "fractional", "multiterm", "2;1.5"],
+    ]
+    assert [ln.split(",")[:4] for ln in lines[1:]] == expected
     _, out, _ = run(capsys, ["models", "list", "--format", "json"])
     doc = json.loads(out)
     assert doc["columns"] == lines[0].split(",")
     assert doc["rows"] == [ln.split(",") for ln in lines[1:]]
+    assert [row[:4] for row in doc["rows"]] == expected
 
 
 # === determinism ============================================================

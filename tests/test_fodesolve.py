@@ -21,7 +21,9 @@ from fracvar.fodesolve import (
     solve_multiterm,
 )
 from fracvar.fracops import _BLOCK, FracOrder, SampledPath, _history, gl_weights
+from fracvar.jet import lift
 from fracvar.specfun import gamma
+from fracvar.varcalc import el_residual, make_lagrangian
 
 
 def plate_fde(t_end=1.0):
@@ -84,6 +86,12 @@ def test_non_finite_inputs_are_rejected_by_name(bad):
     ]:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             MultiTermFDE(forcing=0.0, **fields)
+    # The FODE2 catalog entries close these into the right side, which FODE2
+    # never sees.
+    for name, field in [("friction", "m"), ("friction", "gamma_coef"), ("phillips", "a1"),
+                        ("phillips", "b1"), ("phillips", "f")]:
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            find_model(name).make("fractional", **{field: bad})
     fde = MultiTermFDE(terms=((1.0, 2.0),), forcing=2.0, t_end=1.0)
     with pytest.raises(ValueError, match="^step size h must be"):
         solve_multiterm(fde, bad)
@@ -589,6 +597,28 @@ def test_business_cycle_classical_equals_half_order_fractional():
     a = solve_multiterm(classical, 2**-8).solution.values
     b = solve_multiterm(half, 2**-8).solution.values
     assert np.array_equal(a, b)
+
+
+def test_friction_template_rejects_zero_mass():
+    # The right side divides by m; it used to raise ZeroDivisionError mid-solve.
+    with pytest.raises(ValueError, match="^m must be nonzero$"):
+        find_model("friction").make("fractional", m=0.0)
+
+
+@pytest.mark.parametrize("name, k, h", [("phillips", 2, 5.0 / 1024), ("business-cycle", 3, 2**-9)])
+def test_classical_templates_are_stationary_for_the_order_k_potential(name, k, h):
+    # x'' + a1 x' + b1 x + f = 0 and x''' + a2 x'' + a1 x' + b1 x + f = 0 are
+    # the Euler-Lagrange equations of the order-k potentials at alpha = 1/2
+    # with U = b1 x**2 / 2 + f x.
+    model = find_model(name)
+    p = model.defaults
+    sol = solve_multiterm(model.make("classical"), h).solution
+    lag = make_lagrangian(
+        f"order{k}-potential", alpha=0.5, a1=p["a1"], a2=p.get("a2", 0.0),
+        potential=lambda t, x: 0.5 * p["b1"] * x**2 + p["f"] * x,
+        potential_x=lambda t, x: p["b1"] * x + p["f"],
+    )
+    assert el_residual(lag, lift(sol, 0.5, k)).norm_inf <= 1e-8
 
 
 def test_bagley_torvik_template_default_forcing_is_manufactured():

@@ -606,4 +606,4 @@ def test_long_derivatives_take_the_blocked_path(monkeypatch, n):
     monkeypatch.setattr(np, "convolve", measured)
     frac_deriv(SampledPath.from_function(np.sin, 0.0, 1.0, n), FracOrder(0.5))
     assert len(blocks) == (1 if n <= 4 * _BLOCK else -(-n // _BLOCK))
-    assert max(segments) == (n if n <= 4 * _BLOCK else 0 if n > 6 * _BLOCK else _BLOCK)
+    assert max(segments) == (n if n <= 4 * _BLOCK else 0)

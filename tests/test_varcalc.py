@@ -569,6 +569,26 @@ def test_catalog_contents():
     assert L.k == 2 and L.alpha == 0.4
 
 
+# Non-finite coefficients used to reach the analytic-partial check, which
+# blamed the partials after a numpy RuntimeWarning.
+@pytest.mark.parametrize(
+    "name, params, message",
+    [
+        ("order2-potential", {"a1": np.inf}, "a1 must be finite"),
+        ("order2-potential", {"a2": np.nan}, "a2 must be finite"),
+        ("bagley-torvik", {"a": np.nan}, "a must be finite"),
+        ("bagley-torvik", {"forcing": np.inf}, "forcing must be finite"),
+        ("power-law-mixed", {"gamma_exp": np.inf}, "gamma_exp must be finite"),
+        ("power-law-mixed", {"forcing": -np.inf}, "forcing must be finite"),
+    ],
+    ids=["order2-a1", "order2-a2", "bagley-torvik-a", "bagley-torvik-forcing",
+         "power-law-gamma-exp", "power-law-forcing"],
+)
+def test_catalog_rejects_non_finite_coefficients_by_name(name, params, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make_lagrangian(name, **params)
+
+
 def test_unknown_catalog_name():
     with pytest.raises(KeyError):
         make_lagrangian("order4-potential")
