@@ -442,10 +442,11 @@ def el_explicit_rhs(L: Lagrangian, point: JetPoint) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 
 def _as_fn(value) -> Callable[[float], float]:
-    """A forcing given as None (zero), a constant or a callable of t, as a callable."""
+    """A forcing given as None (zero), a finite constant or a callable of t, as a callable."""
     if callable(value):
         return value
     v = 0.0 if value is None else float(value)
+    _require_finite(forcing=v)
     return lambda t: v
 
 

@@ -189,16 +189,18 @@ def test_non_finite_table_is_a_numerical_error(capsys, argv, row):
 
 
 # The solvers stop at the first non-finite node with a typed error, without
-# a RuntimeWarning, before any table is written. The FODE2 right side
-# -b1 x overflows to -inf at the first node from finite coefficients.
+# a RuntimeWarning, before any table is written. A forcing of 1e308
+# overflows the multi-term solve's far sums at the second block's first
+# node; the FODE2 right side -b1 x overflows to -inf at the first node,
+# both from finite inputs.
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "argv, message",
     [
         (
             ["solve", "--model", "bagley-torvik", "--forcing-fn", "const",
-             "--forcing-cval", "inf"],
-            "solution is not finite at t = 0.000976562",
+             "--forcing-cval", "1e308"],
+            "solution is not finite at t = 0.5",
         ),
         (
             ["solve", "--model", "phillips", "--variant", "fractional", "--b1", "1e308",
@@ -213,6 +215,7 @@ def test_non_finite_solution_is_a_numerical_error(capsys, argv, message):
     assert code == 3
     assert out == ""
     assert message in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -236,17 +239,42 @@ def test_non_finite_solution_is_a_numerical_error(capsys, argv, message):
         (["--model", "phillips", "--a1", "inf"], "a1 must be finite"),
         (["--model", "phillips", "--b1", "nan"], "b1 must be finite"),
         (["--model", "phillips", "--f", "inf"], "f must be finite"),
+        (["--model", "phillips", "--variant", "classical", "--f", "inf"], "forcing must be finite"),
+        (["--model", "business-cycle", "--f", "nan"], "forcing must be finite"),
+        (["--model", "bagley-torvik", "--forcing-fn", "const", "--forcing-cval", "inf"],
+         "forcing must be finite"),
     ],
     ids=["x0", "v0", "t_end-fode2", "t_end-multiterm", "h", "business-cycle-alpha",
          "bagley-torvik-alpha", "bagley-torvik-a", "bagley-torvik-b", "business-cycle-b1",
          "phillips-a1", "friction-m", "friction-gamma-coef", "phillips-fractional-a1",
-         "phillips-fractional-b1", "phillips-fractional-f"],
+         "phillips-fractional-b1", "phillips-fractional-f", "phillips-classical-f",
+         "business-cycle-f", "bagley-torvik-forcing-cval"],
 )
 def test_non_finite_solver_inputs_are_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, ["solve", *argv])
     assert code == 2
     assert out == ""
     assert f"error: {message}" in err
+
+
+# Scaled coefficients c h**(-mu) that overflow used to print numpy
+# RuntimeWarnings and exit 3 at the first node, or, for a huge order, exit 3
+# with the bare OverflowError text "(34, 'Numerical result out of range')".
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--model", "bagley-torvik", "--a", "1e308"],
+        ["solve", "--model", "business-cycle", "--a1", "1e308"],
+        ["solve", "--model", "bagley-torvik", "--variant", "fractional", "--alpha", "20"],
+    ],
+    ids=["bagley-torvik-a", "business-cycle-a1", "bagley-torvik-alpha"],
+)
+def test_overflowing_scaled_coefficients_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: degenerate implicit update: scaled coefficients overflow at this h\n"
 
 
 # m = 0 used to end in a ZeroDivisionError traceback, and non-finite

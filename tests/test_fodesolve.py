@@ -11,6 +11,7 @@ from scipy.integrate import solve_ivp
 
 from fracvar.fodesolve import (
     _SUB,
+    _inverse_series,
     FODE2,
     DivergenceError,
     MultiTermFDE,
@@ -83,9 +84,10 @@ def test_non_finite_inputs_are_rejected_by_name(bad):
         ({"terms": ((bad, 2.0), (1.0, 1.5))}, "term coefficients"),
         ({"terms": ((1.0, 2.0), (1.0, bad))}, "term orders"),
         ({"terms": ((1.0, 2.0),), "zero_order_coeff": bad}, "zero_order_coeff"),
+        ({"terms": ((1.0, 1.5),), "forcing": bad}, "forcing"),
     ]:
         with pytest.raises(ValueError, match=f"^{name} must be"):
-            MultiTermFDE(forcing=0.0, **fields)
+            MultiTermFDE(**{"forcing": 0.0, **fields})
     # The FODE2 catalog entries close these into the right side, which FODE2
     # never sees.
     for name, field in [("friction", "m"), ("friction", "gamma_coef"), ("phillips", "a1"),
@@ -247,6 +249,32 @@ def test_non_finite_forcing_is_a_divergence_error(bad, n):
                 solve_multiterm(fde, h)
 
 
+def test_overflowing_far_sums_are_a_divergence_error():
+    # A finite forcing of 1e308 overflows the far sums of the second block:
+    # its FFTs turn every node non-finite, and the direct sums name the first.
+    fde = find_model("bagley-torvik").make("classical", forcing=1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match="^solution is not finite at t = 0.5$"):
+            solve_multiterm(fde, 2**-10)
+
+
+# c h**(-mu) overflows for a huge c, or for a huge order (160 here), where
+# Python's power used to raise a bare OverflowError.
+@pytest.mark.parametrize("name, variant, params", [
+    ("bagley-torvik", "classical", {"a": 1e308}),
+    ("bagley-torvik", "fractional", {"b": 1e308}),
+    ("business-cycle", "fractional", {"a1": 1e308}),
+    ("bagley-torvik", "fractional", {"alpha": 20.0}),
+], ids=["bagley-torvik-a", "bagley-torvik-b", "business-cycle-a1", "bagley-torvik-alpha"])
+def test_overflowing_scaled_coefficients_are_rejected(name, variant, params):
+    fde = find_model(name).make(variant, **params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="scaled coefficients overflow at this h"):
+            solve_multiterm(fde, 2**-10)
+
+
 def forward_substitution(fde, h):
     """Node-by-node solve of the solver's discrete equations in long double."""
     n = int(round(fde.t_end / h)) + 1
@@ -277,6 +305,7 @@ SOLVE_ORDERS = st.one_of(st.sampled_from([1.0, 2.0]), st.floats(0.0, 2.5, exclud
 )
 @example(n=3 * _BLOCK + 1, orders=[2.0, 1.5], coefs=[1.0, 1.0, 1.0], c0=1.0, freq=0.0)
 @example(n=5 * _BLOCK + 1, orders=[2.5, 1.0, 0.3], coefs=[1.0, 0.5, 0.2], c0=0.0, freq=6.0)
+@example(n=5 * _BLOCK + 1, orders=[2.455], coefs=[0.7, 0.5, 0.4], c0=0.31, freq=3.0)
 def test_block_solve_matches_forward_substitution(n, orders, coefs, c0, freq):
     h = 2.0**-10
     fde = MultiTermFDE(
@@ -290,6 +319,42 @@ def test_block_solve_matches_forward_substitution(n, orders, coefs, c0, freq):
     rel = float(np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
     target(rel, label="error relative to max |x|")
     assert rel <= 1e-8
+
+
+def long_double_inverse(a, count):
+    """The first ``count`` coefficients of 1 / a(z), by forward substitution in long double."""
+    a = a.astype(np.longdouble)
+    r = np.zeros(count, dtype=np.longdouble)
+    r[0] = 1 / a[0]
+    for k in range(1, count):
+        m = min(k, a.size - 1)
+        r[k] = -a[1 : m + 1].dot(r[k - m : k][::-1]) / a[0]
+    return r
+
+
+# The symbols of the multi-term catalog entries, polynomial ones (integer
+# orders) cut to their support, up to 2048 coefficients. At their default
+# alpha the fractional variants have the classical orders, so they take
+# the alpha of the long-double solve checks. Beyond 2048 coefficients the
+# cubic business-cycle symbol amplifies roundoff into r itself: forward
+# substitution erred by 1.2e-9 to 4.9e-8 of max |r| at 8193 coefficients
+# under 1-ulp changes of the symbol.
+@pytest.mark.parametrize("h", [2**-10, 2**-13])
+@pytest.mark.parametrize("name, variant, params", [
+    ("phillips", "classical", {}),
+    ("business-cycle", "classical", {}),
+    ("business-cycle", "fractional", {"alpha": 0.4}),
+    ("bagley-torvik", "classical", {}),
+    ("bagley-torvik", "fractional", {"alpha": 0.3}),
+], ids=["phillips", "business-cycle", "business-cycle-0.4", "bagley-torvik", "bagley-torvik-0.3"])
+def test_inverse_series_matches_long_double_substitution(name, variant, params, h):
+    fde = find_model(name).make(variant, **params)
+    count = min(int(round(fde.t_end / h)) + 1, 4 * _BLOCK)
+    a = sum(c * h ** (-mu) * gl_weights(FracOrder(mu), count) for c, mu in fde.terms)
+    a[0] += fde.zero_order_coeff
+    a = np.trim_zeros(a, "b")
+    r, ref = _inverse_series(a, count), long_double_inverse(a, count)
+    assert float(np.max(np.abs(r - ref)) / np.max(np.abs(ref))) <= 1e-8
 
 
 # === residual substitution ==================================================
