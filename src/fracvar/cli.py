@@ -166,6 +166,8 @@ def _path_from_csv(path: str) -> SampledPath:
         uniform = h > 0 and np.max(np.abs(np.diff(t) - h)) <= 1e-9 * max(1.0, abs(h))
     if not uniform:
         raise CliError("sampled input must sit on a uniform time grid")
+    if not np.all(np.isfinite(x)):
+        raise CliError(f"{path} has a non-finite x in data row {np.argmin(np.isfinite(x)) + 1}")
     return SampledPath(float(t[0]), float(h), x)
 
 
@@ -237,7 +239,7 @@ def _cmd_lift(args) -> int:
         raise CliError("jet order k must be at least 1")
     path = _sample(args)
     traj = lift((path,), args.alpha, args.k)
-    jets = {f"y{a + 1}": traj.y[a][0].values for a in range(args.k)}
+    jets = {f"y{a}": traj.jets[a, 0] for a in range(1, args.k + 1)}
     _emit(args, {"t": path.times(), "x": path.values, **jets})
     return 0
 

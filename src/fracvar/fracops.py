@@ -247,64 +247,63 @@ def _far_blocks(g: np.ndarray, w: np.ndarray, blocked: bool = True):
 
 
 def _history(g: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """History sums y[..., j] = sum_{k<=j} w[..., k] g[..., j-k], exactly causal.
+    """History sums y[..., j] = sum_{k<=j} w[k] g[..., j-k], exactly causal.
 
-    ``g`` and ``w`` have shape (n,) or (rows, n) and broadcast along rows.
+    ``g`` has shape (n,) or (rows, n) and ``w``, one weight row, shape (n,).
     Sums of at most 4 * _BLOCK nodes are one np.convolve per row, O(n**2).
     Longer ones take blocks of _BLOCK nodes, O(n * _BLOCK + n**2 / _BLOCK).
-    FFT rows sum all blocks at once: within blocks as one product of the
-    (nb, _BLOCK) blocks with the upper-triangular Toeplitz slab of
-    w[:_BLOCK], across them to `_far_blocks`' bits by one FFT of all blocks,
-    the spectra summed by block lag and one inverse FFT. Short rows take
-    each block's np.convolve plus the direct far part that `_far_blocks`
-    yields. Blocked sums overtake direct ones between 3 and 4 * _BLOCK
-    nodes and differ from them by FFT roundoff of whole blocks, not of each
-    node's terms. Node j reads g only at nodes up to j: changing g at a
-    node, to NaN or inf too, leaves earlier outputs bit-identical.
+    Weights that reach past one block sum all blocks at once: within blocks
+    as one product of the (nb, _BLOCK) blocks with the upper-triangular
+    Toeplitz slab of w[:_BLOCK], across them to `_far_blocks`' bits by one
+    FFT of all blocks, the spectra summed by block lag and one inverse FFT.
+    Shorter weights (integer orders) take each block's np.convolve plus the
+    direct far part that `_far_blocks` yields. Blocked sums overtake direct
+    ones between 3 and 4 * _BLOCK nodes and differ from them by FFT roundoff
+    of whole blocks, not of each node's terms. Node j reads g only at nodes
+    up to j: changing g at a node, to NaN or inf too, leaves earlier outputs
+    bit-identical.
     """
-    g2, w2 = np.atleast_2d(g), np.atleast_2d(w)
-    n = g2.shape[-1]
-    rows = max(len(g2), len(w2))
-    g_rows, w_rows = np.broadcast_to(g2, (rows, n)), np.broadcast_to(w2, (rows, n))
-    blocked, rest, out = n > 4 * _BLOCK, range(rows), np.empty((rows, n))
-    if blocked:
-        blk, nb, fft, _, g_fft, spec_w = _block_layout(g2, w2, blocked)
-        rest, slab = [r for r in rest if r not in fft], None
-        for r in fft:
-            if slab is None or len(w2) > 1:
-                wpad = np.concatenate((np.zeros(blk - 1), w_rows[r, :blk]))
-                slab = np.ascontiguousarray(sliding_window_view(wpad, blk)[::-1])
+    g2 = np.atleast_2d(g)
+    rows, n = g2.shape
+    out = np.empty((rows, n))
+    blocked = n > 4 * _BLOCK
+    if blocked and _support(w)[0] > _BLOCK:
+        blk, nb, _, _, _, spec_w = _block_layout(g2, w[None], True)
+        wpad = np.concatenate((np.zeros(blk - 1), w[:blk]))
+        slab = np.ascontiguousarray(sliding_window_view(wpad, blk)[::-1])
+        for r in range(rows):
             # A slab zero times a later inf or NaN is NaN: the product takes g as
             # zero from its first non-finite node q, and q's block sums directly.
-            q = np.append(np.flatnonzero(~np.isfinite(g_rows[r])), n)[0]
-            blocks = np.concatenate((g_rows[r, :q], np.zeros(nb * blk - q)))
+            q = np.append(np.flatnonzero(~np.isfinite(g2[r])), n)[0]
+            blocks = np.concatenate((g2[r, :q], np.zeros(nb * blk - q)))
             out[r] = (blocks.reshape(nb, blk) @ slab).ravel()[:n]
             if q < n:
                 lo, hi = q - q % blk, min(n, q - q % blk + blk)
-                out[r, q:hi] = np.convolve(g_rows[r, lo:hi], w_rows[r, : hi - lo])[q - lo : hi - lo]
+                out[r, q:hi] = np.convolve(g2[r, lo:hi], w[: hi - lo])[q - lo : hi - lo]
         del slab  # frees the slab before the FFT temporaries
-        if fft.size:
-            spec_g = np.fft.rfft(g2[g_fft, : (nb - 1) * blk].reshape(-1, nb - 1, blk), 2 * blk)
-            acc = np.zeros((fft.size, nb - 1, blk + 1), dtype=complex)  # block b at b - 1
-            for d in range(nb - 1, 0, -1):
-                acc[:, d - 1 :] += spec_g[:, : nb - d] * spec_w[:, d - 1 : d]
-            far = np.fft.irfft(acc, 2 * blk)[..., blk:].reshape(fft.size, -1)
-            # near + far equals `_far_blocks`' far + near bit for bit.
-            out[fft, blk:] += far[:, : n - blk]
-    if rest:
-        # If the product took some rows, w2 has one row for each row.
-        sub = slice(None) if len(rest) == rows else rest
-        for lo, hi, far in _far_blocks(g2 if len(g2) == 1 else g2[sub], w2[sub], blocked):
-            for i, r in enumerate(rest):
-                near = np.convolve(g_rows[r, lo:hi], w_rows[r, : hi - lo])[: hi - lo]
-                out[r, lo:hi] = far[i] + near
-    return out if np.ndim(g) > 1 or np.ndim(w) > 1 else out[0]
+        spec_g = np.fft.rfft(g2[:, : (nb - 1) * blk].reshape(rows, nb - 1, blk), 2 * blk)
+        acc = np.zeros((rows, nb - 1, blk + 1), dtype=complex)  # block b at b - 1
+        for d in range(nb - 1, 0, -1):
+            acc[:, d - 1 :] += spec_g[:, : nb - d] * spec_w[:, d - 1 : d]
+        far = np.fft.irfft(acc, 2 * blk)[..., blk:].reshape(rows, -1)
+        # near + far equals `_far_blocks`' far + near bit for bit.
+        out[:, blk:] += far[:, : n - blk]
+    else:
+        for lo, hi, far in _far_blocks(g2, w, blocked):
+            for r in range(rows):
+                out[r, lo:hi] = far[r] + np.convolve(g2[r, lo:hi], w[: hi - lo])[: hi - lo]
+    return out if np.ndim(g) > 1 else out[0]
 
 
-def _convolve_history(g: np.ndarray, mu: float, h: float) -> np.ndarray:
-    # Lifts and residual momenta come through here too, so they share
-    # `_history`'s switch to blocked sums above 4 * _BLOCK nodes.
-    return _history(g, _weights(mu, g.size)) * h ** (-mu)
+def _step_scale(mu: float, h: float) -> float:
+    """h**-mu, or ValueError naming mu and h if that is not a finite nonzero float."""
+    try:
+        scale = float(h) ** -float(mu)  # Python's power raises where numpy's warns
+    except OverflowError:
+        scale = math.inf
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"h**-mu is not a finite nonzero float for order mu={mu:g}, step h={h:g}")
+    return scale
 
 
 def _onesided_estimate(values: np.ndarray, h: float, r: int) -> float:
@@ -332,8 +331,9 @@ def _taylor_base_poly(values: np.ndarray, h: float, degree: int) -> np.ndarray:
 
 
 def _left_deriv_values(values: np.ndarray, h: float, order: FracOrder) -> np.ndarray:
+    scale = _step_scale(order.mu, h)
     g = values - _taylor_base_poly(values, h, order.m - 1)
-    out = _convolve_history(g, order.mu, h)
+    out = _history(g, _weights(order.mu, g.size)) * scale
     out[0] = out[1]
     return out
 
@@ -380,9 +380,10 @@ def frac_deriv_from_base(path: SampledPath, order: FracOrder, base_value: float)
     """
     if path.n_pts < 3:
         raise ValueError("need at least three samples")
+    scale = _step_scale(order.mu, path.h)
     g = path.values - float(base_value)
     g[0] = 0.0
-    out = _convolve_history(g, order.mu, path.h)
+    out = _history(g, _weights(order.mu, g.size)) * scale
     out[0] = out[1]
     return path.with_values(out)
 

@@ -4,6 +4,9 @@ A trajectory x(t) lifts to the coordinates (t, x, y^(alpha), ..., y^(k alpha))
 where y^(a alpha) = D^(a alpha) x / Gamma(1 + a alpha). The scaling by the
 gamma factor makes the truncated fractional power series read off the jet
 values directly: x(t) ~ x(0) + sum_a t^(a alpha) y^(a alpha)(0).
+
+A lifted trajectory keeps its jet data in one array of shape (k + 1, n, N):
+level a, coordinate i, node j, with level 0 the paths themselves.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .fracops import FracOrder, SampledPath, Side, frac_deriv
+from .fracops import FracOrder, SampledPath, Side, _step_scale, frac_deriv
 from .specfun import gamma
 
 __all__ = ["JetPoint", "JetTrajectory", "lift", "taylor_reconstruct"]
@@ -60,42 +63,48 @@ class JetPoint:
         return cls(t, (float(x),), tuple((float(v),) for v in ys))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JetTrajectory:
-    """A path (or several) together with its scaled fractional derivatives."""
+    """Paths and their scaled fractional derivatives on the grid t_j = t0 + j h.
+
+    ``jets``, a read-only float copy of shape (k + 1, n >= 1, N >= 2), holds
+    at [a, i, j] the level-a jet of coordinate i at node j; level 0 is x.
+    """
 
     alpha: float
     k: int
-    base: tuple[SampledPath, ...]
-    y: tuple[tuple[SampledPath, ...], ...]
+    t0: float
+    h: float
+    jets: np.ndarray
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.k < 1 or len(self.y) != self.k:
-            raise ValueError("jet levels must match the declared order k")
-        ref = self.base[0]
-        for row in self.y:
-            if len(row) != len(self.base):
-                raise ValueError("every jet level must match the dimension")
-        for p in (*self.base, *(p for row in self.y for p in row)):
-            if not ref.same_grid(p):
-                raise ValueError("all component paths must share one grid")
+        if self.k < 1:
+            raise ValueError("jet order k must be at least 1")
+        if not (math.isfinite(self.t0) and 0.0 < self.h < math.inf):
+            raise ValueError("start t0 must be finite and step h finite and positive")
+        jets = np.array(self.jets, dtype=np.float64)
+        if jets.ndim != 3 or jets.shape[0] != self.k + 1 or jets.shape[1] < 1 or jets.shape[2] < 2:
+            raise ValueError("jets must have shape (k + 1, n, N) with n >= 1 and N >= 2")
+        jets.setflags(write=False)
+        object.__setattr__(self, "jets", jets)
 
     @property
     def n(self) -> int:
-        return len(self.base)
+        return self.jets.shape[1]
 
     @property
     def n_pts(self) -> int:
-        return self.base[0].n_pts
+        return self.jets.shape[2]
 
     @property
-    def h(self) -> float:
-        return self.base[0].h
+    def y(self) -> tuple[tuple[SampledPath, ...], ...]:
+        """Levels 1 .. k as paths, built on access: ``y[a - 1][i]`` is jets[a, i]."""
+        return tuple(tuple(SampledPath(self.t0, self.h, v) for v in level) for level in self.jets[1:])
 
     def times(self) -> np.ndarray:
-        return self.base[0].times()
+        return self.t0 + self.h * np.arange(self.n_pts)
 
 
 def lift(
@@ -103,7 +112,7 @@ def lift(
     alpha: float,
     k: int,
 ) -> JetTrajectory:
-    """Lift one or more sampled paths to their order-k jet trajectory.
+    """Lift one or more sampled paths on one grid to their order-k jet trajectory.
 
     Level a holds frac_deriv(x, a alpha, left) / Gamma(1 + a alpha). The base
     node of each level carries the copied-neighbor convention of frac_deriv.
@@ -117,17 +126,18 @@ def lift(
         raise ValueError("alpha must lie in (0, 1)")
     if k < 1:
         raise ValueError("k must be a positive integer")
-    levels = []
+    ref = base[0]
+    if not all(ref.same_grid(p) for p in base):
+        raise ValueError("all component paths must share one grid")
+    # h**-mu is monotone in mu: the largest order fails before any level is computed.
+    _step_scale(alpha * k, ref.h)
+    jets = np.empty((k + 1, len(base), ref.n_pts))
+    jets[0] = [p.values for p in base]
     for a in range(1, k + 1):
         order = FracOrder(alpha * a)
         scale = 1.0 / gamma(1.0 + alpha * a)
-        levels.append(
-            tuple(
-                p.with_values(frac_deriv(p, order, Side.LEFT).values * scale)
-                for p in base
-            )
-        )
-    return JetTrajectory(alpha, k, base, tuple(levels))
+        jets[a] = [frac_deriv(p, order, Side.LEFT).values * scale for p in base]
+    return JetTrajectory(alpha, k, ref.t0, ref.h, jets)
 
 
 def taylor_reconstruct(point: JetPoint, alpha: float, t_eval: float) -> tuple[float, ...]:

@@ -289,9 +289,7 @@ def _trajectory_columns(L: Lagrangian, traj: JetTrajectory) -> Columns:
         raise ValueError("trajectory and Lagrangian disagree in alpha or order k")
     if traj.n != L.n:
         raise ValueError("trajectory and Lagrangian disagree in dimension")
-    return _columns(
-        traj.times(), [p.values for p in traj.base], [[p.values for p in row] for row in traj.y]
-    )
+    return _columns(traj.times(), traj.jets[0], traj.jets[1:])
 
 
 def action(L: Lagrangian, traj: JetTrajectory) -> float:
@@ -356,17 +354,16 @@ def el_residual(
         raise ValueError("grid is too short for the interior norm")
     order = L.alpha if variant is Variant.FRACTIONAL else 1.0
     base = _momentum_base(L, cols)
-    path = traj.base[0]
 
     residuals = []
     for i in range(L.n):
         res = _partial(L, ("x", i), order)(cols)
         for a in range(1, L.k + 1):
             pa = _partial(L, ("y", a, i), order)
-            momenta = path.with_values(pa(cols))
+            momenta = SampledPath(traj.t0, traj.h, pa(cols))
             deriv = frac_deriv_from_base(momenta, FracOrder(L.alpha * a), float(pa(base)[0]))
             res = res + (-1.0) ** a * deriv.values
-        residuals.append(path.with_values(res))
+        residuals.append(SampledPath(traj.t0, traj.h, res))
 
     interior = np.stack([r.values for r in residuals])[:, excluded : n_pts - excluded]
     return ELResidualReport(tuple(residuals), float(np.max(np.abs(interior))), variant, excluded)

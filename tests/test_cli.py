@@ -149,6 +149,36 @@ def test_el_check_file_with_non_finite_times_is_a_usage_error(capsys, tmp_path, 
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cells", [{4: "nan"}, {0: "nan"}, {4: "inf"}, {0: "-inf", 1: "-inf"}],
+                         ids=["nan", "nan-first", "inf", "inf-first"])
+def test_el_check_file_with_non_finite_x_is_a_usage_error(capsys, tmp_path, cells):
+    xs = [cells.get(j, str(0.01 * j * j)) for j in range(11)]
+    bad = tmp_path / "bad.csv"
+    bad.write_text("t,x\n" + "".join(f"{0.1 * j},{x}\n" for j, x in enumerate(xs)))
+    code, out, err = run(capsys, ["el-check", "--from-file", str(bad)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {bad} has a non-finite x in data row {min(cells) + 1}\n"
+
+
+# h**-mu overflows (mu = 150, 103 and the lift's top level 108 at h = 2**-10)
+# or underflows (mu = 400 at h = 10000 / 1024): one usage error line, no warning.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, mu", [
+    (["deriv", "--alpha", "150"], "150"),
+    (["deriv", "--alpha", "103"], "103"),
+    (["lift", "--alpha", "0.9", "--k", "120"], "108"),
+    (["deriv", "--alpha", "400", "--grid", "0:10000:1025"], "400"),
+], ids=["deriv-150", "deriv-103", "lift-k120", "deriv-400-long-step"])
+def test_huge_orders_are_usage_errors(capsys, argv, mu):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: h**-mu is not a finite nonzero float") and f"mu={mu}," in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["deriv", "lift", "action", "el-check"])
 @pytest.mark.parametrize("grid", ["0:inf:9", "-inf:1:9", "-1e308:1e308:9"])
 def test_non_finite_grid_is_a_usage_error(capsys, command, grid):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fracvar.fracops import FracOrder, SampledPath, frac_deriv
+from fracvar import jet
 from fracvar.jet import JetPoint, JetTrajectory, lift, taylor_reconstruct
 from fracvar.specfun import gamma
 
@@ -33,12 +34,49 @@ def test_jet_point_rejects_bad_data():
 
 
 def test_trajectory_validation():
-    p = SampledPath.from_function(lambda t: t, 0.0, 1.0, 33)
-    q = SampledPath.from_function(lambda t: t, 0.0, 2.0, 33)
+    jets = np.zeros((2, 1, 33))
+    JetTrajectory(0.5, 1, 0.0, 0.25, jets)
+    bad = [
+        (1.2, 1, 0.0, 0.25, jets),
+        (0.0, 1, 0.0, 0.25, jets),
+        (0.5, 0, 0.0, 0.25, jets[:1]),
+        (0.5, 2, 0.0, 0.25, jets),  # k + 1 levels expected
+        (0.5, 1, 0.0, 0.25, jets[0]),  # not three dimensional
+        (0.5, 1, 0.0, 0.25, jets[:, :0]),  # no coordinate
+        (0.5, 1, 0.0, 0.25, jets[..., :1]),  # one node
+        (0.5, 1, 0.0, 0.25, ((),)),
+        (0.5, 1, np.nan, 0.25, jets),
+        (0.5, 1, 0.0, np.inf, jets),
+        (0.5, 1, 0.0, np.nan, jets),
+        (0.5, 1, 0.0, 0.0, jets),
+    ]
+    for args in bad:
+        with pytest.raises(ValueError):
+            JetTrajectory(*args)
+
+
+def test_trajectory_jets_are_a_read_only_copy():
+    jets = np.arange(2 * 3 * 5, dtype=float).reshape(2, 3, 5)
+    traj = JetTrajectory(0.5, 1, 0.0, 0.25, jets)
+    jets[1, 0, 0] = -1.0
+    assert traj.jets[1, 0, 0] == 15.0
+    assert not traj.jets.flags.writeable
     with pytest.raises(ValueError):
-        JetTrajectory(1.2, 1, (p,), (((p),),))
-    with pytest.raises(ValueError):
-        JetTrajectory(0.5, 1, (p,), ((q,),))  # levels on a different grid
+        traj.jets[0, 0, 0] = 1.0
+    assert (traj.n, traj.n_pts) == (3, 5)
+    assert np.array_equal(traj.times(), [0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+def test_trajectory_paths_are_the_jet_rows():
+    paths = [SampledPath.from_function(f, 0.0, 1.0, 257) for f in (np.sin, np.exp)]
+    traj = lift(paths, 0.4, 3)
+    assert traj.jets.shape == (4, 2, 257)
+    for i, p in enumerate(paths):
+        assert np.array_equal(traj.jets[0, i], p.values)
+        for a in range(3):
+            path = traj.y[a][i]
+            assert path.values.tobytes() == traj.jets[a + 1, i].tobytes()
+            assert (path.t0, path.h) == (traj.t0, traj.h)
 
 
 # === lift ===================================================================
@@ -99,6 +137,20 @@ def test_lift_validation():
         lift(p, 0.5, 0)
     with pytest.raises(ValueError):
         lift((), 0.5, 1)
+    q = SampledPath.from_function(lambda t: t, 0.0, 2.0, 33)
+    with pytest.raises(ValueError, match="share one grid"):
+        lift((p, q), 0.5, 1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_lift_with_an_overflowing_top_level_fails_before_any_level(monkeypatch):
+    # At h = 2**-10, h**-mu overflows from mu = 102.4 on: level 114 of 120.
+    calls = []
+    monkeypatch.setattr(jet, "frac_deriv", lambda *args: calls.append(args))
+    p = SampledPath.from_function(np.sin, 0.0, 1.0, 1025)
+    with pytest.raises(ValueError, match=r"mu=108, step h=0\.000976562"):
+        lift(p, 0.9, 120)
+    assert calls == []
 
 
 def test_contact_chain_between_levels():
