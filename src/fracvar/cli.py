@@ -343,16 +343,20 @@ def _add_forcing_flags(sp) -> None:
     sp.add_argument("--forcing-cval", type=float, default=0.0, dest="forcing_cval")
 
 
+def _add_parameter_flags(sp, factories) -> None:
+    """One float flag, None when unset (see _set_flags), per float-default factory parameter."""
+    params = (p for fn in factories for p in inspect.signature(fn).parameters.values())
+    for name in dict.fromkeys(p.name for p in params if isinstance(p.default, float)):
+        sp.add_argument(f"--{name.replace('_', '-')}", type=float, default=None, dest=name)
+
+
 def _add_lagrangian_flags(sp) -> None:
     sp.add_argument("--lagrangian", default="order1-potential")
-    # Lagrangian parameters stay None when unset (see _set_flags).
     sp.add_argument(
         "--coefficients", default=None,
         choices=["normalized", "literature", "literature-fractional"],
     )
-    for flag in ("alpha", "a1", "a2", "a", "b", "c"):
-        sp.add_argument(f"--{flag}", type=float, default=None)
-    sp.add_argument("--gamma-exp", type=float, default=None, dest="gamma_exp")
+    _add_parameter_flags(sp, lagrangian_catalog().values())
     sp.add_argument("--potential-quadratic", type=float, default=0.0, dest="potential_quadratic")
     _add_forcing_flags(sp)
 
@@ -406,12 +410,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--model", required=True)
     sp.add_argument("--variant", default="fractional", choices=["classical", "fractional"])
     sp.add_argument("--h", type=float, default=None, help="step size (default t_end/1024)")
-    # Model parameters stay None when unset (see _set_flags).
-    sp.add_argument("--t-end", type=float, default=None, dest="t_end")
-    sp.add_argument("--alpha", type=float, default=None)
-    for flag in ("a1", "a2", "b1", "f", "a", "b", "c", "x0", "v0", "m"):
-        sp.add_argument(f"--{flag}", type=float, default=None)
-    sp.add_argument("--gamma-coef", type=float, default=None, dest="gamma_coef")
+    _add_parameter_flags(sp, (m.factory for m in model_catalog()))
     _add_forcing_flags(sp)
     _add_common(sp)
     sp.set_defaults(run=_cmd_solve)

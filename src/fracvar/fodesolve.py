@@ -41,6 +41,11 @@ numpy call is made per node. On blocked grids a solve costs O(n * 512 +
 n**2 / 512), and each node reads only the nodes before it: the schemes stay
 exactly causal. A non-finite solution raises ``DivergenceError`` naming the
 first bad node.
+
+The model catalog's multi-term entries (phillips classical, business-cycle,
+bagley-torvik) are not written out here: each is the classical
+Euler-Lagrange equation of a Lagrangian catalog entry, whose level map
+{jet level a: q_a} gives the terms (q_a, 2 a alpha) (``varcalc._el_terms``).
 """
 
 from __future__ import annotations
@@ -65,7 +70,7 @@ from .fracops import (
     frac_deriv,
     gl_weights,
 )
-from .varcalc import _as_fn
+from .varcalc import _as_fn, _el_terms, _plate_levels, _potential_levels
 
 __all__ = [
     "DivergenceError",
@@ -256,12 +261,13 @@ def solve_multiterm(fde: MultiTermFDE, h: float) -> SolveReport:
     steps = _grid_steps(fde.t_end, h)
     n = steps + 1
     c0 = fde.zero_order_coeff
-    weights = np.array([gl_weights(FracOrder(mu), n) for _, mu in fde.terms])
-    # Lags past a weight row's last nonzero entry (integer orders) add
-    # nothing to the sums within a block.
-    supports = _support(weights)
     with np.errstate(over="ignore", invalid="ignore"):
-        # A numpy power overflows to inf where Python's raises OverflowError.
+        # Weights of huge orders overflow in their recurrence, and a numpy
+        # power overflows to inf where Python's raises OverflowError.
+        weights = np.array([gl_weights(FracOrder(mu), n) for _, mu in fde.terms])
+        # Lags past a weight row's last nonzero entry (integer orders) add
+        # nothing to the sums within a block.
+        supports = _support(weights)
         scales = np.array([c * np.float64(h) ** -mu for c, mu in fde.terms])
         a = scales @ weights[:, : supports.max()]
     a[0] += c0
@@ -416,6 +422,8 @@ class ModelTemplate:
 
     ``kinds`` maps the variant name to "multiterm" or "fode2", which tells
     callers which solver to use on the object returned by ``make``.
+    A "multiterm" problem is derived from a Lagrangian's level map (see the
+    module docstring); a "fode2" one is stated here, with x0 and v0.
     ``defaults`` lists the factory's keyword parameters and their defaults.
     """
 
@@ -460,9 +468,7 @@ def _friction_factory(variant, m=1.0, gamma_coef=0.5, potential=None, x0=0.0, v0
 def _phillips_factory(variant, a1=0.5, b1=1.0, f=0.2, x0=1.0, v0=0.0, alpha=0.999, t_end=5.0):
     """Stabilization dynamics: x'' + a1 x' + b1 x + f = 0."""
     if variant == "classical":
-        return MultiTermFDE(
-            terms=((1.0, 2.0), (a1, 1.0)), zero_order_coeff=b1, forcing=-f, t_end=t_end
-        )
+        return MultiTermFDE(_el_terms(0.5, _potential_levels(2, a1, 0.0)), b1, -f, t_end)
     _require_finite(a1=a1, b1=b1, f=f)
     return FODE2(
         alpha=alpha,
@@ -475,16 +481,8 @@ def _phillips_factory(variant, a1=0.5, b1=1.0, f=0.2, x0=1.0, v0=0.0, alpha=0.99
 
 def _business_cycle_factory(variant, a1=0.5, a2=0.5, b1=1.0, f=0.2, alpha=0.5, t_end=1.0):
     """Third-order cycle dynamics: x''' + a2 x'' + a1 x' + b1 x + f = 0."""
-    if variant == "classical":
-        orders = (3.0, 2.0, 1.0)
-    else:
-        orders = (6.0 * alpha, 4.0 * alpha, 2.0 * alpha)
-    return MultiTermFDE(
-        terms=((1.0, orders[0]), (a2, orders[1]), (a1, orders[2])),
-        zero_order_coeff=b1,
-        forcing=-f,
-        t_end=t_end,
-    )
+    terms = _el_terms(0.5 if variant == "classical" else alpha, _potential_levels(3, a1, a2))
+    return MultiTermFDE(terms, b1, -f, t_end)
 
 
 def _bt_default_forcing(t: float) -> float:
@@ -496,16 +494,8 @@ def _bagley_torvik_factory(variant, a=1.0, b=1.0, c=1.0, forcing=None, alpha=0.2
     """Damped plate model: a x'' + b D^(3/2) x + c x = f(t)."""
     if forcing is None:
         forcing = _bt_default_forcing
-    if variant == "classical":
-        orders = (2.0, 1.5)
-    else:
-        orders = (8.0 * alpha, 6.0 * alpha)
-    return MultiTermFDE(
-        terms=((a, orders[0]), (b, orders[1])),
-        zero_order_coeff=c,
-        forcing=forcing,
-        t_end=t_end,
-    )
+    terms = _el_terms(0.25 if variant == "classical" else alpha, _plate_levels(a, b))
+    return MultiTermFDE(terms, c, forcing, t_end)
 
 
 def model_catalog() -> tuple:

@@ -330,12 +330,28 @@ def _taylor_base_poly(values: np.ndarray, h: float, degree: int) -> np.ndarray:
     return poly
 
 
+def _scaled_history(g: np.ndarray, mu: float, h: float, scale: float) -> np.ndarray:
+    """``scale`` times g's order-mu history sums, the base node copied from its neighbor.
+
+    A finite sum that overflows when scaled raises FloatingPointError naming
+    mu, h and its node; non-finite sums (from non-finite g) pass through.
+    """
+    sums = _history(g, _weights(mu, g.size))
+    with np.errstate(over="ignore"):
+        out = sums * scale
+    if not np.all(np.isfinite(out)) and np.any(bad := np.isfinite(sums) & ~np.isfinite(out)):
+        raise FloatingPointError(
+            f"h**-mu times the history sum overflows for order mu={mu:g}, step h={h:g}, "
+            f"at node {int(np.argmax(bad))} from the base"
+        )
+    out[0] = out[1]
+    return out
+
+
 def _left_deriv_values(values: np.ndarray, h: float, order: FracOrder) -> np.ndarray:
     scale = _step_scale(order.mu, h)
     g = values - _taylor_base_poly(values, h, order.m - 1)
-    out = _history(g, _weights(order.mu, g.size)) * scale
-    out[0] = out[1]
-    return out
+    return _scaled_history(g, order.mu, h, scale)
 
 
 def frac_deriv(path: SampledPath, order: FracOrder, side: Side = Side.LEFT) -> SampledPath:
@@ -383,9 +399,7 @@ def frac_deriv_from_base(path: SampledPath, order: FracOrder, base_value: float)
     scale = _step_scale(order.mu, path.h)
     g = path.values - float(base_value)
     g[0] = 0.0
-    out = _history(g, _weights(order.mu, g.size)) * scale
-    out[0] = out[1]
-    return path.with_values(out)
+    return path.with_values(_scaled_history(g, order.mu, path.h, scale))
 
 
 def _check_shared_grid(f1: SampledPath, f2: SampledPath) -> None:

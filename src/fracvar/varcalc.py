@@ -436,6 +436,9 @@ def el_explicit_rhs(L: Lagrangian, point: JetPoint) -> tuple[float, ...]:
 # term reproducing coef * D^(2 a alpha) x needs the prefactor
 # Gamma(1 + a alpha), not the Gamma(1 + 2 a alpha) that appears when that
 # scaling is dropped. "literature" keeps the latter, conventional, factors.
+# A quadratic entry's kinetic part is one level map {jet level a: q_a}, and
+# its normalized classical Euler-Lagrange equation U_x + sum_a q_a
+# D^(2 a alpha) x = 0 gives the model catalog's multi-term equations.
 # ---------------------------------------------------------------------------
 
 def _as_fn(value) -> Callable[[float], float]:
@@ -447,23 +450,40 @@ def _as_fn(value) -> Callable[[float], float]:
     return lambda t: v
 
 
-def _level_factors(coefficients: str, alpha: float, levels) -> list:
-    """Gamma(1 + a alpha) ("normalized") or Gamma(1 + 2 a alpha) ("literature") per jet level a."""
+def _plate_levels(a: float, b: float) -> dict:
+    """The plate's level map: a D^(8 alpha) x + b D^(6 alpha) x."""
+    return {3: b, 4: a}
+
+
+def _potential_levels(k: int, a1: float, a2: float) -> dict:
+    """The order-k potential's level map {1: a1, 2: a2, 3: 1} cut to levels 1..k, the top one 1."""
+    return {a: q for a, q in ((1, a1), (2, a2)) if a < k} | {k: 1.0}
+
+
+def _level_coefs(coefficients: str, alpha: float, levels: dict) -> dict:
+    """(-1)**a q_a Gamma(1 + s a alpha) per level: s = 1 "normalized", 2 "literature"."""
     scale = {"normalized": 1, "literature": 2}.get(coefficients)
     if scale is None:
         raise ValueError(f"unknown coefficient set: {coefficients!r}")
-    return [gamma(1 + scale * a * alpha) for a in levels]
+    return {a: (-1.0) ** a * q * gamma(1 + scale * a * alpha) for a, q in levels.items()}
 
 
-def _quadratic(alpha: float, u, u_x, coefs, cross: float = 0.0) -> Lagrangian:
-    """L = U(t, x) + sum_a (coefs[a-1]/2) (y^(a alpha))**2 + cross y^(alpha) y^(2 alpha).
+def _el_terms(alpha: float, levels: dict) -> tuple:
+    """The Euler-Lagrange terms (q_a, 2 a alpha) of a level map, zero q_a kept."""
+    return tuple((q, 2 * a * alpha) for a, q in levels.items())
 
-    One coordinate, of order k = len(coefs). ``u`` is U(t, x) and ``u_x``
+
+def _quadratic(alpha: float, u, u_x, coefs: dict, cross: float = 0.0) -> Lagrangian:
+    """L = U(t, x) + sum_a (coefs[a]/2) (y^(a alpha))**2 + cross y^(alpha) y^(2 alpha).
+
+    One coordinate, of order k = the top level of ``coefs``, a {level:
+    coefficient} dict; missing levels are zero. ``u`` is U(t, x) and ``u_x``
     its x-derivative, or None for finite differences. The level-a momentum
-    is coefs[a-1] y^(a alpha), plus cross times the other level's jet at
+    is coefs[a] y^(a alpha), plus cross times the other level's jet at
     levels one and two; a level with a zero coefficient adds nothing to L.
     """
     # Jet rows are 0-based: row r holds level r + 1.
+    coefs = [coefs.get(r + 1, 0.0) for r in range(max(coefs))]
     halves = [(r, c / 2) for r, c in enumerate(coefs) if c]
 
     def evaluate(p: JetPoint) -> float:
@@ -508,12 +528,11 @@ def bagley_torvik_lagrangian(
     C3 = Gamma(1+6 alpha), C4 = Gamma(1+8 alpha).
     """
     f = _as_fn(forcing)
-    c3, c4 = _level_factors(coefficients, alpha, (3, 4))
     return _quadratic(
         alpha,
         lambda t, x: 0.5 * c * x**2 - f(t) * x,
         lambda t, x: c * x - f(t),
-        (0.0, 0.0, -b * c3, a * c4),
+        _level_coefs(coefficients, alpha, _plate_levels(a, b)),
     )
 
 
@@ -544,9 +563,7 @@ def order_potential_lagrangian(
     """
     if k not in (1, 2, 3):
         raise ValueError("the family is defined for k in {1, 2, 3}")
-    cs = _level_factors(coefficients, alpha, range(1, k + 1))
-    damp = (a1, a2)[: k - 1] + (1.0,)
-    coefs = tuple((-1.0) ** a * q * c for a, (q, c) in enumerate(zip(damp, cs), 1))
+    coefs = _level_coefs(coefficients, alpha, _potential_levels(k, a1, a2))
     u = potential if potential is not None else (lambda t, x: 0.0)
     return _quadratic(alpha, u, potential_x, coefs)
 
@@ -601,10 +618,10 @@ def power_law_mixed_lagrangian(
                 "the cross-term construction degenerates at this alpha "
                 "(equal gamma factors at levels one and two)"
             )
-        return _quadratic(alpha, u, u_x, (-a1 * gamma(1 + alpha), 0.0), cross=a2 / denom)
+        return _quadratic(alpha, u, u_x, {1: -a1 * gamma(1 + alpha), 2: 0.0}, cross=a2 / denom)
     if coefficients == "literature":
         c1, c2 = gamma(1 + 2 * alpha), gamma(1 + 3 * alpha)
-        return _quadratic(alpha, u, u_x, (-a1 * c1, a2 * c2))
+        return _quadratic(alpha, u, u_x, {1: -a1 * c1, 2: a2 * c2})
     if coefficients == "literature-fractional":
         c1, c2 = gamma(1 + 2 * alpha), gamma(1 + 3 * alpha)
 

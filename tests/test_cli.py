@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fracvar import SampledPath, action, find_model, lift, make_lagrangian, solve_fode2
-from fracvar.cli import main
+from fracvar.cli import _build_parser, main
 
 
 def run(capsys, argv):
@@ -178,6 +178,24 @@ def test_huge_orders_are_usage_errors(capsys, argv, mu):
     assert err.count("\n") == 1
 
 
+# Finite h**-mu whose product with a history sum overflows used to print a
+# numpy warning before "output is not finite at row ...".
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, mu, node", [
+    (["deriv", "--alpha", "60"], "60", 822),
+    (["deriv", "--alpha", "60", "--side", "right"], "60", 901),
+    (["lift", "--alpha", "0.9", "--k", "66"], "59.4", 887),
+], ids=["deriv-60", "deriv-60-right", "lift-k66"])
+def test_scaled_sum_overflow_is_a_numerical_failure(capsys, argv, mu, node):
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err == (
+        f"numerical failure: h**-mu times the history sum overflows for order mu={mu}, "
+        f"step h=0.000976562, at node {node} from the base\n"
+    )
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["deriv", "lift", "action", "el-check"])
 @pytest.mark.parametrize("grid", ["0:inf:9", "-inf:1:9", "-1e308:1e308:9"])
@@ -297,8 +315,10 @@ def test_non_finite_solver_inputs_are_usage_errors(capsys, argv, message):
         ["solve", "--model", "bagley-torvik", "--a", "1e308"],
         ["solve", "--model", "business-cycle", "--a1", "1e308"],
         ["solve", "--model", "bagley-torvik", "--variant", "fractional", "--alpha", "20"],
+        ["solve", "--model", "bagley-torvik", "--variant", "fractional", "--alpha", "200"],
     ],
-    ids=["bagley-torvik-a", "business-cycle-a1", "bagley-torvik-alpha"],
+    ids=["bagley-torvik-a", "business-cycle-a1", "bagley-torvik-alpha",
+         "bagley-torvik-alpha-200"],
 )
 def test_overflowing_scaled_coefficients_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, argv)
@@ -581,6 +601,23 @@ def test_lagrangian_flags_reach_the_factory(capsys):
     lag = make_lagrangian("power-law-mixed", gamma_exp=1.5)
     path = SampledPath.from_function(lambda t: t**1.0, 0.0, 1.0, 1025)
     assert float(out.split("\n")[1]) == action(lag, lift(path, lag.alpha, lag.k))
+
+
+# The catalogs' float parameters become flags of the same name (dest) that
+# stay None when unset; the function, forcing and step flags are listed by hand.
+@pytest.mark.parametrize("command, params", [
+    ("solve", {"a", "a1", "a2", "alpha", "b", "b1", "c", "f", "gamma_coef", "m", "t_end",
+               "v0", "x0"}),
+    ("el-check", {"a", "a1", "a2", "alpha", "b", "c", "gamma_exp"}),
+    ("action", {"a", "a1", "a2", "alpha", "b", "c", "gamma_exp"}),
+])
+def test_float_flags_of_the_catalog_commands(command, params):
+    by_hand = {"solve": {"h", "forcing_cval"}}.get(
+        command, {"gamma", "cval", "center", "width", "potential_quadratic", "forcing_cval"}
+    )
+    floats = [a for a in _build_parser()[1][command]._actions if a.type is float]
+    assert {a.dest for a in floats} == params | by_hand
+    assert all(a.default is None for a in floats if a.dest in params)
 
 
 def test_zero_forcing_selector_reaches_the_plate_model(capsys):

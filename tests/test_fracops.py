@@ -417,6 +417,21 @@ def test_orders_whose_step_scale_is_not_a_float_are_rejected(mu, t1):
         frac_deriv_from_base(p, FracOrder(mu), 0.0)
 
 
+# Finite h**-mu whose product with a finite history sum overflows used to
+# return inf after a numpy warning, and the CLI reported the row much later.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("fn, mu, deriv, node", [
+    (lambda t: t, 60.0, frac_deriv, 822),
+    (lambda t: t, 60.0, lambda p, o: frac_deriv(p, o, Side.RIGHT), 901),
+    (np.sqrt, 100.0, lambda p, o: frac_deriv_from_base(p, o, 0.0), 7),
+], ids=["left", "right", "from-base"])
+def test_scaled_sums_that_overflow_are_floating_point_errors(fn, mu, deriv, node):
+    p = SampledPath.from_function(fn, 0.0, 1.0, 1025)
+    message = rf"mu={mu:g}, step h=0\.000976562, at node {node} from the base$"
+    with pytest.raises(FloatingPointError, match=message):
+        deriv(p, FracOrder(mu))
+
+
 # === history kernel =========================================================
 
 # Lengths on both sides of the direct/blocked switch (4 * _BLOCK nodes for

@@ -153,6 +153,14 @@ def test_lift_with_an_overflowing_top_level_fails_before_any_level(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_lift_with_an_overflowing_scaled_level_is_a_floating_point_error():
+    # Level 66 (mu = 59.4) has a finite h**-mu, but its scaled sums overflow.
+    p = SampledPath.from_function(lambda t: t, 0.0, 1.0, 1025)
+    with pytest.raises(FloatingPointError, match=r"mu=59\.4, step h=0\.000976562, at node 887 "):
+        lift(p, 0.9, 66)
+
+
 def test_contact_chain_between_levels():
     # differentiating level a once more (order alpha) reproduces level a+1
     # up to the gamma rescaling, on a smooth path with zero start slope
