@@ -22,25 +22,14 @@ update to the explicit Euler step.
 
 Every history sum uses the blocks of ``fracops._block_layout``: the solves
 step them one at a time through ``fracops._far_blocks``, and the defect
-checks sum them in ``fracops._history`` (one block up to 2048 nodes, all
-blocks at once above). In the solves, up to 1024 nodes, and for
-integer orders alone in ``solve_multiterm``, one block holds all nodes and
-the sums take O(n**2) work. On longer grids the blocks hold 512 nodes, and
-the history of all earlier blocks enters through FFTs of length 1024
-(directly for integer orders). ``solve_multiterm`` evaluates the forcing
+checks sum them in ``fracops._history``; those two state the block
+lengths, FFT lengths and costs. ``solve_multiterm`` evaluates the forcing
 once on the time array and solves each block at once with the inverse
-series r of its symbol and one correction step. With fractional orders
-its products with r and the residual's lags past 32 are FFT products:
-eight FFTs of 1024 points per block of 512 nodes. Integer orders alone
-keep direct products on their one block, O(n**2).
-``solve_fode2``, whose right side may be nonlinear, steps node by node and
-cuts every block, a single one too, into sub-blocks of 8 nodes: one matrix
-product per sub-block brings in the block's earlier sub-blocks, and each
-node adds at most 7 lags of its own sub-block in Python floats, so that no
-numpy call is made per node. On blocked grids a solve costs O(n * 512 +
-n**2 / 512), and each node reads only the nodes before it: the schemes stay
-exactly causal. A non-finite solution raises ``DivergenceError`` naming the
-first bad node.
+series r of its symbol and one correction step. ``solve_fode2``, whose
+right side may be nonlinear, steps node by node in sub-blocks of _SUB
+nodes, with no numpy call per node. Each node reads only the nodes before
+it: the schemes stay exactly causal. A non-finite solution raises
+``DivergenceError`` naming the first bad node.
 
 The model catalog's multi-term entries (phillips classical, business-cycle,
 bagley-torvik) are not written out here: each is the classical
@@ -53,7 +42,7 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -70,7 +59,8 @@ from .fracops import (
     frac_deriv,
     gl_weights,
 )
-from .varcalc import _as_fn, _el_terms, _plate_levels, _potential_levels
+from .varcalc import _FD_ABS_FLOOR, _FD_REL_STEP, _as_fn, _el_terms
+from .varcalc import _plate_levels, _potential_levels
 
 __all__ = [
     "DivergenceError",
@@ -415,22 +405,30 @@ def fde_residual(fde: MultiTermFDE, path: SampledPath) -> SampledPath:
 # Model catalog.
 # ---------------------------------------------------------------------------
 
+# Every model has these variants.
+_VARIANTS = ("classical", "fractional")
+
 
 @dataclass(frozen=True)
 class ModelTemplate:
     """A named model with classical and fractional problem factories.
 
-    ``kinds`` maps the variant name to "multiterm" or "fode2", which tells
-    callers which solver to use on the object returned by ``make``.
-    A "multiterm" problem is derived from a Lagrangian's level map (see the
-    module docstring); a "fode2" one is stated here, with x0 and v0.
+    ``kinds`` maps each variant name to "multiterm" or "fode2", the kind of
+    problem its factory returns at the defaults, which tells callers which
+    solver to use on the object returned by ``make``. A "multiterm" problem
+    is derived from a Lagrangian's level map (see the module docstring); a
+    "fode2" one is stated here, with x0 and v0.
     ``defaults`` lists the factory's keyword parameters and their defaults.
     """
 
     name: str
     description: str
-    kinds: Mapping
     factory: Callable = field(repr=False)
+
+    @property
+    def kinds(self) -> dict:
+        multiterm = {v: isinstance(self.factory(v), MultiTermFDE) for v in _VARIANTS}
+        return {v: "multiterm" if m else "fode2" for v, m in multiterm.items()}
 
     @property
     def defaults(self) -> dict:
@@ -438,8 +436,8 @@ class ModelTemplate:
         return {p.name: p.default for p in params if p.default is not p.empty}
 
     def make(self, variant: str, **params):
-        if variant not in self.kinds:
-            known = ", ".join(sorted(self.kinds))
+        if variant not in _VARIANTS:
+            known = ", ".join(_VARIANTS)
             raise ValueError(f"model {self.name!r} has no variant {variant!r} (use {known})")
         return self.factory(variant, **params)
 
@@ -455,7 +453,7 @@ def _friction_factory(variant, m=1.0, gamma_coef=0.5, potential=None, x0=0.0, v0
     def u_x(t, x):
         if u is None:
             return 0.0
-        s = max(1e-6 * abs(x), 1e-8)
+        s = max(_FD_REL_STEP * abs(x), _FD_ABS_FLOOR)
         return (u(t, x + s) - u(t, x - s)) / (2.0 * s)
 
     def rhs(t, x, v):
@@ -504,25 +502,21 @@ def model_catalog() -> tuple:
         ModelTemplate(
             name="friction",
             description="damped motion in a potential: m x'' + g x' - dU/dx = 0",
-            kinds={"classical": "fode2", "fractional": "fode2"},
             factory=_friction_factory,
         ),
         ModelTemplate(
             name="phillips",
             description="stabilization dynamics: x'' + a1 x' + b1 x + f = 0",
-            kinds={"classical": "multiterm", "fractional": "fode2"},
             factory=_phillips_factory,
         ),
         ModelTemplate(
             name="business-cycle",
             description="third-order cycle dynamics: x''' + a2 x'' + a1 x' + b1 x + f = 0",
-            kinds={"classical": "multiterm", "fractional": "multiterm"},
             factory=_business_cycle_factory,
         ),
         ModelTemplate(
             name="bagley-torvik",
             description="damped plate model: a x'' + b D^(3/2) x + c x = f(t)",
-            kinds={"classical": "multiterm", "fractional": "multiterm"},
             factory=_bagley_torvik_factory,
         ),
     )

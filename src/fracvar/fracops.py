@@ -19,6 +19,7 @@ Conventions that matter downstream:
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -157,8 +158,6 @@ def _weights(mu: float, count: int) -> np.ndarray:
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    if count == 1:
-        return np.ones(1)
     k = np.arange(1, count, dtype=np.float64)
     return np.cumprod(np.concatenate(([1.0], (k - 1.0 - mu) / k)))
 
@@ -306,8 +305,9 @@ def _step_scale(mu: float, h: float) -> float:
     return scale
 
 
-def _onesided_estimate(values: np.ndarray, h: float, r: int) -> float:
-    """r-th derivative at the first node from the leading r+2 samples.
+@functools.lru_cache(maxsize=None)  # one read-only row per degree r below the largest order
+def _onesided_stencil(r: int) -> np.ndarray:
+    """Weights c of the r-th derivative at the first node, c @ values[:r+2] / h**r.
 
     Solves the small Vandermonde system for a one-sided stencil that is
     exact on polynomials up to degree r+1.
@@ -317,7 +317,8 @@ def _onesided_estimate(values: np.ndarray, h: float, r: int) -> float:
     rhs = np.zeros(p)
     rhs[r] = math.factorial(r)
     coef = np.linalg.solve(a, rhs)
-    return float(coef @ values[:p]) / h**r
+    coef.setflags(write=False)
+    return coef
 
 
 def _taylor_base_poly(values: np.ndarray, h: float, degree: int) -> np.ndarray:
@@ -326,8 +327,36 @@ def _taylor_base_poly(values: np.ndarray, h: float, degree: int) -> np.ndarray:
     t = h * np.arange(n)
     poly = np.full(n, values[0])
     for r in range(1, degree + 1):
-        poly += _onesided_estimate(values, h, r) / math.factorial(r) * t**r
+        poly += float(_onesided_stencil(r) @ values[: r + 2]) / h**r / math.factorial(r) * t**r
     return poly
+
+
+def _rounding_estimate(values: np.ndarray, g_size: float, mu: float, m: int) -> tuple:
+    """(v_size, error) of `_left_deriv_values`, with g = values - P and g_size = max|g|.
+
+    F = sum_r |c_r @ v| (n-1)**r / r! sums P's fitted terms at the last node,
+    so v_size = g_size + |v_0| + F bounds max|values|. ``error`` estimates
+    the rounding error over the grid's second half, in units of eps h**-mu:
+    - the sum's: each g_i is rounded by about eps v_size. Taken as
+      independent, these roundings give the scaled sums a standard deviation
+      of ||w||_2 v_size, with ||w||_2**2 = sum_k C(mu, k)**2 = C(2 mu, mu);
+      three of them count;
+    - the fit's: coefficient r is rounded by eps |c_r| @ |v| / h**r / r!, which
+      D^mu t**r = r! / Gamma(r + 1 - mu) t**(r - mu) carries to node j as
+      |c_r| @ |v| j**(r - mu) / |Gamma(r + 1 - mu)|, largest at j = n // 2.
+    """
+    n = values.size
+    with np.errstate(over="ignore", invalid="ignore"):  # absurd orders: inf or NaN
+        fitted, fit = 0.0, 0.0
+        for r in range(1, m):
+            c, v = _onesided_stencil(r), values[: r + 2]
+            fitted += abs(c @ v) * np.exp(r * math.log(n - 1) - math.lgamma(r + 1))
+            if (r - mu) % 1:  # 1 / Gamma(r + 1 - mu) vanishes at integer orders
+                log_carry = (r - mu) * math.log(n // 2) - math.lgamma(r + 1 - mu)
+                fit += np.abs(c) @ np.abs(v) * np.exp(log_carry)
+        v_size = g_size + abs(values[0]) + fitted
+        norm_w = np.exp(0.5 * math.lgamma(2 * mu + 1) - math.lgamma(mu + 1))
+        return float(v_size), float(3.0 * norm_w * v_size + fit)
 
 
 def _scaled_history(g: np.ndarray, mu: float, h: float, scale: float) -> np.ndarray:
@@ -349,9 +378,31 @@ def _scaled_history(g: np.ndarray, mu: float, h: float, scale: float) -> np.ndar
 
 
 def _left_deriv_values(values: np.ndarray, h: float, order: FracOrder) -> np.ndarray:
-    scale = _step_scale(order.mu, h)
+    """The left derivative's values, or FloatingPointError where rounding may swamp them.
+
+    Raises, naming mu and h, where `_rounding_estimate`'s error exceeds the
+    output's size over the grid's second half, taken as at least v_size /
+    T**mu for a grid of length T. The fitted polynomial's truncation error
+    near the base has decayed there; the floor keeps results near zero
+    (polynomials of lower degree) from being held to their own size.
+    Non-finite samples pass through to the output unchecked, and so does
+    g = 0 (a polynomial of lower degree fitted exactly): its sums are zeros.
+    """
+    mu, n = order.mu, values.size
+    scale = _step_scale(mu, h)
     g = values - _taylor_base_poly(values, h, order.m - 1)
-    return _scaled_history(g, order.mu, h, scale)
+    out = _scaled_history(g, mu, h, scale)
+    g_size = float(np.max(np.abs(g)))
+    if 0.0 < g_size < math.inf:
+        v_size, error = _rounding_estimate(values, g_size, mu, order.m)
+        size = max(float(np.max(np.abs(out[n // 2 :]))), v_size * scale * (n - 1) ** -mu)
+        error *= np.finfo(np.float64).eps * scale
+        if error > size:
+            raise FloatingPointError(
+                f"rounding error may reach the derivative's size for order mu={mu:g}, "
+                f"step h={h:g}: estimated {error:.3g} against {size:.3g}"
+            )
+    return out
 
 
 def frac_deriv(path: SampledPath, order: FracOrder, side: Side = Side.LEFT) -> SampledPath:
@@ -363,6 +414,8 @@ def frac_deriv(path: SampledPath, order: FracOrder, side: Side = Side.LEFT) -> S
     difference estimates). The right derivative mirrors the grid and scales
     by (-1)**m. The base node (terminal node for the right side) carries the
     value copied from its neighbor, standing in for the interior limit.
+    Raises FloatingPointError where the estimated rounding error reaches
+    the result's size (see `_left_deriv_values`).
     """
     if path.n_pts < order.m + 2:
         raise ValueError(

@@ -133,7 +133,8 @@ def lift(
     _step_scale(alpha * k, ref.h)
     jets = np.empty((k + 1, len(base), ref.n_pts))
     jets[0] = [p.values for p in base]
-    for a in range(1, k + 1):
+    # Top level first: the highest order is the first to fail a check.
+    for a in range(k, 0, -1):
         order = FracOrder(alpha * a)
         scale = 1.0 / gamma(1.0 + alpha * a)
         jets[a] = [frac_deriv(p, order, Side.LEFT).values * scale for p in base]

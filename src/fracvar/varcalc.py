@@ -203,11 +203,6 @@ class Lagrangian:
                     f"({ana[j]:.6g} vs {fd[j]:.6g})"
                 )
 
-    def classical_partial(self, coord, point: JetPoint) -> float:
-        """Ordinary partial in one coordinate: analytic if available."""
-        c = _normalize_coord(coord, self.n, self.k)
-        return float(_partial(self, c, 1.0)(_columns(point.t, point.x, point.y)))
-
 
 def _partial(
     L: Lagrangian, coord: Coord, alpha: float, fn: Optional[ColumnsFn] = None

@@ -6,7 +6,18 @@ import math
 import numpy as np
 import pytest
 
-from fracvar import SampledPath, action, find_model, lift, make_lagrangian, solve_fode2
+from fracvar import (
+    FracOrder,
+    SampledPath,
+    Variant,
+    action,
+    el_residual,
+    find_model,
+    frac_deriv,
+    lift,
+    make_lagrangian,
+    solve_fode2,
+)
 from fracvar.cli import _build_parser, main
 
 
@@ -117,6 +128,32 @@ def test_unknown_names_are_usage_errors(capsys):
     )
 
 
+def test_unknown_names_print_their_message_unquoted(capsys):
+    assert run(capsys, ["solve", "--model", "nope"]) == (2, "", (
+        "error: unknown model 'nope'; available: friction, phillips, business-cycle, "
+        "bagley-torvik\n"))
+    assert run(capsys, ["el-check", "--lagrangian", "nope"]) == (2, "", (
+        "error: unknown Lagrangian 'nope'; available: bagley-torvik, order1-potential, "
+        "order2-potential, order3-potential, power-law-mixed\n"))
+
+
+# Orders and grids rejected before any sampling: by the library, or for a
+# lift, which checks alpha and k only after sampling, by the command.
+@pytest.mark.parametrize("argv, message", [
+    (["deriv", "--alpha", "0"], "order mu must be positive"),
+    (["deriv", "--alpha", "-1"], "order mu must be positive"),
+    (["deriv", "--grid", "1:0:33"], "t1 must exceed t0"),
+    (["lift", "--grid", "1:0:33"], "t1 must exceed t0"),
+    (["action", "--grid", "1:0:33"], "t1 must exceed t0"),
+    (["deriv", "--grid", "0:1"], "grid must look like t0:T:n, got '0:1'"),
+    (["lift", "--alpha", "1.5"], "alpha must lie in (0, 1) for a lift"),
+    (["lift", "--k", "0"], "jet order k must be at least 1"),
+], ids=["deriv-alpha-0", "deriv-alpha-negative", "deriv-reversed-grid", "lift-reversed-grid",
+        "action-reversed-grid", "grid-without-count", "lift-alpha", "lift-k"])
+def test_bad_orders_and_grids_are_usage_errors(capsys, argv, message):
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
 def test_el_check_file_errors(capsys, tmp_path):
     code, _, err = run(
         capsys,
@@ -161,6 +198,35 @@ def test_el_check_file_with_non_finite_x_is_a_usage_error(capsys, tmp_path, cell
     assert err == f"error: {bad} has a non-finite x in data row {min(cells) + 1}\n"
 
 
+GRID9 = [j / 8 for j in range(9)]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("t,x\n", "holds no data rows"),
+    ("t\n" + "".join(f"{t}\n" for t in GRID9), "needs columns t and x"),
+    ("t,x\n0,0\n0.125\n", "has malformed rows"),
+    ("t,x\n0,0\n0.125,zero\n", "has malformed rows"),
+    ("t,x\n" + "".join(f"{t},{t}\n" for t in GRID9[:8]),
+     "sampled input too short: need at least 9 nodes"),
+], ids=["no-data-rows", "one-column", "missing-cell", "bad-number", "eight-rows"])
+def test_el_check_file_contents_errors(capsys, tmp_path, text, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    code, out, err = run(capsys, ["el-check", "--from-file", str(bad)])
+    assert (code, out) == (2, "")
+    assert message in err and err.count("\n") == 1
+
+
+def test_el_check_file_without_t_and_x_reads_its_first_two_columns(capsys, tmp_path):
+    rows = "".join(f"{t},{t**2.5},{-t}\n" for t in GRID9)
+    named, unnamed = tmp_path / "named.csv", tmp_path / "unnamed.csv"
+    named.write_text("t,x,other\n" + rows)
+    unnamed.write_text("time,position,other\n" + rows)
+    expected = run(capsys, ["el-check", "--from-file", str(named)])
+    assert expected[0] == 0
+    assert run(capsys, ["el-check", "--from-file", str(unnamed)]) == expected
+
+
 # h**-mu overflows (mu = 150, 103 and the lift's top level 108 at h = 2**-10)
 # or underflows (mu = 400 at h = 10000 / 1024): one usage error line, no warning.
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -194,6 +260,22 @@ def test_scaled_sum_overflow_is_a_numerical_failure(capsys, argv, mu, node):
         f"numerical failure: h**-mu times the history sum overflows for order mu={mu}, "
         f"step h=0.000976562, at node {node} from the base\n"
     )
+
+
+# Finite sums whose rounding reaches their size used to print them, exit 0.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, mu", [
+    (["deriv", "--alpha", "5.5", "--fn", "sin"], "5.5"),
+    (["deriv", "--alpha", "30", "--fn", "sin"], "30"),
+    (["deriv", "--alpha", "4.5", "--fn", "sin", "--grid", "0:1:4097", "--side", "right"], "4.5"),
+    (["lift", "--alpha", "0.9", "--k", "6", "--fn", "sin"], "5.4"),
+], ids=["deriv-5.5", "deriv-30", "deriv-4.5-right-4097", "lift-k6"])
+def test_results_swamped_by_rounding_are_numerical_failures(capsys, argv, mu):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"numerical failure: rounding error may reach the derivative's size "
+                          f"for order mu={mu}, step h=")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -457,6 +539,12 @@ def lift_columns():
     return {"t": path.times(), "x": path.values, **jets}
 
 
+def bump_deriv_columns():
+    path = SampledPath.from_function(lambda t: np.exp(-(((t - 0.3) / 0.2) ** 2)), 0.0, 1.0, 257)
+    out = frac_deriv(path, FracOrder(0.7))
+    return {"t": out.times(), "value": out.values}
+
+
 def fode2_solve_columns():
     problem = find_model("phillips").make("fractional")
     report = solve_fode2(problem, problem.t_end / 1024.0)
@@ -470,8 +558,10 @@ def fode2_solve_columns():
         (["lift", "--alpha", "0.3", "--k", "3", "--fn", "pow", "--gamma", "2.7",
           "--grid", "0:1:257"], lift_columns),
         (["solve", "--model", "phillips", "--variant", "fractional"], fode2_solve_columns),
+        (["deriv", "--alpha", "0.7", "--fn", "bump", "--center", "0.3", "--width", "0.2",
+          "--grid", "0:1:257"], bump_deriv_columns),
     ],
-    ids=["lift", "solve-fode2"],
+    ids=["lift", "solve-fode2", "deriv-bump"],
 )
 def test_tables_carry_the_library_values_bit_for_bit(capsys, fmt, argv, columns):
     code, out, _ = run(capsys, argv + ["--format", fmt])
@@ -479,6 +569,16 @@ def test_tables_carry_the_library_values_bit_for_bit(capsys, fmt, argv, columns)
     got, expected = table_columns(out), columns()
     assert list(got) == list(expected)
     assert all(np.array_equal(got[name], col) for name, col in expected.items())
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("alpha", ["0.05", "0.5", "0.95"])
+def test_derivatives_of_a_constant_below_order_one_are_exact_zeros(capsys, alpha, side):
+    code, out, _ = run(capsys, ["deriv", "--alpha", alpha, "--side", side, "--fn", "const",
+                                "--cval", "-1.7", "--grid", "0:1:129"])
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert len(rows) == 129 and all(v == 0.0 for _, v in rows)
 
 
 def test_values_print_with_full_precision(capsys):
@@ -555,6 +655,19 @@ def test_unknown_config_key_is_rejected(capsys, tmp_path):
     assert "zz" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot load config"),
+    ("[0.25, 1.0]", "config must be a JSON object of flag values"),
+], ids=["missing-file", "not-an-object"])
+def test_unreadable_configs_are_usage_errors(capsys, tmp_path, text, message):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    code, out, err = run(capsys, ["mlf", "--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "command, values, key",
     [
@@ -618,6 +731,24 @@ def test_float_flags_of_the_catalog_commands(command, params):
     floats = [a for a in _build_parser()[1][command]._actions if a.type is float]
     assert {a.dest for a in floats} == params | by_hand
     assert all(a.default is None for a in floats if a.dest in params)
+
+
+# --potential-quadratic q makes U = q x**2 / 2 with U_x = q x.
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_potential_quadratic_reaches_the_order_k_potentials(capsys, k):
+    flags = ["--lagrangian", f"order{k}-potential", "--alpha", "0.3", "--a1", "0.4",
+             "--potential-quadratic", "0.7", "--fn", "pow", "--gamma", "3", "--grid", "0:1:129"]
+    lag = make_lagrangian(f"order{k}-potential", alpha=0.3, a1=0.4,
+                          potential=lambda t, x: 0.5 * 0.7 * x * x,
+                          potential_x=lambda t, x: 0.7 * x)
+    traj = lift(SampledPath.from_function(lambda t: t**3.0, 0.0, 1.0, 129), 0.3, k)
+    code, out, _ = run(capsys, ["action"] + flags)
+    assert code == 0
+    assert float(out.split("\n")[1]) == action(lag, traj)
+    code, out, _ = run(capsys, ["el-check"] + flags)
+    assert code == 0
+    residual = el_residual(lag, traj, Variant.CLASSICAL).residual[0].values
+    assert np.array_equal(table_columns(out)["residual"], residual)
 
 
 def test_zero_forcing_selector_reaches_the_plate_model(capsys):

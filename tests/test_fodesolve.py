@@ -240,6 +240,18 @@ def test_forcing_errors_still_propagate(error):
         fde_residual(fde, path)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: solve_multiterm(plate_fde(), 0.099), "step size must divide the interval length"),
+    (lambda: solve_fode2(FODE2(0.5, lambda t, x, v: -x), 0.099),
+     "step size must divide the interval length"),
+    (lambda: fde_residual(plate_fde(), SampledPath.from_function(lambda t: t**3, 0.0, 1.0, 4)),
+     "path is too short for a residual check at this order"),
+], ids=["multiterm-step", "fode2-step", "residual-too-short"])
+def test_grid_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # === non-finite values ======================================================
 
 
@@ -632,6 +644,21 @@ def test_catalog_names_and_kinds():
         find_model("pendulum")
     with pytest.raises(ValueError):
         find_model("friction").make("quantum")
+
+
+def test_catalog_kinds_are_the_kinds_of_the_factories_problems():
+    # The maps each catalog entry used to state by hand.
+    stated = {
+        "friction": {"classical": "fode2", "fractional": "fode2"},
+        "phillips": {"classical": "multiterm", "fractional": "fode2"},
+        "business-cycle": {"classical": "multiterm", "fractional": "multiterm"},
+        "bagley-torvik": {"classical": "multiterm", "fractional": "multiterm"},
+    }
+    assert {m.name: m.kinds for m in model_catalog()} == stated
+    for model in model_catalog():
+        for variant, kind in model.kinds.items():
+            solver_input = MultiTermFDE if kind == "multiterm" else FODE2
+            assert type(model.make(variant)) is solver_input
 
 
 def test_friction_rhs_assembles_potential_gradient():

@@ -631,3 +631,92 @@ def test_long_derivatives_take_the_blocked_path(monkeypatch, n):
     frac_deriv(SampledPath.from_function(np.sin, 0.0, 1.0, n), FracOrder(0.5))
     assert len(blocks) == (1 if n <= 4 * _BLOCK else -(-n // _BLOCK))
     assert max(segments) == (n if n <= 4 * _BLOCK else 0)
+
+
+# === rounding of high orders ================================================
+
+
+def caputo_trig(mu, s, parity):
+    """Caputo derivative of order mu of sin (parity 1) or cos (parity 0), by series."""
+    powers = [j for j in range(math.ceil(mu), 60) if j % 2 == parity]
+    return sum((-1) ** (j // 2) * s ** (j - mu) / math.gamma(j + 1 - mu) for j in powers)
+
+
+# Relative errors at distance >= 0.1 from the base: 2.2e-3 to 4.5e-3 at
+# 1025 nodes; at 4097 nodes, order 3.5, rounding has grown them to 8.4e-3
+# (left) and 1.1e-2 (right).
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
+@pytest.mark.parametrize("n, mu", [(1025, 3.5), (1025, 4.0), (4097, 3.5)])
+def test_high_orders_within_rounding_keep_their_digits(n, mu, side):
+    path = SampledPath.from_function(np.sin, 0.0, 1.0, n)
+    out = frac_deriv(path, FracOrder(mu), side).values
+    t = path.times()
+    if side is Side.LEFT:
+        s, ref = t, caputo_trig(mu, t, 1)
+    else:
+        # sin(1 - s) = sin 1 cos s - cos 1 sin s, mirrored with the sign (-1)**m.
+        s = 1.0 - t
+        ref = (-1.0) ** math.ceil(mu) * (
+            math.sin(1.0) * caputo_trig(mu, s, 0) - math.cos(1.0) * caputo_trig(mu, s, 1)
+        )
+    mask = s >= 0.1
+    assert np.max(np.abs(out - ref)[mask]) <= 2e-2 * np.max(np.abs(ref[mask]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
+@pytest.mark.parametrize("n, mu", [(1025, 5.5), (1025, 7.5), (1025, 30.0), (4097, 4.5),
+                                   (4097, 5.0)])
+def test_high_orders_swamped_by_rounding_are_floating_point_errors(n, mu, side):
+    path = SampledPath.from_function(np.sin, 0.0, 1.0, n)
+    with pytest.raises(FloatingPointError, match=rf"mu={mu:g}, step h={path.h:g}:"):
+        frac_deriv(path, FracOrder(mu), side)
+
+
+# On short grids the fitted coefficients' rounding, carried through
+# D^mu t**r, decides: without it neither case raises, yet at the grid's
+# second half the results err by 3.2e4 and 131 times their size.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("fn, mu", [(np.cos, 9.25), (np.exp, 8.25)], ids=["cos", "exp"])
+def test_rounding_of_the_fitted_coefficients_counts(fn, mu):
+    path = SampledPath.from_function(fn, 0.0, 1.0, 65)
+    with pytest.raises(FloatingPointError, match=rf"mu={mu:g}, step h=0\.015625:"):
+        frac_deriv(path, FracOrder(mu))
+
+
+# D^mu t**3 = 0 above order 3: the results are rounding only, 8.7e-6 and
+# 3.7e-4 at the grid's second half, below the estimate but far below the
+# input's size.
+@pytest.mark.parametrize("mu", [3.5, 4.0])
+def test_results_near_zero_are_held_to_the_input_size(mu):
+    path = SampledPath.from_function(lambda t: t**3, 0.0, 1.0, 1025)
+    out = frac_deriv(path, FracOrder(mu)).values
+    assert np.max(np.abs(out[512:])) <= 1e-3
+
+
+@pytest.mark.parametrize("n", [1025, 4097])
+def test_exactly_fitted_polynomials_keep_their_zero_derivative(n):
+    # g = 0 at every node, so the sums are exact zeros that no rounding can
+    # swamp, although the estimate for these samples exceeds their size.
+    path = SampledPath.from_function(lambda t: np.full_like(t, 2.0), 0.0, 1.0, n)
+    out = frac_deriv(path, FracOrder(4.75))
+    assert np.all(out.values == 0.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SampledPath(0.0, 0.1, np.zeros((3, 3))), "values must be one dimensional"),
+    (lambda: SampledPath.from_function(np.sin, 0.0, 1.0, 1), "n_pts must be at least 2"),
+    (lambda: SampledPath.from_function(np.sin, 1.0, 0.0, 9), "t1 must exceed t0"),
+    (lambda: gl_weights(FracOrder(0.5), 0), "count must be at least 1"),
+    (lambda: frac_deriv_from_base(SampledPath(0.0, 0.1, np.ones(2)), FracOrder(0.5), 0.0),
+     "need at least three samples"),
+    (lambda: leibniz_series(*sampled_pair((np.sin, np.cos), 0.0, 1.0, 9), FracOrder(0.5), 4, 0),
+     "terms must be positive"),
+    (lambda: leibniz_series(*sampled_pair((np.sin, np.cos), 0.0, 1.0, 9), FracOrder(0.5), 7, 3),
+     "cannot support the order-2 finite difference at node 7"),
+], ids=["ndim", "one-sample", "reversed-grid", "no-weights", "base-two-samples",
+        "no-terms", "difference-past-the-end"])
+def test_path_weight_and_series_argument_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

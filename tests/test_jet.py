@@ -161,6 +161,15 @@ def test_lift_with_an_overflowing_scaled_level_is_a_floating_point_error():
         lift(p, 0.9, 66)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_lift_with_a_level_swamped_by_rounding_is_a_floating_point_error():
+    # Level 6 (mu = 5.4) keeps no digit of sin at 1025 nodes; levels 1-5 pass.
+    p = SampledPath.from_function(np.sin, 0.0, 1.0, 1025)
+    assert np.all(np.isfinite(lift(p, 0.9, 5).jets))
+    with pytest.raises(FloatingPointError, match=r"mu=5\.4, step h=0\.000976562:"):
+        lift(p, 0.9, 6)
+
+
 def test_contact_chain_between_levels():
     # differentiating level a once more (order alpha) reproduces level a+1
     # up to the gamma rescaling, on a smooth path with zero start slope

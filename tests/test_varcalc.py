@@ -100,13 +100,29 @@ def test_shape_and_range_validation():
 
 def test_coordinate_selectors(quad_lagrangian):
     pt = JetPoint.scalar(0.5, 0.8, (0.3,))
-    assert quad_lagrangian.classical_partial("t", pt) == pytest.approx(0.0, abs=1e-8)
+    assert frac_partial(quad_lagrangian, "t", pt, 1.0) == pytest.approx(0.0, abs=1e-8)
     with pytest.raises(ValueError):
-        quad_lagrangian.classical_partial(("x", 5), pt)
+        frac_partial(quad_lagrangian, ("x", 5), pt, 1.0)
     with pytest.raises(ValueError):
-        quad_lagrangian.classical_partial(("y", 0, 0), pt)
+        frac_partial(quad_lagrangian, ("y", 0, 0), pt, 1.0)
     with pytest.raises(ValueError):
-        quad_lagrangian.classical_partial("bogus", pt)
+        frac_partial(quad_lagrangian, "bogus", pt, 1.0)
+
+
+def test_x_selects_the_first_coordinate(quad_lagrangian):
+    pt = JetPoint.scalar(0.5, 0.8, (0.3,))
+    assert frac_partial(quad_lagrangian, "x", pt, 1.0) == 1.6  # the analytic 2 x
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda L: frac_partial(L, ("y", 1, 3), JetPoint.scalar(0.5, 0.8, (0.3,)), 1.0),
+     "coordinate index 3 out of range for dimension 1"),
+    (lambda L: action(L, lift((cubic_path(2**-6),) * 2, 0.5, 1)),
+     "trajectory and Lagrangian disagree in dimension"),
+], ids=["jet-coordinate-index", "trajectory-dimension"])
+def test_coordinate_and_dimension_errors(quad_lagrangian, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(quad_lagrangian)
 
 
 # === fractional partials ====================================================
@@ -343,6 +359,28 @@ def test_unknown_coefficient_set_rejected():
         order_potential_lagrangian(1, coefficients="exotic")
     with pytest.raises(ValueError):
         bagley_torvik_lagrangian(coefficients="exotic")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: power_law_mixed_lagrangian(coefficients="exotic"),
+     "unknown coefficient set: 'exotic'"),
+    (lambda: order_potential_lagrangian(4), r"the family is defined for k in \{1, 2, 3\}"),
+], ids=["power-law-mixed-set", "order-4"])
+def test_unknown_sets_and_orders_are_rejected_by_name(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_literature_power_law_mixed_squares_both_levels():
+    # The literature set replaces the cross term by -(a1/2) Gamma(1+2 alpha) y1**2
+    # + (a2/2) Gamma(1+3 alpha) y2**2.
+    L = power_law_mixed_lagrangian(a1=0.7, a2=0.4, alpha=0.5, coefficients="literature")
+    bare = power_law_mixed_lagrangian(a1=0.0, a2=0.0, alpha=0.5, coefficients="literature")
+    pt = JetPoint.scalar(0.2, 0.5, (0.3, 0.6))
+    kinetic = -0.35 * gamma(2.0) * 0.3**2 + 0.2 * gamma(2.5) * 0.6**2
+    assert L.eval_fn(pt) - bare.eval_fn(pt) == pytest.approx(kinetic, rel=1e-14)
+    assert L.partial_y[0][0](pt) == pytest.approx(-0.7 * gamma(2.0) * 0.3, rel=1e-14)
+    assert L.partial_y[1][0](pt) == pytest.approx(0.4 * gamma(2.5) * 0.6, rel=1e-14)
 
 
 def test_mixed_construction_degenerates_at_equal_gammas():
