@@ -6,10 +6,10 @@ standard output or to --out. Float cells use 17 significant digits and
 lines end with a bare newline, so identical invocations produce
 byte-identical artifacts.
 
-Exit status: 0 on success, 2 on invalid arguments or inputs, 3 when a
-computation fails numerically (series overflow, solver divergence, a
-non-finite value in the table). A one-line diagnostic goes to the error
-stream in both failure cases.
+Exit status: 0 on success, 2 on invalid arguments or inputs (a ValueError,
+from the CLI or the library), 3 when a computation fails numerically
+(series overflow, solver divergence, a non-finite value in the table). A
+one-line diagnostic goes to the error stream in both failure cases.
 
 --config points at a flat JSON object whose keys are long flag names
 (hyphens or underscores). A value comes from an explicit flag first, then
@@ -42,7 +42,6 @@ from .fodesolve import (
     _VARIANTS,
     DivergenceError,
     MultiTermFDE,
-    _bt_default_forcing,
     find_model,
     model_catalog,
     solve_fode2,
@@ -54,10 +53,6 @@ from .fodesolve import (
 _MIN_NODES = 9
 
 
-class CliError(Exception):
-    """Invalid arguments or inputs; mapped to exit status 2."""
-
-
 def _render_csv(table: dict, row: str) -> str:
     return "\n".join([",".join(table), *map(row.format, *table.values())]) + "\n"
 
@@ -67,8 +62,8 @@ def _render_json(table: dict, meta) -> str:
     return json.dumps(payload, sort_keys=True) + "\n"
 
 
-def _emit(args, table, meta_extra=None) -> None:
-    """Write ``table``, column name -> 1-D float array or a sequence of strings."""
+def _emit(args, table, meta) -> None:
+    """Write ``table``, column name -> 1-D float array or a sequence of strings, and ``meta``."""
     bad_rows = []
     for col in table.values():
         if isinstance(col, np.ndarray):
@@ -80,17 +75,19 @@ def _emit(args, table, meta_extra=None) -> None:
     row = ",".join("{:.17g}" if isinstance(c, np.ndarray) else "{}" for c in table.values())
     table = {name: c.tolist() if isinstance(c, np.ndarray) else c for name, c in table.items()}
     meta = {
-        "alpha": getattr(args, "alpha", None),
-        "h": getattr(args, "_h", None),
+        "alpha": None,
+        "h": None,
         "scheme": "grunwald-letnikov",
         "version": __version__,
+        **meta,
     }
-    if meta_extra:
-        meta.update(meta_extra)
     text = _render_csv(table, row) if args.format == "csv" else _render_json(table, meta)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -100,9 +97,9 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         t0_s, t1_s, n_s = text.split(":")
         t0, t1, n = float(t0_s), float(t1_s), int(n_s)
     except ValueError as exc:
-        raise CliError(f"grid must look like t0:T:n, got {text!r}") from exc
+        raise ValueError(f"grid must look like t0:T:n, got {text!r}") from exc
     if n < _MIN_NODES:
-        raise CliError(f"grid too short: need at least {_MIN_NODES} nodes, got {n}")
+        raise ValueError(f"grid too short: need at least {_MIN_NODES} nodes, got {n}")
     return t0, t1, n
 
 
@@ -125,12 +122,9 @@ def _make_fn(args) -> Callable[[float], float]:
 def _sample(args) -> SampledPath:
     """The input path, from --from-file where given, else the fn flags on --grid."""
     if getattr(args, "from_file", None):
-        path = _path_from_csv(args.from_file)
-    else:
-        t0, t1, n = _parse_grid(args.grid)
-        path = SampledPath.from_function(_make_fn(args), t0, t1, n)
-    args._h = path.h
-    return path
+        return _path_from_csv(args.from_file)
+    t0, t1, n = _parse_grid(args.grid)
+    return SampledPath.from_function(_make_fn(args), t0, t1, n)
 
 
 def _path_from_csv(path: str) -> SampledPath:
@@ -138,39 +132,52 @@ def _path_from_csv(path: str) -> SampledPath:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     if len(lines) < 2:
-        raise CliError(f"{path} holds no data rows")
+        raise ValueError(f"{path} holds no data rows")
     header = [c.strip() for c in lines[0].split(",")]
     try:
         it, ix = header.index("t"), header.index("x")
     except ValueError:
         if len(header) < 2:
-            raise CliError(f"{path} needs columns t and x")
+            raise ValueError(f"{path} needs columns t and x")
+        if _is_number(header[0]) and _is_number(header[1]):
+            raise ValueError(f"{path} has no header line: its first line is data, not column names")
         it, ix = 0, 1
     try:
         data = np.array(
             [[float(ln.split(",")[it]), float(ln.split(",")[ix])] for ln in lines[1:]]
         )
     except (ValueError, IndexError) as exc:
-        raise CliError(f"{path} has malformed rows: {exc}") from exc
+        raise ValueError(f"{path} has malformed rows: {exc}") from exc
     t, x = data[:, 0], data[:, 1]
     if len(t) < _MIN_NODES:
-        raise CliError(f"sampled input too short: need at least {_MIN_NODES} nodes")
+        raise ValueError(f"sampled input too short: need at least {_MIN_NODES} nodes")
     # Written so that a NaN or an infinite time fails the check.
     with np.errstate(invalid="ignore"):
         h = t[1] - t[0]
         uniform = h > 0 and np.max(np.abs(np.diff(t) - h)) <= 1e-9 * max(1.0, abs(h))
     if not uniform:
-        raise CliError("sampled input must sit on a uniform time grid")
+        raise ValueError("sampled input must sit on a uniform time grid")
     if not np.all(np.isfinite(x)):
-        raise CliError(f"{path} has a non-finite x in data row {np.argmin(np.isfinite(x)) + 1}")
+        raise ValueError(f"{path} has a non-finite x in data row {np.argmin(np.isfinite(x)) + 1}")
     return SampledPath(float(t[0]), float(h), x)
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def _set_flags(args, names) -> dict:
-    """Flags named like factory parameters; unset ones are None and leave the factory default."""
-    return {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
+    """Factory keywords from the flags; unset ones (None, --forcing-fn default) keep the default."""
+    params = {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
+    if "forcing" in names and args.forcing_fn != "default":
+        params["forcing"] = args.forcing_cval if args.forcing_fn == "const" else 0.0
+    return params
 
 
 # Lagrangian construction shared by action and el-check.
@@ -181,122 +188,87 @@ def _build_lagrangian(args):
     catalog = lagrangian_catalog()
     if name not in catalog:
         known = ", ".join(sorted(catalog))
-        raise CliError(f"unknown Lagrangian {name!r}; available: {known}")
+        raise ValueError(f"unknown Lagrangian {name!r}; available: {known}")
     names = inspect.signature(catalog[name]).parameters
     params = _set_flags(args, names)
     q = args.potential_quadratic
     if not np.isfinite(q):
-        raise CliError("--potential-quadratic must be finite")
+        raise ValueError("--potential-quadratic must be finite")
     if q and "potential" in names:
         params["potential"] = lambda t, x: 0.5 * q * x * x
         params["potential_x"] = lambda t, x: q * x
-    if name == "bagley-torvik" or (name == "power-law-mixed" and args.forcing_fn != "default"):
-        params["forcing"] = _forcing_from_args(args)
-    try:
-        return make_lagrangian(name, **params)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return make_lagrangian(name, **params)
 
 
-def _forcing_from_args(args):
-    kind = args.forcing_fn
-    if kind == "default":
-        return _bt_default_forcing
-    if kind == "zero":
-        return 0.0
-    return args.forcing_cval  # "const", the last of --forcing-fn's choices
+# Subcommand bodies: each returns its table and the meta fields it sets.
 
 
-# Subcommand bodies.
-
-
-def _cmd_deriv(args) -> int:
+def _cmd_deriv(args) -> tuple[dict, dict]:
     order = FracOrder(args.alpha)
     path = _sample(args)
     side = Side.LEFT if args.side == "left" else Side.RIGHT
     out = frac_deriv(path, order, side)
-    _emit(args, {"t": out.times(), "value": out.values})
-    return 0
+    return {"t": out.times(), "value": out.values}, {"alpha": args.alpha, "h": path.h}
 
 
-def _cmd_mlf(args) -> int:
+def _cmd_mlf(args) -> tuple[dict, dict]:
     params = MLParams(alpha=args.alpha, tol=args.tol, max_terms=args.max_terms)
     value = mittag_leffler(params, args.z)
-    _emit(args, {"value": np.array([value])})
-    return 0
+    return {"value": np.array([value])}, {"alpha": args.alpha}
 
 
-def _cmd_lift(args) -> int:
+def _cmd_lift(args) -> tuple[dict, dict]:
     if not 0.0 < args.alpha < 1.0:
-        raise CliError("alpha must lie in (0, 1) for a lift")
+        raise ValueError("alpha must lie in (0, 1) for a lift")
     if args.k < 1:
-        raise CliError("jet order k must be at least 1")
+        raise ValueError("jet order k must be at least 1")
     path = _sample(args)
     traj = lift((path,), args.alpha, args.k)
     jets = {f"y{a}": traj.jets[a, 0] for a in range(1, args.k + 1)}
-    _emit(args, {"t": path.times(), "x": path.values, **jets})
-    return 0
+    return {"t": path.times(), "x": path.values, **jets}, {"alpha": args.alpha, "h": path.h}
 
 
-def _cmd_action(args) -> int:
+def _cmd_action(args) -> tuple[dict, dict]:
     lag = _build_lagrangian(args)
     path = _sample(args)
-    args.alpha = lag.alpha
     traj = lift((path,), lag.alpha, lag.k)
     value = action_integral(lag, traj)
-    _emit(args, {"action": np.array([value])}, {"k": lag.k})
-    return 0
+    return {"action": np.array([value])}, {"alpha": lag.alpha, "h": path.h, "k": lag.k}
 
 
-def _cmd_el_check(args) -> int:
+def _cmd_el_check(args) -> tuple[dict, dict]:
     lag = _build_lagrangian(args)
     if args.coefficients == "literature-fractional" and args.variant == "classical":
         # The classical partial of y**alpha is unbounded at the momentum base
         # point, where the jet levels are zeroed.
-        raise CliError(
+        raise ValueError(
             "coefficients 'literature-fractional' raise the jets to the power alpha, whose "
             "classical partial is unbounded at zero jets; use --variant fractional"
         )
     path = _sample(args)
-    args.alpha = lag.alpha
     traj = lift((path,), lag.alpha, lag.k)
     report = el_residual(lag, traj, Variant(args.variant))
     res = report.residual[0]
-    _emit(
-        args,
-        {"t": res.times(), "residual": res.values},
-        {"norm_inf": report.norm_inf, "excluded": report.excluded, "variant": args.variant},
-    )
-    return 0
+    meta = {"norm_inf": report.norm_inf, "excluded": report.excluded, "variant": args.variant}
+    return {"t": res.times(), "residual": res.values}, {"alpha": lag.alpha, "h": path.h, **meta}
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> tuple[dict, dict]:
     try:
         model = find_model(args.model)
     except KeyError as exc:
-        raise CliError(exc.args[0]) from exc
-    params = _set_flags(args, model.defaults)
-    if args.model == "bagley-torvik" and args.forcing_fn != "default":
-        params["forcing"] = _forcing_from_args(args)
-    try:
-        problem = model.make(args.variant, **params)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+        raise ValueError(exc.args[0]) from exc
+    problem = model.make(args.variant, **_set_flags(args, model.defaults))
     h = args.h if args.h is not None else problem.t_end / 1024.0
-    args._h = h
-    if isinstance(problem, MultiTermFDE):
-        report = solve_multiterm(problem, h)
-    else:
-        report = solve_fode2(problem, h)
-        args.alpha = problem.alpha
+    report = (solve_multiterm if isinstance(problem, MultiTermFDE) else solve_fode2)(problem, h)
     table = {"t": report.solution.times(), "x": report.solution.values}
     if report.aux is not None:
         table["v"] = report.aux.values
-    _emit(args, table, {"max_defect": report.max_defect, "model": args.model})
-    return 0
+    meta = {"max_defect": report.max_defect, "model": args.model}
+    return table, {"alpha": getattr(problem, "alpha", args.alpha), "h": h, **meta}
 
 
-def _cmd_models(args) -> int:
+def _cmd_models(args) -> tuple[dict, dict]:
     rows = []
     for model in model_catalog():
         for variant in _VARIANTS:
@@ -306,8 +278,7 @@ def _cmd_models(args) -> int:
             else:
                 kind, orders = "fode2", f"{problem.alpha:g}"
             rows.append((model.name, variant, kind, orders, model.description))
-    _emit(args, dict(zip(("name", "variant", "kind", "orders", "description"), zip(*rows))))
-    return 0
+    return dict(zip(("name", "variant", "kind", "orders", "description"), zip(*rows))), {}
 
 
 # Parser construction and config merging.
@@ -425,10 +396,10 @@ def _check_config_value(key: str, value, action: argparse.Action) -> None:
         converted = kind(value)
     except (ValueError, OverflowError):
         expected = {float: "a number", int: "an integer"}.get(kind, "a string")
-        raise CliError(f"config key {key!r} must be {expected}, got {json.dumps(value)}") from None
+        raise ValueError(f"config key {key!r} must be {expected}, got {json.dumps(value)}") from None
     if action.choices is not None and converted not in action.choices:
         known = ", ".join(map(str, action.choices))
-        raise CliError(f"config key {key!r} must be one of {known}, got {json.dumps(value)}")
+        raise ValueError(f"config key {key!r} must be one of {known}, got {json.dumps(value)}")
 
 
 def _load_config(args, parser: argparse.ArgumentParser) -> dict:
@@ -437,15 +408,15 @@ def _load_config(args, parser: argparse.ArgumentParser) -> dict:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot load config {args.config}: {exc}") from exc
+        raise ValueError(f"cannot load config {args.config}: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise CliError("config must be a JSON object of flag values")
+        raise ValueError("config must be a JSON object of flag values")
     actions = {a.dest: a for a in parser._actions}
     values = {}
     for key, value in cfg.items():
         norm = key.replace("-", "_")
         if norm in ("config", "help") or norm not in actions:
-            raise CliError(f"config key {key!r} is not a flag of {args.command}")
+            raise ValueError(f"config key {key!r} is not a flag of {args.command}")
         # A null value leaves the flag unset.
         if value is not None:
             _check_config_value(key, value, actions[norm])
@@ -463,10 +434,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sub = commands[args.command]
             sub.set_defaults(**_load_config(args, sub))
             args = parser.parse_args(argv)
-        return args.run(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        _emit(args, *args.run(args))
+        return 0
     except (ConvergenceError, DivergenceError, OverflowError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -60,7 +60,7 @@ from .fracops import (
     gl_weights,
 )
 from .varcalc import _FD_ABS_FLOOR, _FD_REL_STEP, _as_fn, _el_terms
-from .varcalc import _plate_levels, _potential_levels
+from .varcalc import _bt_default_forcing, _plate_levels, _potential_levels
 
 __all__ = [
     "DivergenceError",
@@ -483,17 +483,10 @@ def _business_cycle_factory(variant, a1=0.5, a2=0.5, b1=1.0, f=0.2, alpha=0.5, t
     return MultiTermFDE(terms, b1, -f, t_end)
 
 
-def _bt_default_forcing(t: float) -> float:
-    # Manufactured so that x(t) = t**3 solves the default parameter set.
-    return 6.0 * t + 6.0 / math.gamma(2.5) * t**1.5 + t**3
-
-
 def _bagley_torvik_factory(variant, a=1.0, b=1.0, c=1.0, forcing=None, alpha=0.25, t_end=1.0):
     """Damped plate model: a x'' + b D^(3/2) x + c x = f(t)."""
-    if forcing is None:
-        forcing = _bt_default_forcing
     terms = _el_terms(0.25 if variant == "classical" else alpha, _plate_levels(a, b))
-    return MultiTermFDE(terms, c, forcing, t_end)
+    return MultiTermFDE(terms, c, _bt_default_forcing if forcing is None else forcing, t_end)
 
 
 def model_catalog() -> tuple:

@@ -4,8 +4,12 @@ The discretization is Grunwald-Letnikov: the order-mu derivative of a sample
 sequence is a weighted history sum with binomial weights, applied to the
 function after subtracting its Taylor polynomial of degree ceil(mu) - 1 at
 the base node. The subtraction makes the operator annihilate constants
-exactly (and low-degree polynomials for orders above one) and makes it the
-regularized counterpart of the corresponding integral-kernel derivative.
+exactly up to order 5 (and low-degree polynomials for orders above one) and
+makes it the regularized counterpart of the corresponding integral-kernel
+derivative. Above order 5 the fitted one-sided stencils no longer sum to
+exactly zero, so a constant's derivative is rounding noise, not zero: small
+on short grids, and on long ones large enough that the rounding check of
+`frac_deriv` raises `FloatingPointError`.
 
 Conventions that matter downstream:
 

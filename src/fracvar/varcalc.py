@@ -450,6 +450,11 @@ def _plate_levels(a: float, b: float) -> dict:
     return {3: b, 4: a}
 
 
+def _bt_default_forcing(t: float) -> float:
+    """The plate's default forcing, manufactured so that t**3 solves the default parameters."""
+    return 6.0 * t + 6.0 / gamma(2.5) * t**1.5 + t**3
+
+
 def _potential_levels(k: int, a1: float, a2: float) -> dict:
     """The order-k potential's level map {1: a1, 2: a2, 3: 1} cut to levels 1..k, the top one 1."""
     return {a: q for a, q in ((1, a1), (2, a2)) if a < k} | {k: 1.0}
@@ -516,13 +521,16 @@ def bagley_torvik_lagrangian(
 
     L = c x**2 / 2 - f(t) x - (b/2) C3 (y^(3 alpha))**2 + (a/2) C4 (y^(4 alpha))**2.
 
+    ``forcing`` None is the model catalog's manufactured f (see
+    ``_bt_default_forcing``); 0.0 gives the unforced plate.
+
     With normalized coefficients C3 = Gamma(1+3 alpha), C4 = Gamma(1+4 alpha)
     the classical residual along a lifted path equals
     a D^(8 alpha) x + b D^(6 alpha) x + c x - f, which at alpha = 1/4 is the
     plate equation with orders (2, 3/2). The literature set uses
     C3 = Gamma(1+6 alpha), C4 = Gamma(1+8 alpha).
     """
-    f = _as_fn(forcing)
+    f = _as_fn(_bt_default_forcing if forcing is None else forcing)
     return _quadratic(
         alpha,
         lambda t, x: 0.5 * c * x**2 - f(t) * x,

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracvar
 from fracvar import (
     FracOrder,
     SampledPath,
@@ -208,7 +213,10 @@ GRID9 = [j / 8 for j in range(9)]
     ("t,x\n0,0\n0.125,zero\n", "has malformed rows"),
     ("t,x\n" + "".join(f"{t},{t}\n" for t in GRID9[:8]),
      "sampled input too short: need at least 9 nodes"),
-], ids=["no-data-rows", "one-column", "missing-cell", "bad-number", "eight-rows"])
+    # A first line of numbers used to be taken for a header and dropped, t = 0 with it.
+    ("".join(f"{j / 8},{j**3 / 512}\n" for j in range(10)),
+     "has no header line: its first line is data, not column names"),
+], ids=["no-data-rows", "one-column", "missing-cell", "bad-number", "eight-rows", "no-header"])
 def test_el_check_file_contents_errors(capsys, tmp_path, text, message):
     bad = tmp_path / "bad.csv"
     bad.write_text(text)
@@ -520,6 +528,32 @@ def test_out_files_are_byte_identical(capsys, tmp_path):
     assert ba == bb
     assert b"\r" not in ba
     assert ba.startswith(b"t,value\n")
+
+
+@pytest.mark.parametrize("target", [".", "missing/out.csv"], ids=["directory", "missing-directory"])
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, target):
+    out = tmp_path / target
+    code, stdout, err = run(capsys, ["deriv", "--grid", "0:1:9", "--out", str(out)])
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
+
+# The benchmark runs the module as a script; it must behave as main does.
+@pytest.mark.parametrize("argv, code", [
+    (["deriv", "--grid", "0:1:9", "--format", "json"], 0),
+    (["deriv", "--alpha", "0"], 2),
+    (["mlf", "--alpha", "1.5", "--z", "-49"], 3),
+], ids=["success", "usage-error", "numerical-failure"])
+def test_module_script_matches_main(capsys, argv, code):
+    src = str(Path(fracvar.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fracvar.cli", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), check=False,
+    )
+    expected = run(capsys, argv)
+    assert expected[0] == code
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
 
 
 def table_columns(text):

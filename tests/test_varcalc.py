@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import fracvar.varcalc as varcalc
+from fracvar.fodesolve import _bt_default_forcing, find_model
 from fracvar.fracops import FracOrder, SampledPath, frac_deriv
 from fracvar.jet import JetPoint, lift
 from fracvar.specfun import gamma
@@ -605,6 +606,20 @@ def test_catalog_contents():
     ]
     L = make_lagrangian("order2-potential", alpha=0.4, a1=0.2)
     assert L.k == 2 and L.alpha == 0.4
+
+
+def test_plate_lagrangian_and_model_share_one_default_forcing():
+    # U_x = c x - f(t) is -f(t) at x = 0; the unforced plate asks for forcing=0.0.
+    ts = np.linspace(0.0, 1.0, 17)
+    base = SimpleNamespace(t=ts, x=(0.0 * ts,), y=((0.0 * ts,),) * 4)
+    assert find_model("bagley-torvik").make("fractional").forcing is _bt_default_forcing
+    assert np.array_equal(make_lagrangian("bagley-torvik").partial_x[0](base),
+                          -_bt_default_forcing(ts))
+    assert np.all(make_lagrangian("bagley-torvik", forcing=0.0).partial_x[0](base) == 0.0)
+    # x = t**3 solves the default plate, so its classical residual nearly vanishes.
+    traj = lift(SampledPath.from_function(lambda t: t**3, 0.0, 1.0, 1025), 0.25, 4)
+    assert el_residual(make_lagrangian("bagley-torvik"), traj).norm_inf < 0.05
+    assert el_residual(make_lagrangian("bagley-torvik", forcing=0.0), traj).norm_inf > 10.0
 
 
 # Non-finite coefficients used to reach the analytic-partial check, which
