@@ -42,7 +42,7 @@ from .fodesolve import (
     _VARIANTS,
     DivergenceError,
     MultiTermFDE,
-    find_model,
+    make_model,
     model_catalog,
     solve_fode2,
     solve_multiterm,
@@ -124,7 +124,9 @@ def _sample(args) -> SampledPath:
     if getattr(args, "from_file", None):
         return _path_from_csv(args.from_file)
     t0, t1, n = _parse_grid(args.grid)
-    return SampledPath.from_function(_make_fn(args), t0, t1, n)
+    # Non-finite samples pass through to the non-finite-output check, without a warning.
+    with np.errstate(all="ignore"):
+        return SampledPath.from_function(_make_fn(args), t0, t1, n)
 
 
 def _path_from_csv(path: str) -> SampledPath:
@@ -172,10 +174,10 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def _set_flags(args, names) -> dict:
-    """Factory keywords from the flags; unset ones (None, --forcing-fn default) keep the default."""
-    params = {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
-    if "forcing" in names and args.forcing_fn != "default":
+def _set_flags(args) -> dict:
+    """Keywords of the parameter flags set; unset ones (None, --forcing-fn default) are left out."""
+    params = {n: getattr(args, n) for n in args.parameters if getattr(args, n) is not None}
+    if args.forcing_fn != "default":
         params["forcing"] = args.forcing_cval if args.forcing_fn == "const" else 0.0
     return params
 
@@ -184,20 +186,14 @@ def _set_flags(args, names) -> dict:
 
 
 def _build_lagrangian(args):
-    name = args.lagrangian
-    catalog = lagrangian_catalog()
-    if name not in catalog:
-        known = ", ".join(sorted(catalog))
-        raise ValueError(f"unknown Lagrangian {name!r}; available: {known}")
-    names = inspect.signature(catalog[name]).parameters
-    params = _set_flags(args, names)
+    params = _set_flags(args)
     q = args.potential_quadratic
     if not np.isfinite(q):
         raise ValueError("--potential-quadratic must be finite")
-    if q and "potential" in names:
+    if q:
         params["potential"] = lambda t, x: 0.5 * q * x * x
         params["potential_x"] = lambda t, x: q * x
-    return make_lagrangian(name, **params)
+    return make_lagrangian(args.lagrangian, **params)
 
 
 # Subcommand bodies: each returns its table and the meta fields it sets.
@@ -254,11 +250,7 @@ def _cmd_el_check(args) -> tuple[dict, dict]:
 
 
 def _cmd_solve(args) -> tuple[dict, dict]:
-    try:
-        model = find_model(args.model)
-    except KeyError as exc:
-        raise ValueError(exc.args[0]) from exc
-    problem = model.make(args.variant, **_set_flags(args, model.defaults))
+    problem = make_model(args.model, args.variant, **_set_flags(args))
     h = args.h if args.h is not None else problem.t_end / 1024.0
     report = (solve_multiterm if isinstance(problem, MultiTermFDE) else solve_fode2)(problem, h)
     table = {"t": report.solution.times(), "x": report.solution.values}
@@ -270,14 +262,14 @@ def _cmd_solve(args) -> tuple[dict, dict]:
 
 def _cmd_models(args) -> tuple[dict, dict]:
     rows = []
-    for model in model_catalog():
+    for name, (description, factory) in model_catalog().items():
         for variant in _VARIANTS:
-            problem = model.make(variant)
+            problem = factory(variant)
             if isinstance(problem, MultiTermFDE):
                 kind, orders = "multiterm", ";".join(f"{mu:g}" for _, mu in problem.terms)
             else:
                 kind, orders = "fode2", f"{problem.alpha:g}"
-            rows.append((model.name, variant, kind, orders, model.description))
+            rows.append((name, variant, kind, orders, description))
     return dict(zip(("name", "variant", "kind", "orders", "description"), zip(*rows))), {}
 
 
@@ -306,11 +298,16 @@ def _add_forcing_flags(sp) -> None:
     sp.add_argument("--forcing-cval", type=float, default=0.0, dest="forcing_cval")
 
 
-def _add_parameter_flags(sp, factories) -> None:
-    """One float flag, None when unset (see _set_flags), per float-default factory parameter."""
+def _add_parameter_flags(sp, factories, *made) -> None:
+    """One float flag, None when unset, per float-default factory parameter.
+
+    These and the flags ``made`` by hand are the command's ``parameters`` (see _set_flags).
+    """
     params = (p for fn in factories for p in inspect.signature(fn).parameters.values())
-    for name in dict.fromkeys(p.name for p in params if isinstance(p.default, float)):
+    names = tuple(dict.fromkeys(p.name for p in params if isinstance(p.default, float)))
+    for name in names:
         sp.add_argument(f"--{name.replace('_', '-')}", type=float, default=None, dest=name)
+    sp.set_defaults(parameters=names + made)
 
 
 def _add_lagrangian_flags(sp) -> None:
@@ -319,7 +316,7 @@ def _add_lagrangian_flags(sp) -> None:
         "--coefficients", default=None,
         choices=["normalized", "literature", "literature-fractional"],
     )
-    _add_parameter_flags(sp, lagrangian_catalog().values())
+    _add_parameter_flags(sp, lagrangian_catalog().values(), "coefficients")
     sp.add_argument("--potential-quadratic", type=float, default=0.0, dest="potential_quadratic")
     _add_forcing_flags(sp)
 
@@ -373,7 +370,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--model", required=True)
     sp.add_argument("--variant", default="fractional", choices=_VARIANTS)
     sp.add_argument("--h", type=float, default=None, help="step size (default t_end/1024)")
-    _add_parameter_flags(sp, (m.factory for m in model_catalog()))
+    _add_parameter_flags(sp, (factory for _, factory in model_catalog().values()))
     _add_forcing_flags(sp)
     _add_common(sp)
     sp.set_defaults(run=_cmd_solve)

@@ -31,17 +31,20 @@ nodes, with no numpy call per node. Each node reads only the nodes before
 it: the schemes stay exactly causal. A non-finite solution raises
 ``DivergenceError`` naming the first bad node.
 
-The model catalog's multi-term entries (phillips classical, business-cycle,
-bagley-torvik) are not written out here: each is the classical
-Euler-Lagrange equation of a Lagrangian catalog entry, whose level map
-{jet level a: q_a} gives the terms (q_a, 2 a alpha) (``varcalc._el_terms``).
+``model_catalog()`` is a dict of name to (description, factory), and
+``make_model(name, variant, **params)`` raises ValueError for an unknown
+name or variant, a parameter the model does not take, or a non-finite
+float, as ``make_lagrangian`` does. The multi-term entries (phillips
+classical, business-cycle, bagley-torvik) are not written out here: each
+is the classical Euler-Lagrange equation of a Lagrangian catalog entry,
+whose level map {jet level a: q_a} gives the terms (q_a, 2 a alpha)
+(``varcalc._el_terms``).
 """
 
 from __future__ import annotations
 
-import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -59,7 +62,7 @@ from .fracops import (
     frac_deriv,
     gl_weights,
 )
-from .varcalc import _FD_ABS_FLOOR, _FD_REL_STEP, _as_fn, _el_terms
+from .varcalc import _FD_ABS_FLOOR, _FD_REL_STEP, _as_fn, _build, _el_terms
 from .varcalc import _bt_default_forcing, _plate_levels, _potential_levels
 
 __all__ = [
@@ -70,9 +73,8 @@ __all__ = [
     "solve_multiterm",
     "solve_fode2",
     "fde_residual",
-    "ModelTemplate",
     "model_catalog",
-    "find_model",
+    "make_model",
 ]
 
 DIVERGENCE_GUARD = 1e12
@@ -177,6 +179,8 @@ class SolveReport:
 def _grid_steps(t_end: float, h: float) -> int:
     if not 0.0 < h < math.inf:
         raise ValueError("step size h must be positive and finite")
+    if not math.isfinite(t_end / h):
+        raise ValueError(f"step size h = {h:g} is too small: t_end / h overflows")
     steps = int(round(t_end / h))
     if steps < 8:
         raise ValueError("at least 8 steps are required (reduce h)")
@@ -409,43 +413,9 @@ def fde_residual(fde: MultiTermFDE, path: SampledPath) -> SampledPath:
 _VARIANTS = ("classical", "fractional")
 
 
-@dataclass(frozen=True)
-class ModelTemplate:
-    """A named model with classical and fractional problem factories.
-
-    ``kinds`` maps each variant name to "multiterm" or "fode2", the kind of
-    problem its factory returns at the defaults, which tells callers which
-    solver to use on the object returned by ``make``. A "multiterm" problem
-    is derived from a Lagrangian's level map (see the module docstring); a
-    "fode2" one is stated here, with x0 and v0.
-    ``defaults`` lists the factory's keyword parameters and their defaults.
-    """
-
-    name: str
-    description: str
-    factory: Callable = field(repr=False)
-
-    @property
-    def kinds(self) -> dict:
-        multiterm = {v: isinstance(self.factory(v), MultiTermFDE) for v in _VARIANTS}
-        return {v: "multiterm" if m else "fode2" for v, m in multiterm.items()}
-
-    @property
-    def defaults(self) -> dict:
-        params = inspect.signature(self.factory).parameters.values()
-        return {p.name: p.default for p in params if p.default is not p.empty}
-
-    def make(self, variant: str, **params):
-        if variant not in _VARIANTS:
-            known = ", ".join(_VARIANTS)
-            raise ValueError(f"model {self.name!r} has no variant {variant!r} (use {known})")
-        return self.factory(variant, **params)
-
-
 def _friction_factory(variant, m=1.0, gamma_coef=0.5, potential=None, x0=0.0, v0=1.0,
                       alpha=0.999, t_end=2.0):
     """Damped motion in a potential: m x'' + gamma x' - dU/dx = 0."""
-    _require_finite(m=m, gamma_coef=gamma_coef)
     if m == 0.0:
         raise ValueError("m must be nonzero")
     u = potential
@@ -467,7 +437,6 @@ def _phillips_factory(variant, a1=0.5, b1=1.0, f=0.2, x0=1.0, v0=0.0, alpha=0.99
     """Stabilization dynamics: x'' + a1 x' + b1 x + f = 0."""
     if variant == "classical":
         return MultiTermFDE(_el_terms(0.5, _potential_levels(2, a1, 0.0)), b1, -f, t_end)
-    _require_finite(a1=a1, b1=b1, f=f)
     return FODE2(
         alpha=alpha,
         rhs=lambda t, x, v: -a1 * v - b1 * x - f,
@@ -489,35 +458,22 @@ def _bagley_torvik_factory(variant, a=1.0, b=1.0, c=1.0, forcing=None, alpha=0.2
     return MultiTermFDE(terms, c, _bt_default_forcing if forcing is None else forcing, t_end)
 
 
-def model_catalog() -> tuple:
-    """Built-in models, each with classical and fractional variants."""
-    return (
-        ModelTemplate(
-            name="friction",
-            description="damped motion in a potential: m x'' + g x' - dU/dx = 0",
-            factory=_friction_factory,
-        ),
-        ModelTemplate(
-            name="phillips",
-            description="stabilization dynamics: x'' + a1 x' + b1 x + f = 0",
-            factory=_phillips_factory,
-        ),
-        ModelTemplate(
-            name="business-cycle",
-            description="third-order cycle dynamics: x''' + a2 x'' + a1 x' + b1 x + f = 0",
-            factory=_business_cycle_factory,
-        ),
-        ModelTemplate(
-            name="bagley-torvik",
-            description="damped plate model: a x'' + b D^(3/2) x + c x = f(t)",
-            factory=_bagley_torvik_factory,
-        ),
-    )
+def model_catalog() -> dict:
+    """Name to (description, factory) of the built-in models; a factory takes the variant."""
+    return {
+        "friction": ("damped motion in a potential: m x'' + g x' - dU/dx = 0", _friction_factory),
+        "phillips": ("stabilization dynamics: x'' + a1 x' + b1 x + f = 0", _phillips_factory),
+        "business-cycle": ("third-order cycle dynamics: x''' + a2 x'' + a1 x' + b1 x + f = 0",
+                           _business_cycle_factory),
+        "bagley-torvik": ("damped plate model: a x'' + b D^(3/2) x + c x = f(t)",
+                          _bagley_torvik_factory),
+    }
 
 
-def find_model(name: str) -> ModelTemplate:
-    for model in model_catalog():
-        if model.name == name:
-            return model
-    known = ", ".join(m.name for m in model_catalog())
-    raise KeyError(f"unknown model {name!r}; available: {known}")
+def make_model(name: str, variant: str, **params):
+    """The model's problem in ``variant``, a MultiTermFDE or a FODE2; ValueError as in ``_build``."""
+    if variant not in _VARIANTS:
+        known = ", ".join(_VARIANTS)
+        raise ValueError(f"model {name!r} has no variant {variant!r} (use {known})")
+    factories = {n: factory for n, (_, factory) in model_catalog().items()}
+    return _build("model", factories, name, variant, **params)

@@ -394,7 +394,8 @@ def _left_deriv_values(values: np.ndarray, h: float, order: FracOrder) -> np.nda
     """
     mu, n = order.mu, values.size
     scale = _step_scale(mu, h)
-    g = values - _taylor_base_poly(values, h, order.m - 1)
+    with np.errstate(invalid="ignore"):  # non-finite samples: inf - inf, inf * 0
+        g = values - _taylor_base_poly(values, h, order.m - 1)
     out = _scaled_history(g, mu, h, scale)
     g_size = float(np.max(np.abs(g)))
     if 0.0 < g_size < math.inf:

@@ -42,6 +42,7 @@ Grunwald-Letnikov sum on that grid. It is zero at the terminal.
 from __future__ import annotations
 
 import functools
+import inspect
 from dataclasses import dataclass, field
 from enum import Enum
 from types import SimpleNamespace
@@ -460,12 +461,23 @@ def _potential_levels(k: int, a1: float, a2: float) -> dict:
     return {a: q for a, q in ((1, a1), (2, a2)) if a < k} | {k: 1.0}
 
 
+def _alpha_gammas(coefficients: str, alpha: float, multiples) -> list:
+    """Gamma(1 + m alpha) per multiple m; ValueError naming alpha and the set if one overflows."""
+    try:
+        return [gamma(1 + m * alpha) for m in multiples]
+    except OverflowError:
+        raise ValueError(
+            f"alpha = {alpha:g} overflows the Gamma factors of the {coefficients!r} coefficients"
+        ) from None
+
+
 def _level_coefs(coefficients: str, alpha: float, levels: dict) -> dict:
     """(-1)**a q_a Gamma(1 + s a alpha) per level: s = 1 "normalized", 2 "literature"."""
     scale = {"normalized": 1, "literature": 2}.get(coefficients)
     if scale is None:
         raise ValueError(f"unknown coefficient set: {coefficients!r}")
-    return {a: (-1.0) ** a * q * gamma(1 + scale * a * alpha) for a, q in levels.items()}
+    factors = _alpha_gammas(coefficients, alpha, (scale * a for a in levels))
+    return {a: (-1.0) ** a * q * g for (a, q), g in zip(levels.items(), factors)}
 
 
 def _el_terms(alpha: float, levels: dict) -> tuple:
@@ -609,24 +621,29 @@ def power_law_mixed_lagrangian(
     variant; requires non-negative jet values).
     """
     f = _as_fn(forcing if forcing is not None else 1.0)
-    cp = c * gamma(1 + gamma_exp) / gamma(1 + gamma_exp - alpha)
+    g1, g2, g3 = _alpha_gammas(coefficients, alpha, (1, 2, 3))
+    try:
+        cp = c * gamma(1 + gamma_exp) / gamma(1 + gamma_exp - alpha)
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(
+            f"gamma_exp = {gamma_exp:g} puts Gamma(1 + gamma_exp) or Gamma(1 + gamma_exp - alpha) "
+            "out of floating-point range"
+        ) from None
     # Where this divisor is zero, gamma(1 + gamma_exp - alpha) has raised at its pole.
     cpp = cp / (1.0 + gamma_exp - alpha)
     u = lambda t, x: cpp * f(t) * x ** (1.0 + gamma_exp - alpha)
     u_x = lambda t, x: cpp * (1.0 + gamma_exp - alpha) * f(t) * x ** (gamma_exp - alpha)
     if coefficients == "normalized":
-        denom = 1.0 / gamma(1 + alpha) - 1.0 / gamma(1 + 2 * alpha)
+        denom = 1.0 / g1 - 1.0 / g2
         if abs(denom) < 1e-8:
             raise ValueError(
                 "the cross-term construction degenerates at this alpha "
                 "(equal gamma factors at levels one and two)"
             )
-        return _quadratic(alpha, u, u_x, {1: -a1 * gamma(1 + alpha), 2: 0.0}, cross=a2 / denom)
+        return _quadratic(alpha, u, u_x, {1: -a1 * g1, 2: 0.0}, cross=a2 / denom)
     if coefficients == "literature":
-        c1, c2 = gamma(1 + 2 * alpha), gamma(1 + 3 * alpha)
-        return _quadratic(alpha, u, u_x, {1: -a1 * c1, 2: a2 * c2})
+        return _quadratic(alpha, u, u_x, {1: -a1 * g2, 2: a2 * g3})
     if coefficients == "literature-fractional":
-        c1, c2 = gamma(1 + 2 * alpha), gamma(1 + 3 * alpha)
 
         def evaluate(p: JetPoint) -> float:
             y1, y2 = p.y[0][0], p.y[1][0]
@@ -634,8 +651,8 @@ def power_law_mixed_lagrangian(
                 raise ValueError("fractional jet powers need non-negative jet values")
             return (
                 c / (1.0 + gamma_exp - alpha) * p.x[0] ** gamma_exp
-                - a1 * c1 * y1**alpha
-                + a2 * c2 * y2**alpha
+                - a1 * g2 * y1**alpha
+                + a2 * g3 * y2**alpha
             )
 
         return Lagrangian(k=2, n=1, alpha=alpha, eval_fn=evaluate)
@@ -653,11 +670,21 @@ def lagrangian_catalog() -> dict:
     }
 
 
-def make_lagrangian(name: str, **params) -> Lagrangian:
-    catalog = lagrangian_catalog()
+def _build(kind: str, catalog: dict, name: str, *args, **params):
+    """``catalog[name](*args, **params)``, the constructor of both catalogs.
+
+    ValueError, named, for an unknown name, a keyword the factory does not
+    take, or a non-finite float (forcings and potentials may be callables).
+    """
     if name not in catalog:
-        known = ", ".join(sorted(catalog))
-        raise KeyError(f"unknown Lagrangian {name!r}; available: {known}")
-    # Forcing and potentials may also be callables; numeric ones must be finite.
-    _require_finite(**{k: v for k, v in params.items() if isinstance(v, (float, np.floating))})
-    return catalog[name](**params)
+        raise ValueError(f"unknown {kind} {name!r}; available: {', '.join(catalog)}")
+    for key, value in params.items():
+        if key not in inspect.signature(catalog[name]).parameters:
+            raise ValueError(f"{kind} {name!r} takes no parameter {key!r}")
+        if isinstance(value, (float, np.floating)):
+            _require_finite(**{key: value})
+    return catalog[name](*args, **params)
+
+
+def make_lagrangian(name: str, **params) -> Lagrangian:
+    return _build("Lagrangian", lagrangian_catalog(), name, **params)

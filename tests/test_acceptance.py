@@ -246,9 +246,9 @@ def test_a10_lagrangian_family_recovery():
 
 
 def test_a11_economic_model_classical_crosscheck():
-    from fracvar.fodesolve import find_model, solve_fode2
+    from fracvar.fodesolve import make_model, solve_fode2
 
-    prob = find_model("phillips").make("fractional")  # alpha = 0.999
+    prob = make_model("phillips", "fractional")  # alpha = 0.999
     h = 5.0 / 4096
     rep = solve_fode2(prob, h)
     ref = solve_ivp(

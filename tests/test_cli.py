@@ -1,5 +1,6 @@
 """Command line interface: output contracts, exit codes, determinism."""
 
+import inspect
 import json
 import math
 import os
@@ -13,15 +14,19 @@ import pytest
 import fracvar
 from fracvar import (
     FracOrder,
+    MultiTermFDE,
     SampledPath,
     Variant,
     action,
     el_residual,
-    find_model,
     frac_deriv,
+    lagrangian_catalog,
     lift,
     make_lagrangian,
+    make_model,
+    model_catalog,
     solve_fode2,
+    solve_multiterm,
 )
 from fracvar.cli import _build_parser, main
 
@@ -310,7 +315,7 @@ def test_el_check_rejects_classical_variant_of_fractional_powers(capsys):
 
 # t**-1 is infinite at the base node, so every derivative row is NaN;
 # exp(800) overflows the last rows of the sampled path.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "argv, row",
     [
@@ -361,24 +366,24 @@ def test_non_finite_solution_is_a_numerical_error(capsys, argv, message):
     [
         (["--model", "friction", "--x0", "inf"], "x0 must be finite"),
         (["--model", "friction", "--v0", "nan"], "v0 must be finite"),
-        (["--model", "phillips", "--t-end", "inf", "--h", "0.01"], "t_end must be positive"),
+        (["--model", "phillips", "--t-end", "inf", "--h", "0.01"], "t_end must be finite"),
         (["--model", "phillips", "--variant", "classical", "--t-end", "nan"],
-         "t_end must be positive"),
+         "t_end must be finite"),
         (["--model", "friction", "--h", "nan"], "step size h must be positive"),
-        (["--model", "business-cycle", "--alpha", "inf"], "term orders must be finite"),
-        (["--model", "bagley-torvik", "--alpha", "inf"], "term orders must be finite"),
-        (["--model", "bagley-torvik", "--a", "inf"], "term coefficients must be finite"),
-        (["--model", "bagley-torvik", "--b", "nan"], "term coefficients must be finite"),
-        (["--model", "business-cycle", "--b1", "nan"], "zero_order_coeff must be finite"),
+        (["--model", "business-cycle", "--alpha", "inf"], "alpha must be finite"),
+        (["--model", "bagley-torvik", "--alpha", "inf"], "alpha must be finite"),
+        (["--model", "bagley-torvik", "--a", "inf"], "a must be finite"),
+        (["--model", "bagley-torvik", "--b", "nan"], "b must be finite"),
+        (["--model", "business-cycle", "--b1", "nan"], "b1 must be finite"),
         (["--model", "phillips", "--variant", "classical", "--a1", "inf"],
-         "term coefficients must be finite"),
+         "a1 must be finite"),
         (["--model", "friction", "--m", "nan"], "m must be finite"),
         (["--model", "friction", "--gamma-coef", "inf"], "gamma_coef must be finite"),
         (["--model", "phillips", "--a1", "inf"], "a1 must be finite"),
         (["--model", "phillips", "--b1", "nan"], "b1 must be finite"),
         (["--model", "phillips", "--f", "inf"], "f must be finite"),
-        (["--model", "phillips", "--variant", "classical", "--f", "inf"], "forcing must be finite"),
-        (["--model", "business-cycle", "--f", "nan"], "forcing must be finite"),
+        (["--model", "phillips", "--variant", "classical", "--f", "inf"], "f must be finite"),
+        (["--model", "business-cycle", "--f", "nan"], "f must be finite"),
         (["--model", "bagley-torvik", "--forcing-fn", "const", "--forcing-cval", "inf"],
          "forcing must be finite"),
     ],
@@ -442,6 +447,30 @@ def test_bad_catalog_coefficients_are_usage_errors(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+# A step too small for t_end / h to be finite used to exit 3 with "cannot
+# convert float infinity to integer"; orders and exponents whose Gamma
+# factors overflow exited 3 with "math range error", and power-law-mixed's
+# alpha = 500.5 ended in a ZeroDivisionError traceback.
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--model", "friction", "--h", "1e-320"],
+     "step size h = 9.99989e-321 is too small: t_end / h overflows"),
+    (["el-check", "--lagrangian", "order2-potential", "--alpha", "1e3"],
+     "alpha = 1000 overflows the Gamma factors of the 'normalized' coefficients"),
+    (["el-check", "--lagrangian", "order2-potential", "--alpha", "1e3", "--coefficients",
+      "literature"], "alpha = 1000 overflows the Gamma factors of the 'literature' coefficients"),
+    (["el-check", "--lagrangian", "bagley-torvik", "--coefficients", "literature", "--alpha",
+      "1e3"], "alpha = 1000 overflows the Gamma factors of the 'literature' coefficients"),
+    (["el-check", "--lagrangian", "power-law-mixed", "--gamma-exp", "200"],
+     "gamma_exp = 200 puts Gamma(1 + gamma_exp) or Gamma(1 + gamma_exp - alpha) out of "
+     "floating-point range"),
+    (["action", "--lagrangian", "power-law-mixed", "--alpha", "500.5"],
+     "alpha = 500.5 overflows the Gamma factors of the 'normalized' coefficients"),
+], ids=["h", "order2-alpha", "order2-literature-alpha", "bagley-torvik-literature-alpha",
+        "power-law-gamma-exp", "power-law-alpha"])
+def test_out_of_range_steps_and_orders_are_usage_errors(capsys, argv, message):
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")
 
 
 # An infinite order used to overflow the order's integer ceiling or the
@@ -580,7 +609,7 @@ def bump_deriv_columns():
 
 
 def fode2_solve_columns():
-    problem = find_model("phillips").make("fractional")
+    problem = make_model("phillips", "fractional")
     report = solve_fode2(problem, problem.t_end / 1024.0)
     return {"t": report.solution.times(), "x": report.solution.values, "v": report.aux.values}
 
@@ -805,6 +834,75 @@ def test_zero_forcing_selector_reaches_power_law_mixed(capsys):
     value = action(lag, lift(path, lag.alpha, lag.k))
     assert float(out.split("\n")[1]) == value
     assert value != action(make_lagrangian("power-law-mixed"), lift(path, lag.alpha, lag.k))
+
+
+# A value for each float parameter flag, unlike every factory's default.
+FLAG_VALUES = {"a": 1.2, "a1": 0.4, "a2": 0.6, "alpha": 0.35, "b": 0.8, "b1": 1.5, "c": 1.3,
+               "f": 0.3, "gamma_coef": 0.7, "gamma_exp": 1.5, "m": 1.5, "t_end": 0.5,
+               "v0": 0.5, "x0": 0.25}
+
+
+def parameter_flags(command):
+    """(flag arguments, factory keywords) of every parameter flag of ``command``."""
+    floats = [a.dest for a in _build_parser()[1][command]._actions
+              if a.type is float and a.default is None and a.dest != "h"]
+    flags = [([f"--{n.replace('_', '-')}", repr(FLAG_VALUES[n])], {n: FLAG_VALUES[n]})
+             for n in floats]
+    flags.append((["--forcing-fn", "const", "--forcing-cval", "0.5"], {"forcing": 0.5}))
+    if command != "solve":
+        flags.append((["--coefficients", "literature"], {"coefficients": "literature"}))
+        potential = {"potential": lambda t, x: 0.5 * 0.7 * x * x,
+                     "potential_x": lambda t, x: 0.7 * x}
+        flags.append((["--potential-quadratic", "0.7"], potential))
+    return flags
+
+
+def entry_table(command, problem):
+    """The command's table, column -> values, computed by the library from the built entry."""
+    if command == "solve":
+        h = problem.t_end / 1024.0
+        report = (solve_multiterm if isinstance(problem, MultiTermFDE) else solve_fode2)(problem, h)
+        aux = {} if report.aux is None else {"v": report.aux.values}
+        return {"t": report.solution.times(), "x": report.solution.values, **aux}
+    traj = lift(SampledPath.from_function(lambda t: t**1.0, 0.0, 1.0, 65), problem.alpha, problem.k)
+    if command == "action":
+        return {"action": np.array([action(problem, traj)])}
+    residual = el_residual(problem, traj, Variant.CLASSICAL).residual[0]
+    return {"t": residual.times(), "residual": residual.values}
+
+
+# A flag whose keywords the chosen entry's factory takes reaches it: the
+# table equals the library's from the factory called with them directly.
+# Any other flag used to be dropped without a word (business-cycle solved
+# unforced with --forcing-fn const); it is a usage error naming its keyword.
+@pytest.mark.parametrize("command, name, variant", [
+    *(("solve", name, variant) for name in model_catalog()
+      for variant in ("classical", "fractional")),
+    *((command, name, None) for command in ("el-check", "action") for name in lagrangian_catalog()),
+])
+def test_every_parameter_flag_reaches_its_entry_or_is_refused(capsys, command, name, variant):
+    if command == "solve":
+        kind, factory, args = "model", model_catalog()[name][1], (variant,)
+        base = ["solve", "--model", name, "--variant", variant]
+    else:
+        kind, factory, args = "Lagrangian", lagrangian_catalog()[name], ()
+        base = [command, "--lagrangian", name, "--grid", "0:1:65"]
+    takes = inspect.signature(factory).parameters
+    refused = 0
+    for flag, keywords in parameter_flags(command):
+        code, out, err = run(capsys, base + flag)
+        foreign = [k for k in keywords if k not in takes]
+        if foreign:
+            refused += 1
+            assert (code, out) == (2, "")
+            assert err == f"error: {kind} {name!r} takes no parameter {foreign[0]!r}\n"
+            continue
+        assert (code, err) == (0, ""), flag
+        expected = entry_table(command, factory(*args, **keywords))
+        got = table_columns(out)
+        assert list(got) == list(expected), flag
+        assert all(np.array_equal(got[c], expected[c]) for c in expected), flag
+    assert refused > 0
 
 
 def test_solve_then_el_check_round_trip(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Multi-term and coupled fractional initial value solvers."""
 
+import inspect
 import math
 import warnings
 
@@ -18,7 +19,7 @@ from fracvar.fodesolve import (
     DivergenceError,
     MultiTermFDE,
     fde_residual,
-    find_model,
+    make_model,
     model_catalog,
     solve_fode2,
     solve_multiterm,
@@ -102,12 +103,31 @@ def test_non_finite_inputs_are_rejected_by_name(bad):
     for name, field in [("friction", "m"), ("friction", "gamma_coef"), ("phillips", "a1"),
                         ("phillips", "b1"), ("phillips", "f")]:
         with pytest.raises(ValueError, match=f"^{field} must be finite$"):
-            find_model(name).make("fractional", **{field: bad})
+            make_model(name, "fractional", **{field: bad})
     fde = MultiTermFDE(terms=((1.0, 2.0),), forcing=2.0, t_end=1.0)
     with pytest.raises(ValueError, match="^step size h must be"):
         solve_multiterm(fde, bad)
     with pytest.raises(ValueError, match="^step size h must be"):
         solve_fode2(FODE2(alpha=0.6, rhs=rhs), bad)
+
+
+def test_step_whose_count_overflows_is_rejected_by_name():
+    # t_end / h = inf used to reach int(), an OverflowError naming neither.
+    fde = MultiTermFDE(terms=((1.0, 2.0),), forcing=2.0, t_end=1.0)
+    message = r"^step size h = 9\.99989e-321 is too small: t_end / h overflows$"
+    with pytest.raises(ValueError, match=message):
+        solve_multiterm(fde, 1e-320)
+    with pytest.raises(ValueError, match=message):
+        solve_fode2(FODE2(alpha=0.6, rhs=lambda t, x, v: -x), 1e-320)
+
+
+def test_catalog_models_refuse_keywords_their_factory_does_not_take():
+    with pytest.raises(ValueError, match="^model 'business-cycle' takes no parameter 'forcing'$"):
+        make_model("business-cycle", "fractional", forcing=5.0)
+    with pytest.raises(ValueError, match="^model 'friction' takes no parameter 'a1'$"):
+        make_model("friction", "classical", a1=0.4)
+    with pytest.raises(ValueError, match="^unknown model 'pendulum'; available: friction, "):
+        make_model("pendulum", "classical")
 
 
 # === implicit multi-term solver =============================================
@@ -273,7 +293,7 @@ def test_non_finite_forcing_is_a_divergence_error(bad, n):
 def test_overflowing_far_sums_are_a_divergence_error():
     # A finite forcing of 1e308 overflows the far sums of the second block:
     # its FFTs turn every node non-finite, and the direct sums name the first.
-    fde = find_model("bagley-torvik").make("classical", forcing=1e308)
+    fde = make_model("bagley-torvik", "classical", forcing=1e308)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DivergenceError, match="^solution is not finite at t = 0.5$"):
@@ -292,7 +312,7 @@ def test_overflowing_far_sums_are_a_divergence_error():
 ], ids=["bagley-torvik-a", "bagley-torvik-b", "business-cycle-a1", "bagley-torvik-alpha",
         "bagley-torvik-alpha-200"])
 def test_overflowing_scaled_coefficients_are_rejected(name, variant, params):
-    fde = find_model(name).make(variant, **params)
+    fde = make_model(name, variant, **params)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="scaled coefficients overflow at this h"):
@@ -372,7 +392,7 @@ def long_double_inverse(a, count):
     ("bagley-torvik", "fractional", {"alpha": 0.3}),
 ], ids=["phillips", "business-cycle", "business-cycle-0.4", "bagley-torvik", "bagley-torvik-0.3"])
 def test_inverse_series_matches_long_double_substitution(name, variant, params, h):
-    fde = find_model(name).make(variant, **params)
+    fde = make_model(name, variant, **params)
     count = min(int(round(fde.t_end / h)) + 1, 4 * _BLOCK)
     a = sum(c * h ** (-mu) * gl_weights(FracOrder(mu), count) for c, mu in fde.terms)
     a[0] += fde.zero_order_coeff
@@ -634,16 +654,28 @@ def test_fode2_oscillator_converges_at_first_order(alpha):
 # === model templates ========================================================
 
 
+def kinds(name):
+    """Variant -> "multiterm" or "fode2", the kind of the model's problem at its defaults."""
+    return {v: "multiterm" if isinstance(make_model(name, v), MultiTermFDE) else "fode2"
+            for v in ("classical", "fractional")}
+
+
+def defaults(name):
+    """The keyword parameters of a catalog model's factory and their defaults."""
+    params = inspect.signature(model_catalog()[name][1]).parameters.values()
+    return {p.name: p.default for p in params if p.default is not p.empty}
+
+
 def test_catalog_names_and_kinds():
-    names = sorted(m.name for m in model_catalog())
+    names = sorted(model_catalog())
     assert names == ["bagley-torvik", "business-cycle", "friction", "phillips"]
-    for model in model_catalog():
-        assert set(model.kinds) == {"classical", "fractional"}
-        assert set(model.kinds.values()) <= {"multiterm", "fode2"}
-    with pytest.raises(KeyError):
-        find_model("pendulum")
+    for name in model_catalog():
+        assert set(kinds(name)) == {"classical", "fractional"}
+        assert set(kinds(name).values()) <= {"multiterm", "fode2"}
     with pytest.raises(ValueError):
-        find_model("friction").make("quantum")
+        make_model("pendulum", "classical")
+    with pytest.raises(ValueError):
+        make_model("friction", "quantum")
 
 
 def test_catalog_kinds_are_the_kinds_of_the_factories_problems():
@@ -654,23 +686,23 @@ def test_catalog_kinds_are_the_kinds_of_the_factories_problems():
         "business-cycle": {"classical": "multiterm", "fractional": "multiterm"},
         "bagley-torvik": {"classical": "multiterm", "fractional": "multiterm"},
     }
-    assert {m.name: m.kinds for m in model_catalog()} == stated
-    for model in model_catalog():
-        for variant, kind in model.kinds.items():
+    assert {name: kinds(name) for name in model_catalog()} == stated
+    for name in model_catalog():
+        for variant, kind in kinds(name).items():
             solver_input = MultiTermFDE if kind == "multiterm" else FODE2
-            assert type(model.make(variant)) is solver_input
+            assert type(make_model(name, variant)) is solver_input
 
 
 def test_friction_rhs_assembles_potential_gradient():
-    prob = find_model("friction").make(
-        "fractional", potential=lambda t, x: 0.5 * x**2, gamma_coef=0.3, m=2.0
+    prob = make_model(
+        "friction", "fractional", potential=lambda t, x: 0.5 * x**2, gamma_coef=0.3, m=2.0
     )
     assert prob.rhs(0.0, 1.0, 0.0) == pytest.approx(0.5, abs=1e-6)
     assert prob.rhs(0.0, 0.0, 1.0) == pytest.approx(-0.15, abs=1e-6)
 
 
 def test_friction_classical_limit_matches_exponential():
-    prob = find_model("friction").make("classical")
+    prob = make_model("friction", "classical")
     assert isinstance(prob, FODE2) and prob.alpha == 1.0
     rep = solve_fode2(prob, 2.0 / 1024)
     t = rep.solution.times()
@@ -679,7 +711,7 @@ def test_friction_classical_limit_matches_exponential():
 
 
 def test_phillips_classical_matches_reference_integrator():
-    prob = find_model("phillips").make("classical")
+    prob = make_model("phillips", "classical")
     assert isinstance(prob, MultiTermFDE)
     rep = solve_multiterm(prob, 5.0 / 2048)
     sol = solve_ivp(
@@ -694,9 +726,8 @@ def test_phillips_classical_matches_reference_integrator():
 
 
 def test_business_cycle_classical_equals_half_order_fractional():
-    model = find_model("business-cycle")
-    classical = model.make("classical")
-    half = model.make("fractional", alpha=0.5)
+    classical = make_model("business-cycle", "classical")
+    half = make_model("business-cycle", "fractional", alpha=0.5)
     assert classical.terms == half.terms
     a = solve_multiterm(classical, 2**-8).solution.values
     b = solve_multiterm(half, 2**-8).solution.values
@@ -706,7 +737,7 @@ def test_business_cycle_classical_equals_half_order_fractional():
 def test_friction_template_rejects_zero_mass():
     # The right side divides by m; it used to raise ZeroDivisionError mid-solve.
     with pytest.raises(ValueError, match="^m must be nonzero$"):
-        find_model("friction").make("fractional", m=0.0)
+        make_model("friction", "fractional", m=0.0)
 
 
 def model_lagrangian(name, variant, p):
@@ -745,9 +776,8 @@ def test_classical_templates_are_stationary_for_the_order_k_potential(name, vari
     # plate, classical or fractional, are the Euler-Lagrange equations of
     # their catalog Lagrangians (see model_lagrangian), so the lifted
     # solutions are stationary. Every jet level here has order at most one.
-    model = find_model(name)
-    p = {**model.defaults, **params}
-    sol = solve_multiterm(model.make(variant, **params), h).solution
+    p = {**defaults(name), **params}
+    sol = solve_multiterm(make_model(name, variant, **params), h).solution
     lag = model_lagrangian(name, variant, p)
     assert el_residual(lag, lift(sol, lag.alpha, lag.k)).norm_inf <= 1e-8
 
@@ -756,14 +786,15 @@ def test_business_cycle_above_order_one_is_stationary_on_base_regularized_jets()
     # At alpha = 0.4 the top level has order 1.2. `lift`'s Taylor fit
     # subtracts a fitted slope there (norm 7e-3), which the solver's
     # zero-history operator does not: these jets take the base value 0.
-    model, alpha = find_model("business-cycle"), 0.4
-    sol = solve_multiterm(model.make("fractional", alpha=alpha), 2**-9).solution
+    alpha = 0.4
+    sol = solve_multiterm(make_model("business-cycle", "fractional", alpha=alpha), 2**-9).solution
     levels = [
         frac_deriv_from_base(sol, FracOrder(a * alpha), 0.0).values / gamma(1 + a * alpha)
         for a in (1, 2, 3)
     ]
     traj = JetTrajectory(alpha, 3, 0.0, sol.h, np.array([sol.values, *levels])[:, None])
-    lag = model_lagrangian("business-cycle", "fractional", {**model.defaults, "alpha": alpha})
+    p = {**defaults("business-cycle"), "alpha": alpha}
+    lag = model_lagrangian("business-cycle", "fractional", p)
     assert el_residual(lag, traj).norm_inf <= 1e-8
 
 
@@ -800,28 +831,27 @@ def equation_bits(build):
     ("bagley-torvik", "classical"), ("bagley-torvik", "fractional"),
 ])
 def test_derived_equations_equal_the_restated_ones_bit_for_bit(name, variant):
-    model = find_model(name)
     rng = np.random.default_rng(20070)
     draws = [{}]
     for _ in range(150):
         # Zeros (a zero leading coefficient too), signs, magnitudes 1e-8 .. 1e8.
         p = {k: float(rng.choice([0.0, rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-8, 8)]))
-             for k, v in model.defaults.items() if isinstance(v, float) and k != "t_end"}
+             for k, v in defaults(name).items() if isinstance(v, float) and k != "t_end"}
         p["alpha"] = float(rng.choice([rng.uniform(0.0, 1.0), rng.uniform(1.0, 30.0)]))
         p["t_end"] = float(rng.uniform(0.5, 4.0))
         if name == "bagley-torvik" and rng.uniform() < 0.3:
             p["forcing"] = float(rng.uniform(-2.0, 2.0))
         draws.append(p)
     for params in draws:
-        p = {**model.defaults, **params}
+        p = {**defaults(name), **params}
         terms, c0, forcing = restated_equation(name, variant, p)
-        assert equation_bits(lambda: model.make(variant, **params)) == equation_bits(
+        assert equation_bits(lambda: make_model(name, variant, **params)) == equation_bits(
             lambda: MultiTermFDE(terms, c0, forcing, p["t_end"])
         ), params
 
 
 def test_bagley_torvik_template_default_forcing_is_manufactured():
-    prob = find_model("bagley-torvik").make("classical")
+    prob = make_model("bagley-torvik", "classical")
     rep = solve_multiterm(prob, 2**-9)
     t = rep.solution.times()
     sl = slice(8, None)
@@ -859,7 +889,7 @@ def laplace_solution(fde, forcing_transform):
     ("bagley-torvik", {"alpha": 0.3}, lambda s: 6 / s**2 + 6 / s ** mpmath.mpf(2.5) + 6 / s**4),
 ], ids=["business-cycle-0.4", "business-cycle-0.3", "bagley-torvik-0.3"])
 def test_derived_fractional_solves_converge_to_the_laplace_inverse(name, params, forcing_transform):
-    fde = find_model(name).make("fractional", **params)
+    fde = make_model(name, "fractional", **params)
     exact = laplace_solution(fde, forcing_transform)
     errors = [abs(solve_multiterm(fde, 2.0**-j).solution.values[-1] - exact) for j in range(9, 13)]
     ratios = [fine / coarse for coarse, fine in zip(errors, errors[1:])]

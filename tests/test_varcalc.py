@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import fracvar.varcalc as varcalc
-from fracvar.fodesolve import _bt_default_forcing, find_model
+from fracvar.fodesolve import _bt_default_forcing, make_model
 from fracvar.fracops import FracOrder, SampledPath, frac_deriv
 from fracvar.jet import JetPoint, lift
 from fracvar.specfun import gamma
@@ -612,7 +612,7 @@ def test_plate_lagrangian_and_model_share_one_default_forcing():
     # U_x = c x - f(t) is -f(t) at x = 0; the unforced plate asks for forcing=0.0.
     ts = np.linspace(0.0, 1.0, 17)
     base = SimpleNamespace(t=ts, x=(0.0 * ts,), y=((0.0 * ts,),) * 4)
-    assert find_model("bagley-torvik").make("fractional").forcing is _bt_default_forcing
+    assert make_model("bagley-torvik", "fractional").forcing is _bt_default_forcing
     assert np.array_equal(make_lagrangian("bagley-torvik").partial_x[0](base),
                           -_bt_default_forcing(ts))
     assert np.all(make_lagrangian("bagley-torvik", forcing=0.0).partial_x[0](base) == 0.0)
@@ -643,5 +643,30 @@ def test_catalog_rejects_non_finite_coefficients_by_name(name, params, message):
 
 
 def test_unknown_catalog_name():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         make_lagrangian("order4-potential")
+
+
+def test_catalog_lagrangians_refuse_keywords_their_factory_does_not_take():
+    with pytest.raises(ValueError, match="^Lagrangian 'order1-potential' takes no parameter 'k'$"):
+        make_lagrangian("order1-potential", k=2)
+    message = "^Lagrangian 'bagley-torvik' takes no parameter 'potential'$"
+    with pytest.raises(ValueError, match=message):
+        make_lagrangian("bagley-torvik", potential=lambda t, x: x * x)
+
+
+# Gamma factors that overflow used to raise OverflowError("math range error"),
+# and a ratio of two that underflow ZeroDivisionError.
+@pytest.mark.parametrize("name, params, message", [
+    ("order3-potential", {"alpha": 60.0}, "alpha = 60 overflows .* 'normalized' coefficients"),
+    ("bagley-torvik", {"alpha": 30.0, "coefficients": "literature"},
+     "alpha = 30 overflows .* 'literature' coefficients"),
+    ("power-law-mixed", {"alpha": 60.0, "coefficients": "literature-fractional"},
+     "alpha = 60 overflows .* 'literature-fractional' coefficients"),
+    ("power-law-mixed", {"gamma_exp": 171.0}, "gamma_exp = 171 puts Gamma"),
+    ("power-law-mixed", {"gamma_exp": -200.3}, "gamma_exp = -200.3 puts Gamma"),
+], ids=["order3", "bagley-torvik-literature", "power-law-literature-fractional",
+        "power-law-gamma-exp", "power-law-gamma-exp-negative"])
+def test_catalog_gamma_factors_that_overflow_are_named(name, params, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        make_lagrangian(name, **params)
