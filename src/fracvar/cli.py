@@ -11,6 +11,12 @@ from the CLI or the library), 3 when a computation fails numerically
 (series overflow, solver divergence, a non-finite value in the table). A
 one-line diagnostic goes to the error stream in both failure cases.
 
+Each parameter flag is one keyword of the chosen --fn function, Lagrangian
+or model, built by varcalc._build; --potential-quadratic q stands for the
+potential U = q x**2 / 2. A flag the choice does not take, or a non-finite
+value, is a usage error naming it, and so is --fn, --grid or a function
+flag beside el-check's --from-file.
+
 --config points at a flat JSON object whose keys are long flag names
 (hyphens or underscores). A value comes from an explicit flag first, then
 from the config file, then from the flag's built-in default. Each config
@@ -23,7 +29,7 @@ import argparse
 import inspect
 import json
 import sys
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +39,7 @@ from .jet import lift
 from .specfun import ConvergenceError, MLParams, mittag_leffler
 from .varcalc import (
     Variant,
+    _build,
     action as action_integral,
     el_residual,
     lagrangian_catalog,
@@ -103,30 +110,28 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     return t0, t1, n
 
 
-def _make_fn(args) -> Callable[[float], float]:
-    name = args.fn
-    if name == "pow":
-        g = args.gamma
-        return lambda t: t**g
-    if name == "const":
-        c = args.cval
-        return lambda t: c
-    if name == "sin":
-        return np.sin
-    if name == "exp":
-        return np.exp
-    c, w = args.center, args.width  # "bump", the last of --fn's choices
-    return lambda t: np.exp(-(((t - c) / w) ** 2))
+# The built-in functions of --fn, name -> factory of a callable of t.
+_FUNCTIONS = {
+    "pow": lambda gamma=1.0: lambda t: t**gamma,
+    "const": lambda cval=1.0: lambda t: cval,
+    "sin": lambda: np.sin,
+    "exp": lambda: np.exp,
+    "bump": lambda center=0.5, width=0.1: lambda t: np.exp(-(((t - center) / width) ** 2)),
+}
+
+_DEFAULT_GRID = f"{DEFAULT_T0:g}:{DEFAULT_T1:g}:{DEFAULT_NPTS}"
 
 
 def _sample(args) -> SampledPath:
-    """The input path, from --from-file where given, else the fn flags on --grid."""
+    """The input path: --from-file where given, else --fn (default pow) on --grid."""
     if getattr(args, "from_file", None):
+        for name in ("fn", "grid", *args.fn_parameters):
+            if getattr(args, name) is not None:
+                raise ValueError(f"--{name.replace('_', '-')} cannot be combined with --from-file")
         return _path_from_csv(args.from_file)
-    t0, t1, n = _parse_grid(args.grid)
-    # Non-finite samples pass through to the non-finite-output check, without a warning.
-    with np.errstate(all="ignore"):
-        return SampledPath.from_function(_make_fn(args), t0, t1, n)
+    t0, t1, n = _parse_grid(_DEFAULT_GRID if args.grid is None else args.grid)
+    fn = _build("function", _FUNCTIONS, args.fn or "pow", **_set_flags(args, args.fn_parameters))
+    return SampledPath.from_function(fn, t0, t1, n)
 
 
 def _path_from_csv(path: str) -> SampledPath:
@@ -156,9 +161,8 @@ def _path_from_csv(path: str) -> SampledPath:
     if len(t) < _MIN_NODES:
         raise ValueError(f"sampled input too short: need at least {_MIN_NODES} nodes")
     # Written so that a NaN or an infinite time fails the check.
-    with np.errstate(invalid="ignore"):
-        h = t[1] - t[0]
-        uniform = h > 0 and np.max(np.abs(np.diff(t) - h)) <= 1e-9 * max(1.0, abs(h))
+    h = t[1] - t[0]
+    uniform = h > 0 and np.max(np.abs(np.diff(t) - h)) <= 1e-9 * max(1.0, abs(h))
     if not uniform:
         raise ValueError("sampled input must sit on a uniform time grid")
     if not np.all(np.isfinite(x)):
@@ -174,25 +178,23 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def _set_flags(args) -> dict:
-    """Keywords of the parameter flags set; unset ones (None, --forcing-fn default) are left out."""
-    params = {n: getattr(args, n) for n in args.parameters if getattr(args, n) is not None}
-    if args.forcing_fn != "default":
-        params["forcing"] = args.forcing_cval if args.forcing_fn == "const" else 0.0
-    return params
+def _set_flags(args, names) -> dict:
+    """Keywords of the flags ``names`` that are set; unset ones (None) are left out."""
+    return {n: getattr(args, n) for n in names if getattr(args, n) is not None}
 
 
 # Lagrangian construction shared by action and el-check.
 
 
 def _build_lagrangian(args):
-    params = _set_flags(args)
-    q = args.potential_quadratic
-    if not np.isfinite(q):
-        raise ValueError("--potential-quadratic must be finite")
-    if q:
-        params["potential"] = lambda t, x: 0.5 * q * x * x
-        params["potential_x"] = lambda t, x: q * x
+    params = _set_flags(args, args.parameters)
+    q = params.pop("potential_quadratic", None)
+    if q is not None:
+        if not np.isfinite(q):
+            raise ValueError("--potential-quadratic must be finite")
+        # U = q x**2 / 2 with U_x = q x; q = 0 is the factories' default, no potential.
+        u, u_x = (lambda t, x: 0.5 * q * x * x, lambda t, x: q * x) if q else (None, None)
+        params.update(potential=u, potential_x=u_x)
     return make_lagrangian(args.lagrangian, **params)
 
 
@@ -250,7 +252,7 @@ def _cmd_el_check(args) -> tuple[dict, dict]:
 
 
 def _cmd_solve(args) -> tuple[dict, dict]:
-    problem = make_model(args.model, args.variant, **_set_flags(args))
+    problem = make_model(args.model, args.variant, **_set_flags(args, args.parameters))
     h = args.h if args.h is not None else problem.t_end / 1024.0
     report = (solve_multiterm if isinstance(problem, MultiTermFDE) else solve_fode2)(problem, h)
     table = {"t": report.solution.times(), "x": report.solution.values}
@@ -282,32 +284,23 @@ def _add_common(sp) -> None:
     sp.add_argument("--format", default="csv", choices=["csv", "json"])
 
 
-def _add_fn_flags(sp) -> None:
-    sp.add_argument("--fn", default="pow", choices=["pow", "const", "sin", "exp", "bump"])
-    sp.add_argument("--gamma", type=float, default=1.0, help="exponent for fn=pow")
-    sp.add_argument("--cval", type=float, default=1.0, help="value for fn=const")
-    sp.add_argument("--center", type=float, default=0.5, help="center for fn=bump")
-    sp.add_argument("--width", type=float, default=0.1, help="width for fn=bump")
-    sp.add_argument("--grid", default=f"{DEFAULT_T0:g}:{DEFAULT_T1:g}:{DEFAULT_NPTS}",
-                    help=f"uniform grid t0:T:n (n >= {_MIN_NODES})")
-
-
-def _add_forcing_flags(sp) -> None:
-    sp.add_argument("--forcing-fn", default="default", choices=["default", "zero", "const"],
-                    dest="forcing_fn")
-    sp.add_argument("--forcing-cval", type=float, default=0.0, dest="forcing_cval")
-
-
-def _add_parameter_flags(sp, factories, *made) -> None:
+def _add_parameter_flags(sp, factories, *made, dest="parameters") -> None:
     """One float flag, None when unset, per float-default factory parameter.
 
-    These and the flags ``made`` by hand are the command's ``parameters`` (see _set_flags).
+    These and the flags ``made`` by hand are recorded as ``dest`` (see _set_flags).
     """
     params = (p for fn in factories for p in inspect.signature(fn).parameters.values())
     names = tuple(dict.fromkeys(p.name for p in params if isinstance(p.default, float)))
     for name in names:
         sp.add_argument(f"--{name.replace('_', '-')}", type=float, default=None, dest=name)
-    sp.set_defaults(parameters=names + made)
+    sp.set_defaults(**{dest: names + made})
+
+
+def _add_fn_flags(sp) -> None:
+    sp.add_argument("--fn", default=None, choices=list(_FUNCTIONS), help="default pow")
+    _add_parameter_flags(sp, _FUNCTIONS.values(), dest="fn_parameters")
+    sp.add_argument("--grid", default=None,
+                    help=f"uniform grid t0:T:n (n >= {_MIN_NODES}, default {_DEFAULT_GRID})")
 
 
 def _add_lagrangian_flags(sp) -> None:
@@ -316,9 +309,11 @@ def _add_lagrangian_flags(sp) -> None:
         "--coefficients", default=None,
         choices=["normalized", "literature", "literature-fractional"],
     )
-    _add_parameter_flags(sp, lagrangian_catalog().values(), "coefficients")
-    sp.add_argument("--potential-quadratic", type=float, default=0.0, dest="potential_quadratic")
-    _add_forcing_flags(sp)
+    sp.add_argument("--potential-quadratic", type=float, default=None, dest="potential_quadratic",
+                    help="quadratic potential U = q x**2 / 2")
+    sp.add_argument("--forcing", type=float, default=None, help="constant f (default: the entry's)")
+    _add_parameter_flags(sp, lagrangian_catalog().values(), "coefficients", "potential_quadratic",
+                         "forcing")
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
@@ -370,8 +365,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--model", required=True)
     sp.add_argument("--variant", default="fractional", choices=_VARIANTS)
     sp.add_argument("--h", type=float, default=None, help="step size (default t_end/1024)")
-    _add_parameter_flags(sp, (factory for _, factory in model_catalog().values()))
-    _add_forcing_flags(sp)
+    sp.add_argument("--forcing", type=float, default=None, help="constant f (default: the entry's)")
+    _add_parameter_flags(sp, (factory for _, factory in model_catalog().values()), "forcing")
     _add_common(sp)
     sp.set_defaults(run=_cmd_solve)
 
@@ -431,7 +426,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sub = commands[args.command]
             sub.set_defaults(**_load_config(args, sub))
             args = parser.parse_args(argv)
-        _emit(args, *args.run(args))
+        # Non-finite values reach _emit's check, which reports them, without numpy warnings.
+        with np.errstate(all="ignore"):
+            _emit(args, *args.run(args))
         return 0
     except (ConvergenceError, DivergenceError, OverflowError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

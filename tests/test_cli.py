@@ -180,6 +180,23 @@ def test_el_check_file_errors(capsys, tmp_path):
     assert "uniform" in err
 
 
+# The file is the path, so a function or grid flag beside it used to be
+# dropped without a word; it is a usage error naming the flag.
+@pytest.mark.parametrize("flag", [["--fn", "sin"], ["--grid", "0:5:99"], ["--gamma", "9"],
+                                  ["--cval", "2"], ["--center", "0.2"], ["--width", "0.3"]],
+                         ids=["fn", "grid", "gamma", "cval", "center", "width"])
+def test_el_check_file_refuses_function_and_grid_flags(capsys, tmp_path, flag):
+    data = tmp_path / "p.csv"
+    data.write_text("t,x\n" + "".join(f"{j / 16!r},{(j / 16) ** 2!r}\n" for j in range(17)))
+    base = ["el-check", "--from-file", str(data)]
+    assert run(capsys, base)[0] == 0
+    message = f"error: {flag[0]} cannot be combined with --from-file\n"
+    assert run(capsys, base + flag) == (2, "", message)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag[0][2:]: flag[1]}))
+    assert run(capsys, base + ["--config", str(cfg)]) == (2, "", message)
+
+
 # A NaN or infinite time compares false against any tolerance, so the
 # uniform-grid check must be written to fail on it.
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -314,21 +331,29 @@ def test_el_check_rejects_classical_variant_of_fractional_powers(capsys):
 
 
 # t**-1 is infinite at the base node, so every derivative row is NaN;
-# exp(800) overflows the last rows of the sampled path.
+# exp(800) overflows the last rows of the sampled path. The 5000-node
+# derivative takes the FFT path, and power-law-mixed's U_x = x**(gamma_exp -
+# alpha) is infinite at x = 0 from a finite input. All but the first and
+# lift used to print a numpy RuntimeWarning before the line.
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "argv, row",
     [
         (["deriv", "--fn", "pow", "--gamma", "-1", "--grid", "0:1:9"], 0),
         (["lift", "--fn", "exp", "--grid", "0:800:33", "--k", "2"], 29),
+        (["deriv", "--fn", "pow", "--gamma", "-1", "--grid", "0:1:5000"], 0),
+        (["el-check", "--fn", "pow", "--gamma", "-1", "--grid", "0:1:33"], 0),
+        (["action", "--fn", "exp", "--grid", "0:800:33"], 0),
+        (["el-check", "--lagrangian", "power-law-mixed", "--gamma-exp", "0.2", "--fn", "pow",
+          "--gamma", "1", "--grid", "0:1:33"], 0),
     ],
-    ids=["deriv", "lift"],
+    ids=["deriv", "lift", "deriv-fft", "el-check", "action", "el-check-power-law"],
 )
 def test_non_finite_table_is_a_numerical_error(capsys, argv, row):
     code, out, err = run(capsys, argv)
     assert code == 3
     assert out == ""
-    assert f"{argv[0]} output is not finite at row {row}" in err
+    assert err == f"numerical failure: {argv[0]} output is not finite at row {row}\n"
 
 
 # The solvers stop at the first non-finite node with a typed error, without
@@ -341,8 +366,7 @@ def test_non_finite_table_is_a_numerical_error(capsys, argv, row):
     "argv, message",
     [
         (
-            ["solve", "--model", "bagley-torvik", "--forcing-fn", "const",
-             "--forcing-cval", "1e308"],
+            ["solve", "--model", "bagley-torvik", "--forcing", "1e308"],
             "solution is not finite at t = 0.5",
         ),
         (
@@ -384,8 +408,7 @@ def test_non_finite_solution_is_a_numerical_error(capsys, argv, message):
         (["--model", "phillips", "--f", "inf"], "f must be finite"),
         (["--model", "phillips", "--variant", "classical", "--f", "inf"], "f must be finite"),
         (["--model", "business-cycle", "--f", "nan"], "f must be finite"),
-        (["--model", "bagley-torvik", "--forcing-fn", "const", "--forcing-cval", "inf"],
-         "forcing must be finite"),
+        (["--model", "bagley-torvik", "--forcing", "inf"], "forcing must be finite"),
     ],
     ids=["x0", "v0", "t_end-fode2", "t_end-multiterm", "h", "business-cycle-alpha",
          "bagley-torvik-alpha", "bagley-torvik-a", "bagley-torvik-b", "business-cycle-b1",
@@ -433,8 +456,8 @@ def test_overflowing_scaled_coefficients_are_usage_errors(capsys, argv):
         (["el-check", "--lagrangian", "bagley-torvik", "--a", "nan"], "a must be finite"),
         (["action", "--lagrangian", "power-law-mixed", "--gamma-exp", "inf"],
          "gamma_exp must be finite"),
-        (["el-check", "--lagrangian", "bagley-torvik", "--forcing-fn", "const",
-          "--forcing-cval", "inf"], "forcing must be finite"),
+        (["el-check", "--lagrangian", "bagley-torvik", "--forcing", "inf"],
+         "forcing must be finite"),
         (["el-check", "--lagrangian", "order1-potential", "--potential-quadratic", "inf"],
          "--potential-quadratic must be finite"),
         (["action", "--lagrangian", "order2-potential", "--a2", "nan"], "a2 must be finite"),
@@ -779,8 +802,9 @@ def test_lagrangian_flags_reach_the_factory(capsys):
     assert float(out.split("\n")[1]) == action(lag, lift(path, lag.alpha, lag.k))
 
 
-# The catalogs' float parameters become flags of the same name (dest) that
-# stay None when unset; the function, forcing and step flags are listed by hand.
+# The catalogs' and the built-in functions' float parameters become flags of
+# the same name (dest); the forcing, potential and step flags are listed by
+# hand. Every float flag stays None when unset.
 @pytest.mark.parametrize("command, params", [
     ("solve", {"a", "a1", "a2", "alpha", "b", "b1", "c", "f", "gamma_coef", "m", "t_end",
                "v0", "x0"}),
@@ -788,12 +812,12 @@ def test_lagrangian_flags_reach_the_factory(capsys):
     ("action", {"a", "a1", "a2", "alpha", "b", "c", "gamma_exp"}),
 ])
 def test_float_flags_of_the_catalog_commands(command, params):
-    by_hand = {"solve": {"h", "forcing_cval"}}.get(
-        command, {"gamma", "cval", "center", "width", "potential_quadratic", "forcing_cval"}
+    by_hand = {"solve": {"h", "forcing"}}.get(
+        command, {"gamma", "cval", "center", "width", "potential_quadratic", "forcing"}
     )
     floats = [a for a in _build_parser()[1][command]._actions if a.type is float]
     assert {a.dest for a in floats} == params | by_hand
-    assert all(a.default is None for a in floats if a.dest in params)
+    assert all(a.default is None for a in floats)
 
 
 # --potential-quadratic q makes U = q x**2 / 2 with U_x = q x.
@@ -818,7 +842,7 @@ def test_zero_forcing_selector_reaches_the_plate_model(capsys):
     code, out, _ = run(
         capsys,
         ["solve", "--model", "bagley-torvik", "--variant", "classical", "--h", str(2**-6),
-         "--forcing-fn", "zero"],
+         "--forcing", "0"],
     )
     assert code == 0
     header, rows = parse_csv(out)
@@ -827,7 +851,7 @@ def test_zero_forcing_selector_reaches_the_plate_model(capsys):
 
 
 def test_zero_forcing_selector_reaches_power_law_mixed(capsys):
-    code, out, _ = run(capsys, ["action", "--lagrangian", "power-law-mixed", "--forcing-fn", "zero"])
+    code, out, _ = run(capsys, ["action", "--lagrangian", "power-law-mixed", "--forcing", "0"])
     assert code == 0
     lag = make_lagrangian("power-law-mixed", forcing=0.0)
     path = SampledPath.from_function(lambda t: t**1.0, 0.0, 1.0, 1025)
@@ -843,17 +867,22 @@ FLAG_VALUES = {"a": 1.2, "a1": 0.4, "a2": 0.6, "alpha": 0.35, "b": 0.8, "b1": 1.
 
 
 def parameter_flags(command):
-    """(flag arguments, factory keywords) of every parameter flag of ``command``."""
-    floats = [a.dest for a in _build_parser()[1][command]._actions
-              if a.type is float and a.default is None and a.dest != "h"]
+    """(flag arguments, factory keywords) of every parameter flag of ``command``, and of none.
+
+    The empty flag list calls the factory at its defaults, ``forcing=None`` among them.
+    """
+    by_hand = {"coefficients", "potential_quadratic", "forcing"}
+    floats = [n for n in _build_parser()[1][command].get_default("parameters") if n not in by_hand]
     flags = [([f"--{n.replace('_', '-')}", repr(FLAG_VALUES[n])], {n: FLAG_VALUES[n]})
              for n in floats]
-    flags.append((["--forcing-fn", "const", "--forcing-cval", "0.5"], {"forcing": 0.5}))
+    flags += [([], {}), (["--forcing", "0"], {"forcing": 0.0}),
+              (["--forcing", "0.5"], {"forcing": 0.5})]
     if command != "solve":
         flags.append((["--coefficients", "literature"], {"coefficients": "literature"}))
         potential = {"potential": lambda t, x: 0.5 * 0.7 * x * x,
                      "potential_x": lambda t, x: 0.7 * x}
         flags.append((["--potential-quadratic", "0.7"], potential))
+        flags.append((["--potential-quadratic", "0"], {"potential": None, "potential_x": None}))
     return flags
 
 
@@ -874,7 +903,8 @@ def entry_table(command, problem):
 # A flag whose keywords the chosen entry's factory takes reaches it: the
 # table equals the library's from the factory called with them directly.
 # Any other flag used to be dropped without a word (business-cycle solved
-# unforced with --forcing-fn const); it is a usage error naming its keyword.
+# unforced with a constant forcing, the plate ignored a zero
+# --potential-quadratic); it is a usage error naming its keyword.
 @pytest.mark.parametrize("command, name, variant", [
     *(("solve", name, variant) for name in model_catalog()
       for variant in ("classical", "fractional")),
@@ -903,6 +933,40 @@ def test_every_parameter_flag_reaches_its_entry_or_is_refused(capsys, command, n
         assert list(got) == list(expected), flag
         assert all(np.array_equal(got[c], expected[c]) for c in expected), flag
     assert refused > 0
+
+
+# The built-in functions of --fn, restated: name -> factory of a callable of t.
+FUNCTIONS = {
+    "pow": lambda gamma=1.0: lambda t: t**gamma,
+    "const": lambda cval=1.0: lambda t: cval,
+    "sin": lambda: np.sin,
+    "exp": lambda: np.exp,
+    "bump": lambda center=0.5, width=0.1: lambda t: np.exp(-(((t - center) / width) ** 2)),
+}
+
+
+# A function flag the chosen function takes reaches it: the table equals the
+# library's from the function sampled with that value. Any other flag, and a
+# non-finite value, is a usage error naming it; `--fn sin --gamma 3` used to
+# print the plain sine's table and `--cval inf` to exit 3.
+@pytest.mark.parametrize("flag, value", [("gamma", 2.5), ("cval", -1.7), ("center", 0.3),
+                                         ("width", 0.2)])
+@pytest.mark.parametrize("fn", list(FUNCTIONS))
+def test_every_function_flag_reaches_its_function_or_is_refused(capsys, fn, flag, value):
+    base = ["deriv", "--alpha", "0.7", "--fn", fn, "--grid", "0:1:65", f"--{flag}"]
+    if flag not in inspect.signature(FUNCTIONS[fn]).parameters:
+        for text in (repr(value), "inf"):
+            message = f"error: function {fn!r} takes no parameter {flag!r}\n"
+            assert run(capsys, base + [text]) == (2, "", message)
+        return
+    code, out, err = run(capsys, base + [repr(value)])
+    assert (code, err) == (0, "")
+    path = SampledPath.from_function(FUNCTIONS[fn](**{flag: value}), 0.0, 1.0, 65)
+    expected = frac_deriv(path, FracOrder(0.7))
+    got = table_columns(out)
+    assert np.array_equal(got["t"], expected.times())
+    assert np.array_equal(got["value"], expected.values)
+    assert run(capsys, base + ["nan"]) == (2, "", f"error: {flag} must be finite\n")
 
 
 def test_solve_then_el_check_round_trip(capsys, tmp_path):

@@ -862,21 +862,25 @@ def test_bagley_torvik_template_default_forcing_is_manufactured():
 # === Laplace-inversion oracle ===============================================
 
 
-def laplace_solution(fde, forcing_transform):
-    """x(t_end) of a multi-term equation with zero history, by Laplace inversion.
-
-    X(s) = F(s) / (sum_i c_i s**mu_i + c_0), inverted at 30 digits by
-    Talbot's contour, which must agree with de Hoog's method.
-    """
+def laplace_inverse(transform, t):
+    """The inverse of ``transform`` at t, at 30 digits by Talbot's contour, checked by de Hoog's."""
     with mpmath.workdps(30):
-        def transform(s):
-            symbol = sum(c * s ** mpmath.mpf(mu) for c, mu in fde.terms)
-            return forcing_transform(s) / (symbol + fde.zero_order_coeff)
-
-        talbot = mpmath.invertlaplace(transform, fde.t_end, method="talbot")
-        dehoog = mpmath.invertlaplace(transform, fde.t_end, method="dehoog")
+        talbot = mpmath.invertlaplace(transform, t, method="talbot")
+        dehoog = mpmath.invertlaplace(transform, t, method="dehoog")
         assert abs(talbot - dehoog) <= 1e-25
         return float(talbot)
+
+
+def laplace_solution(fde, forcing_transform):
+    """x(t_end) of a multi-term equation with zero history.
+
+    X(s) = F(s) / (sum_i c_i s**mu_i + c_0).
+    """
+    def transform(s):
+        symbol = sum(c * s ** mpmath.mpf(mu) for c, mu in fde.terms)
+        return forcing_transform(s) / (symbol + fde.zero_order_coeff)
+
+    return laplace_inverse(transform, fde.t_end)
 
 
 # Fractional entries of the derived catalog, with orders above and below one
@@ -892,5 +896,23 @@ def test_derived_fractional_solves_converge_to_the_laplace_inverse(name, params,
     fde = make_model(name, "fractional", **params)
     exact = laplace_solution(fde, forcing_transform)
     errors = [abs(solve_multiterm(fde, 2.0**-j).solution.values[-1] - exact) for j in range(9, 13)]
+    ratios = [fine / coarse for coarse, fine in zip(errors, errors[1:])]
+    assert all(0.45 <= r <= 0.55 for r in ratios), ratios
+
+
+# The fractional phillips pair D^alpha x = v, D^alpha v = -a1 v - b1 x - f,
+# started from x0 and v0, has L[x - x0] = (v0 s**(alpha - 1) - (b1 x0 + f) / s)
+# / (s**(2 alpha) + a1 s**alpha + b1).
+@pytest.mark.parametrize("alpha", [0.5, 0.8, 0.999])
+def test_fode2_pair_with_start_values_and_forcing_converges_to_the_laplace_inverse(alpha):
+    a1, b1, f, x0, v0, t_end = 0.5, 1.0, 0.2, 1.0, 0.5, 2.0
+    fode = make_model("phillips", "fractional", alpha=alpha, a1=a1, b1=b1, f=f, x0=x0, v0=v0,
+                      t_end=t_end)
+    a = mpmath.mpf(alpha)
+    exact = x0 + laplace_inverse(
+        lambda s: (v0 * s ** (a - 1) - (b1 * x0 + f) / s) / (s ** (2 * a) + a1 * s**a + b1), t_end
+    )
+    errors = [abs(solve_fode2(fode, t_end * 2.0**-j).solution.values[-1] - exact)
+              for j in range(9, 13)]
     ratios = [fine / coarse for coarse, fine in zip(errors, errors[1:])]
     assert all(0.45 <= r <= 0.55 for r in ratios), ratios
