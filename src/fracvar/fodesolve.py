@@ -4,32 +4,32 @@ Two problem shapes are covered. ``MultiTermFDE`` is a linear equation
 
     sum_i c_i D^(mu_i) x(t) + c_0 x(t) = f(t),   x and its startup history 0,
 
-solved implicitly: every history sum includes the new node, so the
-discrete equations form one lower-triangular Toeplitz system, solved a
-block of nodes at a time. ``FODE2`` is the coupled first-order-in-alpha system
+and ``FODE2`` the coupled first-order-in-alpha system
 
-    D^alpha x = v,  D^alpha v = F(t, x, v),  x(0) = x0, v(0) = v0,
+    D^alpha x = v,  D^alpha v = F(t, x, v),  x(0) = x0, v(0) = v0.
 
-stepped explicitly with the right side lagged by one node. Initial values
-enter through regularization: the solver advances the deviations x - x0 and
-v - v0, which have zero history, so the fractional derivative of the
-constant part drops out exactly.
+Both are solved implicitly: every history sum includes the new node, so
+the discrete equations of a block of nodes form a lower-triangular
+Toeplitz system. Initial values enter through regularization: the pair's
+solver advances the deviations x - x0 and v - v0, which have zero history,
+so the fractional derivative of the constant part drops out exactly.
 
 Both solvers use the same convolution-weight discretization as the rest of
 the package, so their output composes consistently with ``frac_deriv`` for
-residual checks. Alpha equal to one is allowed in ``FODE2`` and reduces the
-update to the explicit Euler step.
+residual checks. Alpha equal to one is allowed in ``FODE2`` and makes the
+scheme implicit Euler.
 
-Every history sum uses the blocks of ``fracops._block_layout``: the solves
-step them one at a time through ``fracops._far_blocks``, and the defect
-checks sum them in ``fracops._history``; those two state the block
-lengths, FFT lengths and costs. ``solve_multiterm`` evaluates the forcing
-once on the time array and solves each block at once with the inverse
-series r of its symbol and one correction step. ``solve_fode2``, whose
-right side may be nonlinear, steps node by node in sub-blocks of _SUB
-nodes, with no numpy call per node. Each node reads only the nodes before
-it: the schemes stay exactly causal. A non-finite solution raises
-``DivergenceError`` naming the first bad node.
+Every history sum uses the blocks of ``fracops._block_layout``, which the
+solves take one at a time through ``fracops._far_blocks``; it states the
+block lengths, FFT lengths and costs. Both solve a block with one helper,
+`_block_solver`: the inverse series r of a multi-term symbol, FFT products
+and one correction step. ``solve_multiterm`` evaluates the forcing once
+on the time array and solves each block at once. ``solve_fode2``, whose
+right side may be nonlinear, eliminates v and solves each block by chord
+steps, each a solve of the two-term symbol of orders (2 alpha, alpha) and
+one call of F on the block's nodes. No node reads a later one: the schemes
+stay exactly causal. A non-finite solution raises ``DivergenceError``
+naming the first bad node.
 
 ``model_catalog()`` is a dict of name to (description, factory), and
 ``make_model(name, variant, **params)`` raises ValueError for an unknown
@@ -56,7 +56,6 @@ from .fracops import (
     SampledPath,
     Side,
     _far_blocks,
-    _history,
     _require_finite,
     _support,
     frac_deriv,
@@ -79,10 +78,10 @@ __all__ = [
 
 DIVERGENCE_GUARD = 1e12
 
-# Sub-block length of `solve_fode2`'s stepping: lags within a sub-block are
-# summed in Python floats, the earlier sub-blocks of the block through one
-# matrix product per sub-block.
-_SUB = 8
+# `solve_fode2`'s chord steps: from step _FEW on, nodes whose steps shrink
+# by less than 10x take F's Jacobian afresh (once); they are halved after
+# _MAX_CHORD steps, and done once within _CHORD_TOL of max |x - x0|.
+_FEW, _MAX_CHORD, _CHORD_TOL = 2, 10, 1e-10
 
 # `solve_multiterm` sums lags below _HEAD directly; `_inverse_series` works in runs of _RUN.
 _HEAD, _RUN = 32, 64
@@ -163,11 +162,12 @@ class SolveReport:
     """Solver output: the solution path, a defect measure, and step count.
 
     ``max_defect`` substitutes the computed nodes back into the discrete
-    operators. For the implicit solver this checks the block systems were
-    solved exactly (machine-level values); for the explicit solver it
-    measures the one-node lag of the right side and shrinks with h.
-    ``aux`` carries the velocity path for the coupled system, None
-    otherwise.
+    operators. For ``solve_multiterm`` this checks that the block systems
+    were solved exactly (machine-level values). For ``solve_fode2`` it is
+    the residual of the second equation, h**-alpha (w * V) - F, at the
+    returned nodes, where the chord steps stopped; the first equation holds
+    by construction. ``aux`` carries the velocity path for the coupled
+    system, None otherwise.
     """
 
     solution: SampledPath
@@ -221,12 +221,73 @@ def _inverse_series(a: np.ndarray, count: int) -> np.ndarray:
     return r
 
 
-def _forcing_values(fde: MultiTermFDE, t: np.ndarray) -> np.ndarray:
-    """``fde.forcing`` at the times ``t``: one call on the array, else one per node."""
+def _node_values(fn, *args: np.ndarray) -> np.ndarray:
+    """``fn`` at the nodes: one call on the arrays ``args``, else one call per node."""
     try:
-        return np.broadcast_to(np.asarray(fde.forcing(t), dtype=np.float64), t.shape)
+        return np.broadcast_to(np.asarray(fn(*args), dtype=np.float64), args[0].shape)
     except (TypeError, ValueError):
-        return np.array([fde.forcing(s) for s in t.tolist()], dtype=np.float64)
+        return np.array([fn(*node) for node in zip(*(a.tolist() for a in args))], dtype=np.float64)
+
+
+def _block_solver(weights: np.ndarray, scales: np.ndarray, c0: float, size: int):
+    """(solve, r), solve(rhs, fft=True) -> (x_b, residual()) of a * x_b = rhs.
+
+    a = c0 delta + sum_i scales[i] weights[i] is the block's lower-triangular
+    Toeplitz symbol and r its inverse series over ``size`` lags, so on
+    rhs.size <= ``size`` nodes x_b = r * rhs, followed by one correction
+    step x_b += r * (rhs - a * x_b). The
+    residual sums each row's lags below _HEAD directly, row by row, and all
+    longer lags by one FFT product with the tail row sum_i s_i w_i[_HEAD:].
+    Where that row is nonzero the products with r are FFT products too; the
+    spectra of r and of the tail row are taken once, at twice ``size``.
+    Integer orders alone, and ``fft`` false, keep direct products with r. A
+    solve whose FFTs turn non-finite is done again by direct sums, so that a
+    non-finite x_b starts at its first non-finite node. A symbol that overflows or whose diagonal
+    is zero raises ValueError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite: raised or handled below
+        # Lags past a weight row's last nonzero entry (integer orders) add
+        # nothing to the sums within a block.
+        supports = _support(weights)
+        a = scales @ weights[:, : supports.max()]
+        a[0] += c0
+        if not np.all(np.isfinite(a)):
+            raise ValueError("degenerate implicit update: scaled coefficients overflow at this h")
+        if a[0] == 0.0:
+            raise ValueError("degenerate implicit update: operator diagonal is zero at this h")
+        r = _inverse_series(a[:size], size)
+        tail = np.concatenate([np.zeros(_HEAD), scales @ weights[:, _HEAD:size]])[:size]
+        spectral = bool(np.any(tail))
+        if spectral:
+            spec_r, spec_tail = np.fft.rfft([r, tail], 2 * size)
+
+    def product(spec, v):
+        """The first v.size terms of the series product of v and a spectrum's row."""
+        return np.fft.irfft(spec * np.fft.rfft(v, 2 * size), 2 * size)[: v.size]
+
+    def residual(rhs, xb, spectral):
+        """rhs - a * xb, its lags from _HEAD on by the tail's spectrum if ``spectral``."""
+        res = rhs - c0 * xb
+        for s, w, m in zip(scales, weights, supports):
+            m = min(m, _HEAD) if spectral else m
+            res -= s * np.convolve(w[: min(m, xb.size)], xb)[: xb.size]
+        return res - product(spec_tail, xb) if spectral else res
+
+    def times_r(v, spectral):
+        return product(spec_r, v) if spectral else np.convolve(r[: v.size], v)[: v.size]
+
+    def solve_block(rhs, spectral):
+        xb = times_r(rhs, spectral)
+        return xb + times_r(residual(rhs, xb, spectral), spectral)
+
+    def solve(rhs, fft=True):
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite x_b: the caller's to raise
+            if fft and spectral and np.all(np.isfinite(xb := solve_block(rhs, True))):
+                return xb, lambda: residual(rhs, xb, True)
+            xb = solve_block(rhs, False)
+            return xb, lambda: residual(rhs, xb, False)
+
+    return solve, r
 
 
 def solve_multiterm(fde: MultiTermFDE, h: float) -> SolveReport:
@@ -239,149 +300,161 @@ def solve_multiterm(fde: MultiTermFDE, h: float) -> SolveReport:
     system per block (Podlubny 2000): with far_i the part of H_i that
     reaches earlier blocks, the block's nodes x_b solve a * x_b = rhs, where
     rhs = f - sum_i s_i far_i and a = c_0 delta + sum_i s_i w_i is the
-    combined symbol. With r the inverse series of a over one block,
-    x_b = r * rhs, followed by one correction step
-    x_b += r * (rhs - c_0 x_b - sum_i s_i (w_i * x_b)). The residual sums
-    each term's lags below _HEAD directly, term by term, and all longer
-    lags by one FFT product with the tail row sum_i s_i w_i[_HEAD:]. Where
-    that row is nonzero the products with r are FFT products too; the
-    spectra of r and of the tail row are taken once, at twice the block
-    length. Integer orders alone keep direct products with r. The same
-    residual of the final nodes gives ``max_defect``. A block whose FFTs
-    turn non-finite is solved again by direct sums, which raise
-    DivergenceError at its first non-finite node. Scaled coefficients that
-    overflow raise ValueError.
+    combined symbol, by `_block_solver`. Its residual of the final nodes
+    gives ``max_defect``. A non-finite block raises DivergenceError at its
+    first non-finite node. Scaled coefficients that overflow raise
+    ValueError.
     """
     steps = _grid_steps(fde.t_end, h)
     n = steps + 1
-    c0 = fde.zero_order_coeff
     with np.errstate(over="ignore", invalid="ignore"):
         # Weights of huge orders overflow in their recurrence, and a numpy
         # power overflows to inf where Python's raises OverflowError.
         weights = np.array([gl_weights(FracOrder(mu), n) for _, mu in fde.terms])
-        # Lags past a weight row's last nonzero entry (integer orders) add
-        # nothing to the sums within a block.
-        supports = _support(weights)
         scales = np.array([c * np.float64(h) ** -mu for c, mu in fde.terms])
-        a = scales @ weights[:, : supports.max()]
-    a[0] += c0
-    if not np.all(np.isfinite(a)):
-        raise ValueError("degenerate implicit update: scaled coefficients overflow at this h")
-    if a[0] == 0.0:
-        raise ValueError("degenerate implicit update: operator diagonal is zero at this h")
-    f = _forcing_values(fde, h * np.arange(n))
-
-    def product(spec, v):
-        """The first v.size terms of the series product of v and a spectrum's row."""
-        return np.fft.irfft(spec * np.fft.rfft(v, size), size)[: v.size]
-
-    def residual(rhs, xb, spectral):
-        """rhs - a * xb, its lags from _HEAD on by the tail's spectrum if ``spectral``."""
-        res = rhs - c0 * xb
-        for s, w, m in zip(scales, weights, supports):
-            res -= s * np.convolve(w[: min(m, _HEAD if spectral else n, xb.size)], xb)[: xb.size]
-        return res - product(spec_tail, xb) if spectral else res
-
-    def times_r(v, spectral):
-        return product(spec_r, v) if spectral else np.convolve(r[: v.size], v)[: v.size]
-
-    def solve_block(rhs, spectral):
-        """x_b and its residual; the products with r by FFT if ``spectral``."""
-        xb = times_r(rhs, spectral)
-        xb += times_r(residual(rhs, xb, spectral), spectral)
-        return xb, residual(rhs, xb, spectral)
-
+    f = _node_values(fde.forcing, h * np.arange(n))
     x = np.zeros(n)
     defects = []
     # Integer orders alone keep one block: block boundaries cancel sums of
     # size h**-mu |x|, up to 10x the single block's roundoff against long double.
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite raises below
-        for lo, hi, far in _far_blocks(x, weights, blocked=supports.max() > _BLOCK):
+        for lo, hi, far in _far_blocks(x, weights, blocked=_support(weights).max() > _BLOCK):
             if not lo:
-                r = _inverse_series(a[:hi], hi)
-                tail = np.concatenate([np.zeros(_HEAD), scales @ weights[:, _HEAD:hi]])[:hi]
-                spectral, size = bool(np.any(tail)), 2 * hi
-                if spectral:
-                    spec_r, spec_tail = np.fft.rfft([r, tail], size)
+                solve, _ = _block_solver(weights, scales, fde.zero_order_coeff, hi)
             first = max(lo, 1)
-            rhs = f[first:hi] - scales @ far[:, first - lo :]
-            xb, res = solve_block(rhs, spectral)
-            if spectral and not np.all(np.isfinite(xb)):
-                xb, res = solve_block(rhs, False)
+            xb, residual = solve(f[first:hi] - scales @ far[:, first - lo :])
             if not np.all(np.isfinite(xb)):
                 bad = first + int(np.argmin(np.isfinite(xb)))
                 raise DivergenceError(f"solution is not finite at t = {h * bad:g}")
             x[first:hi] = xb
-            defects.append(np.max(np.abs(res)))
+            defects.append(np.max(np.abs(residual())))
     return SolveReport(SampledPath(0.0, h, x), float(np.max(defects)), steps)
 
 
+def _jacobian(rhs, t: float, x: float, v: float) -> tuple:
+    """(F_x, F_v) at (t, x, v) by central differences, F called once on four points.
+
+    Where they are not finite, (0, 0): the chord steps then find the node
+    where the solution is not.
+    """
+    sx, sv = max(_FD_REL_STEP * abs(x), _FD_ABS_FLOOR), max(_FD_REL_STEP * abs(v), _FD_ABS_FLOOR)
+    f = _node_values(rhs, np.full(4, t), x + np.array([sx, -sx, 0.0, 0.0]),
+                     v + np.array([0.0, 0.0, sv, -sv]))
+    fx, fv = (f[0] - f[1]) / (2.0 * sx), (f[2] - f[3]) / (2.0 * sv)
+    return (fx, fv) if math.isfinite(fx) and math.isfinite(fv) else (0.0, 0.0)
+
+
 def solve_fode2(fode: FODE2, h: float) -> SolveReport:
-    """Explicit stepping of the coupled pair with lagged right side.
+    """Implicit solve of the coupled pair, a block at a time, by chord steps.
 
     Advances X = x - x0 and V = v - v0, both with zero history, with the
-    weights of order alpha: X_j = -H_j(X) + h**alpha (v0 + V_{j-1}) and
-    V_j = -H_j(V) + h**alpha F(t_{j-1}, x_{j-1}, v_{j-1}), where H_j sums
-    the lags k >= 1. On each block of ``fracops._far_blocks``, H_j is the
-    block's far part plus the lags within the block, and a finished block
-    is in the (2, n) array of X and V before the kernel takes its spectrum.
-    The block's nodes come in sub-blocks of _SUB. Per sub-block, the lags
-    that reach the block's earlier sub-blocks enter through one product
-    (2, p) @ (p, _SUB) with the Toeplitz slab ``cross``: O(_BLOCK) work per
-    node in BLAS. Per node, the block's far part, that product's entry and
-    the at most _SUB - 1 lags within the sub-block are added in Python
-    floats, so that no numpy call is made per node. The result agrees with
-    plain O(n**2) stepping to roundoff. F is called once per node, in node
-    order, and the defect check reuses its values. Raises DivergenceError at
-    the first node where X or V is non-finite or passes DIVERGENCE_GUARD.
+    weights w of order alpha: node j >= 1 satisfies h**-alpha H_j(X) = v0 +
+    V_j and h**-alpha H_j(V) = F(t_j, x0 + X_j, v0 + V_j), where H_j sums
+    the lags k >= 0 (implicit Euler at alpha = 1). On each block of
+    ``fracops._far_blocks``, V follows from X by the first equation, V = D X
+    + h**-alpha far_X - v0 with D = h**-alpha T(w), and X solves the second
+    by chord steps from the line through the last two nodes. A step calls F
+    once on the block's node arrays (node by node where F refuses arrays, as
+    ``MultiTermFDE.forcing``), takes the residual R = h**-alpha (far_V +
+    T(w) V) - F and solves (D**2 - F_v D - F_x) dX = -R, a two-term symbol
+    of orders (2 alpha, alpha), by `_block_solver`. F_x and F_v come from
+    central differences at (0, x0, v0) and serve later blocks; from step
+    _FEW on, nodes whose steps shrink by less than 10x take them afresh at
+    their middle node.
+
+    Nodes are done when the estimated distance of their X and V to the
+    solution of their implicit equations is below _CHORD_TOL of max |X| and
+    max |V| over the nodes so far: the last step was that small, or the next
+    must be, since |r * R| <= sum |r| max |R| for the symbol's inverse
+    series r. They keep their last iterate, whose largest |R| over all
+    blocks is ``max_defect``; the first equation holds by construction.
+    Where the steps stop shrinking, or pass _MAX_CHORD, the nodes are halved
+    and solved in order, the first half's lags entering the second's far
+    parts, down to single nodes; halves take direct sums, free of the FFT
+    roundoff that fast-growing nodes spread to the others. Raises
+    DivergenceError at the first node whose X or V is non-finite or passes
+    DIVERGENCE_GUARD, or whose steps do not converge alone; F is never
+    called on a later block.
     """
     steps = _grid_steps(fode.t_end, h)
     n = steps + 1
-    w = gl_weights(FracOrder(fode.alpha), n)
-    rhs, x0, v0, ha = fode.rhs, fode.x0, fode.v0, h**fode.alpha
-    # near[r] lists w[r], ..., w[1]: the lags from a sub-block's first r
-    # nodes to its node r.
-    near = [w[r:0:-1].tolist() for r in range(_SUB)]
-    big_xv = np.zeros((2, n))
-    big_x = big_v = 0.0
-    f_now = []
-    for lo, hi, far in _far_blocks(big_xv, w):
-        if not lo:
-            # cross[len(cross) - p + k, c] = w[p + c - k], the weight from a
-            # block's node k to node p + c of its sub-block at p (p > k).
-            # On a single block the slab reaches lags past the grid, which
-            # no product reads: they are zeros.
-            pad = np.concatenate([w[1:], np.zeros(_SUB)])[: hi + _SUB - 1]
-            cross = np.ascontiguousarray(sliding_window_view(pad, _SUB)[::-1])
-        far_x, far_v = far.tolist()
-        for p in range(0, hi - lo, _SUB):
-            q = min(p + _SUB, hi - lo)
-            early = big_xv[:, lo : lo + p] @ cross[len(cross) - p :, : q - p]
-            early_x, early_v = early.tolist()
-            # Node 0 is given, and zero: it takes its sub-block's first place.
-            xs, vs = ([0.0], [0.0]) if lo + p == 0 else ([], [])
-            for r in range(len(xs), q - p):
-                j = lo + p + r
-                f_prev = rhs(h * (j - 1), x0 + big_x, v0 + big_v)
-                f_now.append(f_prev)
-                hist_x, hist_v = far_x[p + r] + early_x[r], far_v[p + r] + early_v[r]
-                for w_k, x_k, v_k in zip(near[r], xs, vs):
-                    hist_x += w_k * x_k
-                    hist_v += w_k * v_k
-                x_j = ha * (v0 + big_v) - hist_x
-                v_j = ha * f_prev - hist_v
-                if not (abs(x_j) <= DIVERGENCE_GUARD and abs(v_j) <= DIVERGENCE_GUARD):
-                    raise DivergenceError(
-                        f"solution is not finite or exceeded {DIVERGENCE_GUARD:g} at t = {h * j:g}"
-                    )
-                xs.append(x_j)
-                vs.append(v_j)
-                big_x, big_v = x_j, v_j
-            big_xv[:, lo + p : lo + q] = xs, vs
-    x, v = x0 + big_xv[0], v0 + big_xv[1]
-    f_now.append(rhs(h * steps, x[-1], v[-1]))
-    dx, dv = h ** (-fode.alpha) * _history(big_xv, w)
-    defect = float(max(np.max(np.abs(dx[1:] - v[1:])), np.max(np.abs(dv[1:] - f_now[1:]))))
+    alpha, x0, v0 = fode.alpha, fode.x0, fode.v0
+    w = gl_weights(FracOrder(alpha), n)
+    weights = np.array([gl_weights(FracOrder(2.0 * alpha), n), w])
+    scale = h**-alpha
+    big = np.zeros((2, n))
+    t = h * np.arange(n)
+    jac = _jacobian(fode.rhs, 0.0, x0, v0)
+    size_x = size_v = 0.0
+
+    def chord(j0, j1, far_x, far_v, fft=True):
+        """Nodes j0 .. j1 - 1 into ``big``, given the far parts of D X and D V; their max |R|."""
+        nonlocal jac, solve, gain, size_x, size_v
+        slope = big[0, j0 - 1] - big[0, j0 - 2] if j0 >= 2 else 0.0
+        tb, xb = t[j0:j1], big[0, j0 - 1] + slope * np.arange(1, j1 - j0 + 1)
+        last, done, fresh = math.inf, False, False
+        for step in range(1, _MAX_CHORD + 2):
+            vb = far_x + times_d(xb, fft)
+            res = far_v + times_d(vb, fft) - _node_values(fode.rhs, tb, x0 + xb, v0 + vb)
+            # Past the guard, FFT roundoff of the large nodes can reach the
+            # small ones: those nodes are halved down to the first past it.
+            within = np.max(np.abs([xb, vb])) <= DIVERGENCE_GUARD  # False for NaN
+            reach_x = max(size_x, float(np.max(np.abs(xb))))
+            reach_v = max(size_v, float(np.max(np.abs(vb))))
+            # The steps shrink by about change / last each, so the iterate's
+            # distance to their limit is about change / (1 - change / last).
+            bound_x, bound_v = gain[:, j1 - j0 - 1] * float(np.max(np.abs(res)))
+            shrink = 1.0 - bound_x / last
+            if within and (done or bound_x <= shrink * _CHORD_TOL * reach_x
+                           and bound_v <= shrink * _CHORD_TOL * reach_v):
+                big[:, j0:j1] = xb, vb
+                size_x, size_v = reach_x, reach_v
+                return float(np.max(np.abs(res)))
+            if done or step > _MAX_CHORD:
+                break
+            dx = solve(-res, fft)[0]
+            change = float(np.max(np.abs(dx)))
+            if not change < last:  # growing or NaN
+                break
+            done = change <= (1.0 - change / last) * _CHORD_TOL * reach_x
+            if step >= _FEW and not (done or fresh) and change > 0.1 * last:
+                fresh, mid = True, (j1 - j0) // 2
+                jac = _jacobian(fode.rhs, tb[mid], x0 + xb[mid], v0 + vb[mid])
+                solve, gain = symbol_solver()
+            xb, last = xb + dx, change
+        if j1 - j0 == 1:
+            what = "chord steps did not converge" if within and math.isfinite(change) else (
+                f"solution is not finite or exceeded {DIVERGENCE_GUARD:g}")
+            raise DivergenceError(f"{what} at t = {t[j0]:g}")
+        mid = (j0 + j1 + 1) // 2
+        defect = chord(j0, mid, far_x[: mid - j0], far_v[: mid - j0], False)
+        near = [np.convolve(w[: j1 - j0], g)[mid - j0 : j1 - j0] for g in big[:, j0:mid]]
+        far_x, far_v = far_x[mid - j0 :] + scale * near[0], far_v[mid - j0 :] + scale * near[1]
+        return max(defect, chord(mid, j1, far_x, far_v, False))
+
+    def times_d(v, fft):
+        """D v: h**-alpha times the first v.size terms of w * v, by FFT if ``fft``."""
+        if fft:
+            return scale * np.fft.irfft(spec_w * np.fft.rfft(v, 2 * size), 2 * size)[: v.size]
+        return scale * np.convolve(w[: v.size], v)[: v.size]
+
+    def symbol_solver():
+        """The chord steps' block solve; gain[:, m - 1] sums |r| and |D r| over m lags."""
+        fx, fv = jac
+        solve, r = _block_solver(weights, np.array([scale * scale, -fv * scale]), -fx, size)
+        return solve, np.cumsum(np.abs([r, times_d(r, True)]), axis=1)
+
+    defect = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite iterates halve or raise
+        for lo, hi, far in _far_blocks(big, w):
+            if not lo:
+                size = hi
+                spec_w = np.fft.rfft(w[:size], 2 * size)
+                solve, gain = symbol_solver()
+            first = max(lo, 1)
+            far_x, far_v = scale * far[0, first - lo :] - v0, scale * far[1, first - lo :]
+            defect = max(defect, chord(first, hi, far_x, far_v))
+    x, v = x0 + big[0], v0 + big[1]
     return SolveReport(SampledPath(0.0, h, x), defect, steps, SampledPath(0.0, h, v))
 
 
@@ -397,7 +470,7 @@ def fde_residual(fde: MultiTermFDE, path: SampledPath) -> SampledPath:
     acc = fde.zero_order_coeff * path.values.copy()
     for c, mu in fde.terms:
         acc = acc + c * frac_deriv(path, FracOrder(mu), Side.LEFT).values
-    f = _forcing_values(fde, path.times())
+    f = _node_values(fde.forcing, path.times())
     res = acc - f
     drop = FracOrder(fde.max_order).m + 1
     if drop >= n - 1:
@@ -423,7 +496,7 @@ def _friction_factory(variant, m=1.0, gamma_coef=0.5, potential=None, x0=0.0, v0
     def u_x(t, x):
         if u is None:
             return 0.0
-        s = max(_FD_REL_STEP * abs(x), _FD_ABS_FLOOR)
+        s = np.maximum(_FD_REL_STEP * np.abs(x), _FD_ABS_FLOOR)
         return (u(t, x + s) - u(t, x - s)) / (2.0 * s)
 
     def rhs(t, x, v):

@@ -4,12 +4,11 @@ The discretization is Grunwald-Letnikov: the order-mu derivative of a sample
 sequence is a weighted history sum with binomial weights, applied to the
 function after subtracting its Taylor polynomial of degree ceil(mu) - 1 at
 the base node. The subtraction makes the operator annihilate constants
-exactly up to order 5 (and low-degree polynomials for orders above one) and
+exactly at every order (and low-degree polynomials for orders above one) and
 makes it the regularized counterpart of the corresponding integral-kernel
-derivative. Above order 5 the fitted one-sided stencils no longer sum to
-exactly zero, so a constant's derivative is rounding noise, not zero: small
-on short grids, and on long ones large enough that the rounding check of
-`frac_deriv` raises `FloatingPointError`.
+derivative. The polynomial is fitted to the samples minus the base sample,
+so that a constant's fitted coefficients are exact zeros even where the
+one-sided stencils do not sum to exactly zero in floating point.
 
 Conventions that matter downstream:
 
@@ -326,12 +325,18 @@ def _onesided_stencil(r: int) -> np.ndarray:
 
 
 def _taylor_base_poly(values: np.ndarray, h: float, degree: int) -> np.ndarray:
-    """Samples of the degree-``degree`` Taylor polynomial at the base node."""
+    """Samples of the degree-``degree`` Taylor polynomial at the base node.
+
+    The stencils apply to values - values[0], so that a constant's fitted
+    coefficients are exact zeros whether or not a stencil sums to zero in
+    floating point.
+    """
     n = values.size
     t = h * np.arange(n)
     poly = np.full(n, values[0])
     for r in range(1, degree + 1):
-        poly += float(_onesided_stencil(r) @ values[: r + 2]) / h**r / math.factorial(r) * t**r
+        rise = values[: r + 2] - values[0]
+        poly += float(_onesided_stencil(r) @ rise) / h**r / math.factorial(r) * t**r
     return poly
 
 

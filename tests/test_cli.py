@@ -279,7 +279,7 @@ def test_huge_orders_are_usage_errors(capsys, argv, mu):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv, mu, node", [
     (["deriv", "--alpha", "60"], "60", 822),
-    (["deriv", "--alpha", "60", "--side", "right"], "60", 901),
+    (["deriv", "--alpha", "60", "--side", "right"], "60", 822),
     (["lift", "--alpha", "0.9", "--k", "66"], "59.4", 887),
 ], ids=["deriv-60", "deriv-60-right", "lift-k66"])
 def test_scaled_sum_overflow_is_a_numerical_failure(capsys, argv, mu, node):
@@ -715,6 +715,18 @@ def test_solve_config_supplies_model_parameters(capsys, tmp_path):
     overridden = run(capsys, base + ["--config", str(cfg), "--b1", "3"])
     assert overridden == run(capsys, base + ["--b1", "3", "--x0", "0.5", "--h", "0.01"])
     assert overridden != from_config
+
+
+@pytest.mark.parametrize("gamma_coef", [1100.0, 2000.0])
+def test_stiff_fractional_friction_solves(capsys, gamma_coef):
+    # gamma h**alpha > 1 at the default h = 2 / 1024: stepping with F lagged
+    # by one node grew past the guard (exit 3); x settles near v0 m / gamma.
+    argv = ["solve", "--model", "friction", "--variant", "fractional", "--gamma-coef", str(gamma_coef)]
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    header, rows = parse_csv(out)
+    assert header[:2] == ["t", "x"] and len(rows) == 1025
+    assert rows[-1][1] == pytest.approx(1.0 / gamma_coef, rel=1e-3)
 
 
 def test_config_supplies_missing_flags(capsys, tmp_path):

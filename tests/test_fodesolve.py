@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from fracvar.fodesolve import (
-    _SUB,
+    _CHORD_TOL,
     _bt_default_forcing,
     _inverse_series,
     FODE2,
@@ -429,7 +429,7 @@ def test_residual_bookkeeping_and_locality():
     assert np.max(diff[:j]) == 0.0  # earlier residuals never see it
 
 
-# === explicit coupled solver ================================================
+# === implicit coupled solver ================================================
 
 
 def test_free_fractional_motion():
@@ -445,51 +445,77 @@ def test_free_fractional_motion():
     assert rep.max_defect <= 1e-10
 
 
-def test_right_side_is_called_once_per_node():
-    calls = []
-
-    def rhs(t, x, v):
-        calls.append(t)
-        return 1.0 - x - 0.3 * v
-
-    h = 2**-9
-    rep = solve_fode2(FODE2(alpha=0.6, rhs=rhs), h)
-    n = rep.solution.n_pts
-    assert calls == [j * h for j in range(n)]
-    # The defect equals the one from evaluating F afresh at every node.
-    x, v = rep.solution.values, rep.aux.values
-    dx, dv = h**-0.6 * _history(np.array([x, v]), gl_weights(FracOrder(0.6), n))
-    f = np.array([rhs(t, xj, vj) for t, xj, vj in zip(h * np.arange(n), x, v)])
-    assert rep.max_defect == max(np.max(np.abs(dx[1:] - v[1:])), np.max(np.abs(dv[1:] - f[1:])))
+def block_of(j):
+    """The block of ``fracops._far_blocks`` that node j of a blocked grid lies in."""
+    return j // _BLOCK
 
 
-def test_right_side_calls_on_a_blocked_grid():
-    n = 3 * _BLOCK + 1
+@pytest.mark.parametrize("n", [257, 3 * _BLOCK + 1])
+def test_right_side_is_called_on_block_arrays(n):
     h = 1.0 / (n - 1)
     calls = []
 
     def rhs(t, x, v):
-        calls.append(t)
+        calls.append(np.array(t))
         return 1.0 - x - 0.3 * v
 
     rep = solve_fode2(FODE2(alpha=0.6, rhs=rhs), h)
-    assert calls == [j * h for j in range(n)]
+    t = h * np.arange(n)
+    # The Jacobian's probes are four copies of one node's time; each step's
+    # call takes the node times of a run of nodes within one block.
+    probes = [c for c in calls if c.size == 4 and np.all(c == c[0])]
+    assert np.array_equal(probes[0], np.zeros(4))
+    runs = [c for c in calls if not any(c is p for p in probes)]
+    blocks = []
+    for c in runs:
+        j0 = int(round(c[0] / h))
+        assert np.array_equal(c, t[j0 : j0 + c.size])
+        assert block_of(j0) == block_of(j0 + c.size - 1) or n <= 2 * _BLOCK
+        blocks.append(block_of(j0))
+    assert blocks == sorted(blocks)  # blocks in order, never back to an earlier one
+    assert set(np.concatenate(runs).tolist()) == set(t[1:].tolist())
+    # The defect is the second equation's residual at the returned nodes,
+    # within the chord tolerance of its terms' size h**-alpha max |v|; fresh
+    # history sums give it again to roundoff, and the first equation's to
+    # roundoff.
     x, v = rep.solution.values, rep.aux.values
     dx, dv = h**-0.6 * _history(np.array([x, v]), gl_weights(FracOrder(0.6), n))
-    f = np.array([rhs(t, xj, vj) for t, xj, vj in zip(h * np.arange(n), x, v)])
-    assert rep.max_defect == max(np.max(np.abs(dx[1:] - v[1:])), np.max(np.abs(dv[1:] - f[1:])))
+    fresh = np.max(np.abs(dv[1:] - (1.0 - x[1:] - 0.3 * v[1:])))
+    size = h**-0.6 * np.max(np.abs(v))
+    assert rep.max_defect <= _CHORD_TOL * size
+    assert abs(fresh - rep.max_defect) <= 1e-13 * size
+    assert np.max(np.abs(dx[1:] - v[1:])) <= 1e-13 * size
 
-    # A NaN from F enters V at the next node: here the middle of a sub-block.
-    bad_node = 2 * _BLOCK + 3 * _SUB + _SUB // 2
-    calls.clear()
 
-    def nan_rhs(t, x, v):
+def test_scalar_right_side_is_called_node_by_node():
+    calls = []
+
+    def rhs(t, x, v):
+        value = math.cos(t) - x  # math.cos refuses arrays
         calls.append(t)
-        return math.nan if len(calls) == bad_node else -x
+        return value
+
+    h = 2**-6
+    rep = solve_fode2(FODE2(alpha=0.6, rhs=rhs), h)
+    n = rep.solution.n_pts
+    assert calls[:4] == [0.0] * 4  # the Jacobian's probes
+    steps = len(calls[4:]) // (n - 1)
+    assert steps >= 2 and calls[4:] == [j * h for j in range(1, n)] * steps
+
+
+def test_nan_right_side_names_its_node_and_stops_in_its_block():
+    n = 3 * _BLOCK + 1
+    h = 1.0 / (n - 1)
+    bad_node = 2 * _BLOCK - 37
+    calls = []
+
+    def rhs(t, x, v):
+        calls.append(np.max(t))
+        return np.where(t == h * bad_node, math.nan, -x)
 
     with pytest.raises(DivergenceError, match=f"at t = {h * bad_node:g}$"):
-        solve_fode2(FODE2(alpha=0.6, rhs=nan_rhs, x0=1.0), h)
-    assert calls == [j * h for j in range(bad_node)]  # F is not called again
+        solve_fode2(FODE2(alpha=0.6, rhs=rhs, x0=1.0), h)
+    assert max(calls) < h * 2 * _BLOCK  # F is never called on a later block
 
 
 def test_initial_values_are_injected():
@@ -500,9 +526,16 @@ def test_initial_values_are_injected():
 
 
 def test_growth_guard_raises():
-    fode = FODE2(alpha=0.5, rhs=lambda t, x, v: 40.0 * v, v0=1.0, t_end=4.0)
-    with pytest.raises(DivergenceError):
-        solve_fode2(fode, 2**-6)
+    # v grows like E_0.5(4 t**0.5), about exp(16 t); at 4 h**0.5 = 0.5 the
+    # implicit scheme follows it (for 4 h**0.5 > 1 it would damp the mode).
+    h = 2**-6
+    fode = FODE2(alpha=0.5, rhs=lambda t, x, v: 4.0 * v, v0=1.0, t_end=4.0)
+    with pytest.raises(DivergenceError, match="exceeded 1e\\+12") as info:
+        solve_fode2(fode, h)
+    t_bad = float(str(info.value).rsplit("= ", 1)[1])
+    # The scheme is causal: the grid that ends one node earlier solves.
+    rep = solve_fode2(FODE2(alpha=0.5, rhs=fode.rhs, v0=1.0, t_end=t_bad - h), h)
+    assert max(np.max(np.abs(rep.solution.values)), np.max(np.abs(rep.aux.values - 1.0))) <= 1e12
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -511,52 +544,55 @@ def test_non_finite_right_side_is_a_divergence_error(bad, n):
     calls = []
 
     def rhs(t, x, v):
-        calls.append(t)
-        return bad if t > 0.5 else -x
+        calls.append(np.max(t))
+        return bad if t > 0.5 else -x  # refuses arrays: called node by node
 
     h = 1.0 / (n - 1)
-    # F at the first node past t = 0.5 enters V at the node after it.
-    first_bad = h * (n // 2 + 2)
-    message = f"not finite or exceeded 1e\\+12 at t = {first_bad:g}"
+    # The first node past t = 0.5 is the first whose X and V are not finite.
+    first_bad = n // 2 + 1
+    message = f"not finite or exceeded 1e\\+12 at t = {h * first_bad:g}$"
     with pytest.raises(DivergenceError, match=message):
         solve_fode2(FODE2(alpha=0.6, rhs=rhs, x0=1.0), h)
-    assert len(calls) == n // 2 + 2  # stepping stopped at the first bad node
+    last = n - 1 if n <= 2 * _BLOCK else (block_of(first_bad) + 1) * _BLOCK - 1
+    assert max(calls) <= h * last  # F is never called on a later block
 
 
-# Grid sizes on both sides of one block of all nodes and of block boundaries,
-# and one-block grids from the smallest to one that ends mid-sub-block.
-FODE2_NODES = [
-    _SUB + 1, _SUB + 2, 257, 2 * _BLOCK - 3, 2 * _BLOCK, 2 * _BLOCK + 1, 3 * _BLOCK - 1,
-    3 * _BLOCK + 1,
-]
-# Blocked grids whose last block ends on, just past or short of a sub-block edge.
-FODE2_SUB_BLOCK_NODES = [2 * _BLOCK + _SUB, 2 * _BLOCK + _SUB + 1, 4 * _BLOCK + 2]
+# Grid sizes on both sides of one block of all nodes and of block
+# boundaries, from the smallest grid on, and blocked grids whose last block
+# holds a few nodes.
+FODE2_NODES = [9, 10, 257, 2 * _BLOCK - 3, 2 * _BLOCK, 2 * _BLOCK + 1, 3 * _BLOCK - 1,
+               3 * _BLOCK + 1, 2 * _BLOCK + 8, 2 * _BLOCK + 9, 4 * _BLOCK + 2]
 
 
 def plain_fode2(fode, h):
-    """The explicit scheme of ``solve_fode2`` as a plain O(N**2) loop.
+    """The implicit scheme of ``solve_fode2`` as a plain O(N**2) loop.
 
-    Returns X, V and, for each, the sum of the absolute values of the terms
-    that make up each node.
+    Node j solves h**-alpha (w * X)_j = v0 + V_j and h**-alpha (w * V)_j =
+    F(t_j, x0 + X_j, v0 + V_j) for X_j and V_j by Newton's method on the
+    2x2 system, F's derivatives by central differences, from node j - 1.
     """
     n = int(round(fode.t_end / h)) + 1
     w = gl_weights(FracOrder(fode.alpha), n)
-    ha = h**fode.alpha
+    s = h**-fode.alpha
     big = np.zeros((2, n))
     rev = np.zeros((2, n))  # big time-reversed: nodes j-1, j-2, ... are contiguous
-    size = np.zeros((2, n))
     for j in range(1, n):
-        x_prev, v_prev = big[:, j - 1]
-        f = fode.rhs(h * (j - 1), fode.x0 + x_prev, fode.v0 + v_prev)
-        hist = [w[1 : j + 1].dot(r[n - j :]) for r in rev]
-        drive = ha * (fode.v0 + v_prev), ha * f
-        for r in range(2):
-            big[r, j] = rev[r, n - 1 - j] = -hist[r] + drive[r]
-            size[r, j] = np.abs(w[1 : j + 1]).dot(np.abs(rev[r, n - j :])) + abs(drive[r])
-    return big, size
+        hist_x, hist_v = (w[1 : j + 1].dot(r[n - j :]) for r in rev)
+        x, v = big[:, j - 1]
+        for _ in range(50):
+            f = lambda dx, dv: fode.rhs(h * j, fode.x0 + x + dx, fode.v0 + v + dv)  # noqa: E731
+            res = np.array([s * (hist_x + x) - fode.v0 - v, s * (hist_v + v) - f(0.0, 0.0)])
+            e = 1e-7
+            f_x, f_v = (f(e, 0.0) - f(-e, 0.0)) / (2 * e), (f(0.0, e) - f(0.0, -e)) / (2 * e)
+            step = np.linalg.solve(np.array([[s, -1.0], [-f_x, s - f_v]]), -res)
+            x, v = x + step[0], v + step[1]
+            if np.all(np.abs(step) <= 1e-16 * np.maximum(1.0, np.abs([x, v]))):
+                break
+        big[:, j] = rev[:, n - 1 - j] = x, v
+    return big
 
 
-@pytest.mark.parametrize("n", FODE2_NODES + FODE2_SUB_BLOCK_NODES)
+@pytest.mark.parametrize("n", FODE2_NODES)
 @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.95, 1.0])
 @pytest.mark.parametrize(
     "rhs",
@@ -566,25 +602,42 @@ def plain_fode2(fode, h):
     ],
     ids=["linear", "nonlinear"],
 )
-def test_fode2_matches_plain_explicit_stepping(n, alpha, rhs):
-    # x0 = v0 = 0, so that x and v are the stepped deviations X and V.
+def test_fode2_matches_plain_implicit_stepping(n, alpha, rhs):
+    # x0 = v0 = 0, so that x and v are the deviations X and V.
     h = 2**-10
     rep = solve_fode2(FODE2(alpha=alpha, rhs=rhs, t_end=(n - 1) * h), h)
-    got = np.array([rep.solution.values, rep.aux.values])
-    big, size = plain_fode2(FODE2(alpha=alpha, rhs=rhs, t_end=(n - 1) * h), h)
-    # Earlier sub-blocks enter through matrix products and earlier blocks
-    # through FFTs. A node also inherits the roundoff of the nodes before
-    # it, so its bound is the largest sum of absolute terms up to it.
-    assert np.all(np.abs(got - big) <= 1e-13 * np.maximum.accumulate(size, axis=1))
+    big = plain_fode2(FODE2(alpha=alpha, rhs=rhs, t_end=(n - 1) * h), h)
+    # Chord steps stop once their iterate is within _CHORD_TOL max |X| of
+    # the solution of the implicit equations; V = D X carries that to V.
+    assert np.max(np.abs(rep.solution.values - big[0])) <= _CHORD_TOL * np.max(np.abs(big[0]))
+    assert np.max(np.abs(rep.aux.values - big[1])) <= _CHORD_TOL * np.max(np.abs(big[1]))
 
 
-def test_explicit_euler_reduction_at_order_one():
-    # alpha = 1 turns the scheme into explicit Euler for x'' = -0.5 x'
+def test_implicit_euler_reduction_at_order_one():
+    # alpha = 1 turns the scheme into implicit Euler for x'' = -0.5 x':
+    # v_j = q**j with q = 1 / (1 + 0.5 h), x_j = h (q + ... + q**j).
+    h = 2.0 / 1024
     fode = FODE2(alpha=1.0, rhs=lambda t, x, v: -0.5 * v, x0=0.0, v0=1.0, t_end=2.0)
-    rep = solve_fode2(fode, 2.0 / 1024)
+    rep = solve_fode2(fode, h)
+    q = 1.0 / (1.0 + 0.5 * h)
+    euler = h * q * (1.0 - q ** np.arange(1025)) / (1.0 - q)
+    assert np.max(np.abs(rep.solution.values - euler)) <= _CHORD_TOL * np.max(euler)
     t = rep.solution.times()
     exact = (1.0 - np.exp(-0.5 * t)) / 0.5
     assert np.max(np.abs(rep.solution.values - exact)) <= 1e-3
+
+
+@pytest.mark.parametrize("alpha, n", [(0.4, 1025), (0.4, 3 * _BLOCK + 1), (0.75, 1025), (1.0, 1025)])
+def test_time_only_right_side_equals_the_single_term_solve(alpha, n):
+    # With F = t**2 the pair is D^alpha D^alpha x = t**2, and the weights of
+    # order alpha compose to those of order 2 alpha: the single-term solve.
+    h = 1.0 / (n - 1)
+    coupled = solve_fode2(FODE2(alpha=alpha, rhs=lambda t, x, v: t**2, t_end=1.0), h)
+    direct = solve_multiterm(
+        MultiTermFDE(terms=((1.0, 2.0 * alpha),), forcing=lambda t: t**2, t_end=1.0), h
+    )
+    x = direct.solution.values
+    assert np.max(np.abs(coupled.solution.values - x)) <= 1e-12 * np.max(np.abs(x))
 
 
 def test_solvers_agree_on_shared_problem():
@@ -914,5 +967,48 @@ def test_fode2_pair_with_start_values_and_forcing_converges_to_the_laplace_inver
     )
     errors = [abs(solve_fode2(fode, t_end * 2.0**-j).solution.values[-1] - exact)
               for j in range(9, 13)]
+    ratios = [fine / coarse for coarse, fine in zip(errors, errors[1:])]
+    assert all(0.45 <= r <= 0.55 for r in ratios), ratios
+
+
+# Fractional friction is the pair with F = -gamma v / m, started from x0 =
+# 0 and v0 = 1: L[x] = s**(alpha - 1) / (s**(2 alpha) + (gamma / m) s**alpha).
+def friction_laplace_solution(fode, gamma_coef):
+    a = mpmath.mpf(fode.alpha)
+    return laplace_inverse(lambda s: s ** (a - 1) / (s ** (2 * a) + gamma_coef * s**a), fode.t_end)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.8, 0.999])
+def test_fractional_friction_converges_to_the_laplace_inverse(alpha):
+    fode = make_model("friction", "fractional", alpha=alpha)
+    exact = friction_laplace_solution(fode, 0.5)
+    errors = [abs(solve_fode2(fode, fode.t_end * 2.0**-j).solution.values[-1] - exact)
+              for j in range(9, 13)]
+    ratios = [fine / coarse for coarse, fine in zip(errors, errors[1:])]
+    assert all(0.45 <= r <= 0.55 for r in ratios), ratios
+
+
+@pytest.mark.parametrize("gamma_coef", [1100.0, 2000.0, 1e5])
+def test_stiff_friction_solves_at_the_default_step(gamma_coef):
+    # gamma h**alpha is 2.1 ... 200 at h = 2 / 1024: a step that lagged F
+    # by one node would grow without bound.
+    fode = make_model("friction", "fractional", gamma_coef=gamma_coef)
+    x = solve_fode2(fode, fode.t_end / 1024).solution.values
+    exact = friction_laplace_solution(fode, gamma_coef)
+    assert abs(x[-1] - exact) <= 1e-9 * np.max(np.abs(x))
+
+
+@pytest.mark.parametrize("problem", [
+    lambda: FODE2(alpha=0.8, rhs=lambda t, x, v: -0.5 * v - x - x**3, x0=1.0, t_end=2.0),
+    lambda: make_model("friction", "fractional", potential=lambda t, x: -0.25 * x**4, x0=1.0,
+                       v0=0.0),
+], ids=["duffing", "friction-quartic-potential"])
+def test_nonlinear_right_sides_converge_at_first_order(problem):
+    # Against the Richardson value of two fine grids, 2 x(h) - x(2 h).
+    fode = problem()
+    fine = [solve_fode2(fode, fode.t_end / m).solution.values[-1] for m in (16384, 8192)]
+    reference = 2.0 * fine[0] - fine[1]
+    errors = [abs(solve_fode2(fode, fode.t_end / 2**j).solution.values[-1] - reference)
+              for j in range(7, 11)]
     ratios = [fine / coarse for coarse, fine in zip(errors, errors[1:])]
     assert all(0.45 <= r <= 0.55 for r in ratios), ratios
