@@ -78,9 +78,9 @@ __all__ = [
 
 DIVERGENCE_GUARD = 1e12
 
-# `solve_fode2`'s chord steps: from step _FEW on, nodes whose steps shrink
-# by less than 10x take F's Jacobian afresh (once); they are halved after
-# _MAX_CHORD steps, and done once within _CHORD_TOL of max |x - x0|.
+# `solve_fode2`'s chord steps: from step _FEW on, runs of nodes whose steps
+# shrink by less than 10x take F's Jacobian afresh (once); they are halved
+# after _MAX_CHORD steps, and done once within _CHORD_TOL of the solution.
 _FEW, _MAX_CHORD, _CHORD_TOL = 2, 10, 1e-10
 
 # `solve_multiterm` sums lags below _HEAD directly; `_inverse_series` works in runs of _RUN.
@@ -235,31 +235,31 @@ def _block_solver(weights: np.ndarray, scales: np.ndarray, c0: float, size: int)
     a = c0 delta + sum_i scales[i] weights[i] is the block's lower-triangular
     Toeplitz symbol and r its inverse series over ``size`` lags, so on
     rhs.size <= ``size`` nodes x_b = r * rhs, followed by one correction
-    step x_b += r * (rhs - a * x_b). The
-    residual sums each row's lags below _HEAD directly, row by row, and all
-    longer lags by one FFT product with the tail row sum_i s_i w_i[_HEAD:].
-    Where that row is nonzero the products with r are FFT products too; the
-    spectra of r and of the tail row are taken once, at twice ``size``.
-    Integer orders alone, and ``fft`` false, keep direct products with r. A
-    solve whose FFTs turn non-finite is done again by direct sums, so that a
-    non-finite x_b starts at its first non-finite node. A symbol that overflows or whose diagonal
-    is zero raises ValueError.
+    step x_b += r * (rhs - a * x_b). The residual sums each row's lags below
+    _HEAD directly, row by row, and all longer lags by one FFT product with
+    the tail row sum_i s_i w_i[_HEAD:]. Where that row is nonzero the
+    products with r are FFT products too; the spectra of r and of the tail
+    row are taken once, at twice ``size``. Integer orders alone, and ``fft``
+    false, keep direct products with r. A solve whose FFTs turn non-finite
+    is done again by direct sums, so that a non-finite x_b starts at its
+    first non-finite node. A symbol that overflows or whose diagonal is zero
+    raises ValueError. Callers ignore overflow and invalid values in numpy:
+    they raise at non-finite results.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite: raised or handled below
-        # Lags past a weight row's last nonzero entry (integer orders) add
-        # nothing to the sums within a block.
-        supports = _support(weights)
-        a = scales @ weights[:, : supports.max()]
-        a[0] += c0
-        if not np.all(np.isfinite(a)):
-            raise ValueError("degenerate implicit update: scaled coefficients overflow at this h")
-        if a[0] == 0.0:
-            raise ValueError("degenerate implicit update: operator diagonal is zero at this h")
-        r = _inverse_series(a[:size], size)
-        tail = np.concatenate([np.zeros(_HEAD), scales @ weights[:, _HEAD:size]])[:size]
-        spectral = bool(np.any(tail))
-        if spectral:
-            spec_r, spec_tail = np.fft.rfft([r, tail], 2 * size)
+    # Lags past a weight row's last nonzero entry (integer orders) add
+    # nothing to the sums within a block.
+    supports = _support(weights)
+    a = scales @ weights[:, : supports.max()]
+    a[0] += c0
+    if not np.all(np.isfinite(a)):
+        raise ValueError("degenerate implicit update: scaled coefficients overflow at this h")
+    if a[0] == 0.0:
+        raise ValueError("degenerate implicit update: operator diagonal is zero at this h")
+    r = _inverse_series(a[:size], size)
+    tail = np.concatenate([np.zeros(_HEAD), scales @ weights[:, _HEAD:size]])[:size]
+    spectral = bool(np.any(tail))
+    if spectral:
+        spec_r, spec_tail = np.fft.rfft([r, tail], 2 * size)
 
     def product(spec, v):
         """The first v.size terms of the series product of v and a spectrum's row."""
@@ -281,11 +281,10 @@ def _block_solver(weights: np.ndarray, scales: np.ndarray, c0: float, size: int)
         return xb + times_r(residual(rhs, xb, spectral), spectral)
 
     def solve(rhs, fft=True):
-        with np.errstate(over="ignore", invalid="ignore"):  # non-finite x_b: the caller's to raise
-            if fft and spectral and np.all(np.isfinite(xb := solve_block(rhs, True))):
-                return xb, lambda: residual(rhs, xb, True)
-            xb = solve_block(rhs, False)
-            return xb, lambda: residual(rhs, xb, False)
+        if fft and spectral and np.all(np.isfinite(xb := solve_block(rhs, True))):
+            return xb, lambda: residual(rhs, xb, True)
+        xb = solve_block(rhs, False)
+        return xb, lambda: residual(rhs, xb, False)
 
     return solve, r
 
@@ -331,50 +330,34 @@ def solve_multiterm(fde: MultiTermFDE, h: float) -> SolveReport:
     return SolveReport(SampledPath(0.0, h, x), float(np.max(defects)), steps)
 
 
-def _jacobian(rhs, t: float, x: float, v: float) -> tuple:
-    """(F_x, F_v) at (t, x, v) by central differences, F called once on four points.
-
-    Where they are not finite, (0, 0): the chord steps then find the node
-    where the solution is not.
-    """
-    sx, sv = max(_FD_REL_STEP * abs(x), _FD_ABS_FLOOR), max(_FD_REL_STEP * abs(v), _FD_ABS_FLOOR)
-    f = _node_values(rhs, np.full(4, t), x + np.array([sx, -sx, 0.0, 0.0]),
-                     v + np.array([0.0, 0.0, sv, -sv]))
-    fx, fv = (f[0] - f[1]) / (2.0 * sx), (f[2] - f[3]) / (2.0 * sv)
-    return (fx, fv) if math.isfinite(fx) and math.isfinite(fv) else (0.0, 0.0)
-
-
 def solve_fode2(fode: FODE2, h: float) -> SolveReport:
     """Implicit solve of the coupled pair, a block at a time, by chord steps.
 
-    Advances X = x - x0 and V = v - v0, both with zero history, with the
-    weights w of order alpha: node j >= 1 satisfies h**-alpha H_j(X) = v0 +
-    V_j and h**-alpha H_j(V) = F(t_j, x0 + X_j, v0 + V_j), where H_j sums
-    the lags k >= 0 (implicit Euler at alpha = 1). On each block of
-    ``fracops._far_blocks``, V follows from X by the first equation, V = D X
-    + h**-alpha far_X - v0 with D = h**-alpha T(w), and X solves the second
-    by chord steps from the line through the last two nodes. A step calls F
-    once on the block's node arrays (node by node where F refuses arrays, as
+    Node j >= 1 of X = x - x0 and V = v - v0 (zero history, weights w of
+    order alpha) solves h**-alpha (w * X)_j = v0 + V_j and h**-alpha (w *
+    V)_j = F(t_j, x0 + X_j, v0 + V_j): implicit Euler at alpha = 1. On each
+    block of ``fracops._far_blocks``, V = D X + h**-alpha far_X - v0 with D
+    = h**-alpha T(w), and X solves the second equation by chord steps from
+    the line through the last two nodes. A step calls F once on the
+    block's node arrays (node by node where F refuses arrays, as
     ``MultiTermFDE.forcing``), takes the residual R = h**-alpha (far_V +
-    T(w) V) - F and solves (D**2 - F_v D - F_x) dX = -R, a two-term symbol
-    of orders (2 alpha, alpha), by `_block_solver`. F_x and F_v come from
-    central differences at (0, x0, v0) and serve later blocks; from step
-    _FEW on, nodes whose steps shrink by less than 10x take them afresh at
-    their middle node.
+    T(w) V) - F and solves (D**2 - F_v D - F_x) dX = -R, a symbol of orders
+    (2 alpha, alpha), by `_block_solver`. F_x and F_v are central
+    differences at (0, x0, v0), taken once afresh at a run's middle node
+    where its steps shrink by less than 10x from step _FEW on; they serve
+    later runs.
 
-    Nodes are done when the estimated distance of their X and V to the
-    solution of their implicit equations is below _CHORD_TOL of max |X| and
-    max |V| over the nodes so far: the last step was that small, or the next
-    must be, since |r * R| <= sum |r| max |R| for the symbol's inverse
-    series r. They keep their last iterate, whose largest |R| over all
-    blocks is ``max_defect``; the first equation holds by construction.
-    Where the steps stop shrinking, or pass _MAX_CHORD, the nodes are halved
-    and solved in order, the first half's lags entering the second's far
-    parts, down to single nodes; halves take direct sums, free of the FFT
-    roundoff that fast-growing nodes spread to the others. Raises
-    DivergenceError at the first node whose X or V is non-finite or passes
-    DIVERGENCE_GUARD, or whose steps do not converge alone; F is never
-    called on a later block.
+    Nodes are done when X and V are estimated within _CHORD_TOL of max |X|
+    and max |V| of the implicit equations' solution: the last step was that
+    small, or the next must be, as |r * R| <= sum |r| max |R| for the
+    symbol's inverse series r. They keep the last iterate, whose largest
+    |R| is ``max_defect``. Runs whose steps stop shrinking, or pass
+    _MAX_CHORD, are halved and solved in order, by direct sums (free of the
+    FFT roundoff that fast-growing nodes spread), down to single nodes,
+    which take Newton steps.
+    Raises DivergenceError at the first node whose X or V is non-finite or
+    passes DIVERGENCE_GUARD, or whose steps do not converge alone; F is
+    never called on a later block.
     """
     steps = _grid_steps(fode.t_end, h)
     n = steps + 1
@@ -384,12 +367,15 @@ def solve_fode2(fode: FODE2, h: float) -> SolveReport:
     scale = h**-alpha
     big = np.zeros((2, n))
     t = h * np.arange(n)
-    jac = _jacobian(fode.rhs, 0.0, x0, v0)
     size_x = size_v = 0.0
 
-    def chord(j0, j1, far_x, far_v, fft=True):
-        """Nodes j0 .. j1 - 1 into ``big``, given the far parts of D X and D V; their max |R|."""
-        nonlocal jac, solve, gain, size_x, size_v
+    def chord(j0, j1, far_x, far_v, fft):
+        """Nodes j0 .. j1 - 1 into ``big``, given the far parts of D X and D V there.
+
+        Returns their largest |R|, or None where the steps do not converge.
+        """
+        nonlocal block_solver, size_x, size_v
+        solve, gain = block_solver
         slope = big[0, j0 - 1] - big[0, j0 - 2] if j0 >= 2 else 0.0
         tb, xb = t[j0:j1], big[0, j0 - 1] + slope * np.arange(1, j1 - j0 + 1)
         last, done, fresh = math.inf, False, False
@@ -414,23 +400,20 @@ def solve_fode2(fode: FODE2, h: float) -> SolveReport:
                 break
             dx = solve(-res, fft)[0]
             change = float(np.max(np.abs(dx)))
-            if not change < last:  # growing or NaN
+            if not (change < last or j1 - j0 == 1 and change < math.inf):  # growing or NaN
                 break
             done = change <= (1.0 - change / last) * _CHORD_TOL * reach_x
-            if step >= _FEW and not (done or fresh) and change > 0.1 * last:
+            # A single node takes Newton steps, a solver of its own each.
+            if not done and (j1 - j0 == 1 or step >= _FEW and not fresh and change > 0.1 * last):
                 fresh, mid = True, (j1 - j0) // 2
-                jac = _jacobian(fode.rhs, tb[mid], x0 + xb[mid], v0 + vb[mid])
-                solve, gain = symbol_solver()
+                solve, gain = symbol_solver(tb[mid], x0 + xb[mid], v0 + vb[mid], j1 - j0)
+                block_solver = (solve, gain) if j1 - j0 > 1 else block_solver
             xb, last = xb + dx, change
         if j1 - j0 == 1:
             what = "chord steps did not converge" if within and math.isfinite(change) else (
                 f"solution is not finite or exceeded {DIVERGENCE_GUARD:g}")
             raise DivergenceError(f"{what} at t = {t[j0]:g}")
-        mid = (j0 + j1 + 1) // 2
-        defect = chord(j0, mid, far_x[: mid - j0], far_v[: mid - j0], False)
-        near = [np.convolve(w[: j1 - j0], g)[mid - j0 : j1 - j0] for g in big[:, j0:mid]]
-        far_x, far_v = far_x[mid - j0 :] + scale * near[0], far_v[mid - j0 :] + scale * near[1]
-        return max(defect, chord(mid, j1, far_x, far_v, False))
+        return None
 
     def times_d(v, fft):
         """D v: h**-alpha times the first v.size terms of w * v, by FFT if ``fft``."""
@@ -438,11 +421,20 @@ def solve_fode2(fode: FODE2, h: float) -> SolveReport:
             return scale * np.fft.irfft(spec_w * np.fft.rfft(v, 2 * size), 2 * size)[: v.size]
         return scale * np.convolve(w[: v.size], v)[: v.size]
 
-    def symbol_solver():
-        """The chord steps' block solve; gain[:, m - 1] sums |r| and |D r| over m lags."""
-        fx, fv = jac
-        solve, r = _block_solver(weights, np.array([scale * scale, -fv * scale]), -fx, size)
-        return solve, np.cumsum(np.abs([r, times_d(r, True)]), axis=1)
+    def symbol_solver(tj, xj, vj, m):
+        """The solve of m > 1 (a block) or 1 nodes with F's Jacobian at (tj, xj, vj).
+
+        gain[:, k - 1] sums |r| and |D r| over k lags.
+        """
+        m = size if m > 1 else 1
+        sx, sv = (max(_FD_REL_STEP * abs(u), _FD_ABS_FLOOR) for u in (xj, vj))
+        f = _node_values(fode.rhs, np.full(4, tj), xj + np.array([sx, -sx, 0.0, 0.0]),
+                         vj + np.array([0.0, 0.0, sv, -sv]))
+        fx, fv = (f[0] - f[1]) / (2.0 * sx), (f[2] - f[3]) / (2.0 * sv)
+        if not (math.isfinite(fx) and math.isfinite(fv)):
+            fx = fv = 0.0  # the chord steps then find the node that is not finite
+        solve, r = _block_solver(weights, np.array([scale * scale, -fv * scale]), -fx, m)
+        return solve, np.cumsum(np.abs([r, times_d(r, m > 1)]), axis=1)
 
     defect = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite iterates halve or raise
@@ -450,10 +442,24 @@ def solve_fode2(fode: FODE2, h: float) -> SolveReport:
             if not lo:
                 size = hi
                 spec_w = np.fft.rfft(w[:size], 2 * size)
-                solve, gain = symbol_solver()
+                block_solver = symbol_solver(0.0, x0, v0, size)
             first = max(lo, 1)
-            far_x, far_v = scale * far[0, first - lo :] - v0, scale * far[1, first - lo :]
-            defect = max(defect, chord(first, hi, far_x, far_v))
+            # Runs of nodes to solve, the next one last: (j0, j1, the far
+            # parts of D X and D V from before node k0, k0, by FFT or not).
+            runs = [(first, hi, scale * far[0, first - lo :] - v0, scale * far[1, first - lo :],
+                     first, True)]
+            while runs:
+                j0, j1, far_x, far_v, k0, fft = runs.pop()
+                if k0 < j0:  # add the lags from the nodes k0 .. j0 - 1
+                    near = [np.convolve(w[: j1 - k0], g)[j0 - k0 : j1 - k0] for g in big[:, k0:j0]]
+                    far_x, far_v = far_x + scale * near[0], far_v + scale * near[1]
+                largest = chord(j0, j1, far_x, far_v, fft)
+                if largest is None:
+                    mid = (j0 + j1 + 1) // 2
+                    runs += [(mid, j1, far_x[mid - j0 :], far_v[mid - j0 :], j0, False),
+                             (j0, mid, far_x[: mid - j0], far_v[: mid - j0], j0, False)]
+                else:
+                    defect = max(defect, largest)
     x, v = x0 + big[0], v0 + big[1]
     return SolveReport(SampledPath(0.0, h, x), defect, steps, SampledPath(0.0, h, v))
 

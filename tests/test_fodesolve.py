@@ -613,6 +613,30 @@ def test_fode2_matches_plain_implicit_stepping(n, alpha, rhs):
     assert np.max(np.abs(rep.aux.values - big[1])) <= _CHORD_TOL * np.max(np.abs(big[1]))
 
 
+@pytest.mark.parametrize("alpha, rhs", [
+    (0.5, lambda t, x, v: -0.1 * v - x - 5.0 * x**3),
+    (0.8, lambda t, x, v: -0.1 * v - x - 5.0 * x**3),
+    (0.5, lambda t, x, v: 2.0 * (1.0 - x**2) * v - x),
+], ids=["duffing-0.5", "duffing-0.8", "van-der-pol-0.5"])
+def test_runs_whose_chord_steps_stall_are_halved(alpha, rhs):
+    # On one block of 256 steps over [0, 2], F's Jacobian varies too much for
+    # chord steps on the whole block: its runs are halved, down to Newton
+    # steps on single nodes where needed.
+    h = 2.0 / 256
+    runs = []
+
+    def counted(t, x, v):
+        if np.ptp(t) > 0.0:  # not a Jacobian's probe
+            runs.append(np.size(t))
+        return rhs(t, x, v)
+
+    rep = solve_fode2(FODE2(alpha=alpha, rhs=counted, x0=2.0, t_end=2.0), h)
+    assert runs[0] == 256 and min(runs) <= 128
+    big = plain_fode2(FODE2(alpha=alpha, rhs=rhs, x0=2.0, t_end=2.0), h)
+    assert np.max(np.abs(rep.solution.values - 2.0 - big[0])) <= _CHORD_TOL * np.max(np.abs(big[0]))
+    assert np.max(np.abs(rep.aux.values - big[1])) <= _CHORD_TOL * np.max(np.abs(big[1]))
+
+
 def test_implicit_euler_reduction_at_order_one():
     # alpha = 1 turns the scheme into implicit Euler for x'' = -0.5 x':
     # v_j = q**j with q = 1 / (1 + 0.5 h), x_j = h (q + ... + q**j).
