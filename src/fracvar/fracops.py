@@ -6,9 +6,7 @@ function after subtracting its Taylor polynomial of degree ceil(mu) - 1 at
 the base node. The subtraction makes the operator annihilate constants
 exactly at every order (and low-degree polynomials for orders above one) and
 makes it the regularized counterpart of the corresponding integral-kernel
-derivative. The polynomial is fitted to the samples minus the base sample,
-so that a constant's fitted coefficients are exact zeros even where the
-one-sided stencils do not sum to exactly zero in floating point.
+derivative.
 
 Conventions that matter downstream:
 
