@@ -613,6 +613,50 @@ def test_fode2_matches_plain_implicit_stepping(n, alpha, rhs):
     assert np.max(np.abs(rep.aux.values - big[1])) <= _CHORD_TOL * np.max(np.abs(big[1]))
 
 
+def plain_explicit_fode2(fode, h):
+    """The explicit scheme of the same pair as a plain O(N**2) loop.
+
+    Node j takes v and F from node j - 1: h**-alpha (w * X)_j = v0 + V_{j-1}
+    and h**-alpha (w * V)_j = F(t_{j-1}, x0 + X_{j-1}, v0 + V_{j-1}).
+    """
+    n = int(round(fode.t_end / h)) + 1
+    w = gl_weights(FracOrder(fode.alpha), n)
+    ha = h**fode.alpha
+    big = np.zeros((2, n))
+    rev = np.zeros((2, n))  # big time-reversed: nodes j-1, j-2, ... are contiguous
+    for j in range(1, n):
+        x_prev, v_prev = big[:, j - 1]
+        f = fode.rhs(h * (j - 1), fode.x0 + x_prev, fode.v0 + v_prev)
+        hist = [w[1 : j + 1].dot(r[n - j :]) for r in rev]
+        big[:, j] = rev[:, n - 1 - j] = -hist[0] + ha * (fode.v0 + v_prev), -hist[1] + ha * f
+    return big
+
+
+@pytest.mark.parametrize("n", FODE2_NODES)
+@pytest.mark.parametrize("alpha", [0.3, 0.6, 0.95, 1.0])
+@pytest.mark.parametrize(
+    "rhs",
+    [
+        lambda t, x, v: 1.0 - 2.0 * x - 0.5 * v,
+        lambda t, x, v: math.cos(3.0 * t) + math.sin(x) - 0.3 * v * abs(v),
+    ],
+    ids=["linear", "nonlinear"],
+)
+def test_fode2_matches_plain_explicit_stepping(n, alpha, rhs):
+    # The explicit scheme lags v and F by one node. It and the implicit solve
+    # are first-order schemes of the same pair, so their gap at t_end halves
+    # with h, in x and in v.
+    t_end = (n - 1) * 2**-10
+    gaps = []
+    for h in (2**-10, 2**-11):
+        fode = FODE2(alpha=alpha, rhs=rhs, t_end=t_end)
+        rep = solve_fode2(fode, h)
+        big = plain_explicit_fode2(fode, h)
+        gaps.append(np.array([rep.solution.values[-1], rep.aux.values[-1]]) - big[:, -1])
+    ratios = gaps[1] / gaps[0]
+    assert np.all((0.45 <= ratios) & (ratios <= 0.55)), ratios
+
+
 @pytest.mark.parametrize("alpha, rhs", [
     (0.5, lambda t, x, v: -0.1 * v - x - 5.0 * x**3),
     (0.8, lambda t, x, v: -0.1 * v - x - 5.0 * x**3),
