@@ -357,13 +357,14 @@ def solve_fode2(fode: FODE2, h: float) -> SolveReport:
     which take Newton steps.
     Raises DivergenceError at the first node whose X or V is non-finite or
     passes DIVERGENCE_GUARD, or whose steps do not converge alone; F is
-    never called on a later block.
+    never called on a later block. It also raises, naming t and h, where F's
+    Jacobian, wherever it is taken, has a real mode at rate h**-alpha or
+    above: the implicit step would damp that growth or flip its sign.
     """
     steps = _grid_steps(fode.t_end, h)
     n = steps + 1
     alpha, x0, v0 = fode.alpha, fode.x0, fode.v0
     w = gl_weights(FracOrder(alpha), n)
-    weights = np.array([gl_weights(FracOrder(2.0 * alpha), n), w])
     scale = h**-alpha
     big = np.zeros((2, n))
     t = h * np.arange(n)
@@ -433,6 +434,14 @@ def solve_fode2(fode: FODE2, h: float) -> SolveReport:
         fx, fv = (f[0] - f[1]) / (2.0 * sx), (f[2] - f[3]) / (2.0 * sv)
         if not (math.isfinite(fx) and math.isfinite(fv)):
             fx = fv = 0.0  # the chord steps then find the node that is not finite
+        # The linearized pair's modes z1, z2 are the roots of z**2 - F_v z -
+        # F_x, and the diagonal s (s - F_v) - F_x is (s - z1) (s - z2) for s =
+        # h**-alpha. The implicit step damps or flips a real mode at or above
+        # s: one is where the diagonal is not positive, and both are where
+        # they are real and their mean F_v / 2 lies above s.
+        if scale * (scale - fv) - fx <= 0.0 or fv * fv + 4.0 * fx >= 0.0 and fv > 2.0 * scale:
+            raise DivergenceError(f"F's Jacobian at t = {tj:g} has a growing mode at rate "
+                                  f"h**-alpha = {scale:g} or faster: reduce h = {h:g}")
         solve, r = _block_solver(weights, np.array([scale * scale, -fv * scale]), -fx, m)
         return solve, np.cumsum(np.abs([r, times_d(r, m > 1)]), axis=1)
 
@@ -441,6 +450,7 @@ def solve_fode2(fode: FODE2, h: float) -> SolveReport:
         for lo, hi, far in _far_blocks(big, w):
             if not lo:
                 size = hi
+                weights = np.array([gl_weights(FracOrder(2.0 * alpha), size), w[:size]])
                 spec_w = np.fft.rfft(w[:size], 2 * size)
                 block_solver = symbol_solver(0.0, x0, v0, size)
             first = max(lo, 1)

@@ -526,9 +526,15 @@ def test_initial_values_are_injected():
 
 
 def test_growth_guard_raises():
-    # v grows like E_0.5(4 t**0.5), about exp(16 t); at 4 h**0.5 = 0.5 the
-    # implicit scheme follows it (for 4 h**0.5 > 1 it would damp the mode).
+    # v grows like E_0.5(40 t**0.5), about exp(1600 t). At 40 h**0.5 = 5 > 1
+    # the implicit scheme would damp that mode and flip its sign (V_1 = -1.25):
+    # F's Jacobian is checked for it first.
     h = 2**-6
+    fode = FODE2(alpha=0.5, rhs=lambda t, x, v: 40.0 * v, v0=1.0, t_end=4.0)
+    with pytest.raises(DivergenceError, match=f"at t = 0 has a growing mode .* reduce h = {h:g}$"):
+        solve_fode2(fode, h)
+    # E_0.5(4 t**0.5), about exp(16 t): at 4 h**0.5 = 0.5 the scheme follows
+    # it up to the guard.
     fode = FODE2(alpha=0.5, rhs=lambda t, x, v: 4.0 * v, v0=1.0, t_end=4.0)
     with pytest.raises(DivergenceError, match="exceeded 1e\\+12") as info:
         solve_fode2(fode, h)
@@ -536,6 +542,16 @@ def test_growth_guard_raises():
     # The scheme is causal: the grid that ends one node earlier solves.
     rep = solve_fode2(FODE2(alpha=0.5, rhs=fode.rhs, v0=1.0, t_end=t_bad - h), h)
     assert max(np.max(np.abs(rep.solution.values)), np.max(np.abs(rep.aux.values - 1.0))) <= 1e12
+
+
+@pytest.mark.parametrize("alpha, rhs, h", [
+    (1.0, lambda t, x, v: x, 1.0),  # modes +-1 = h**-1: the diagonal is zero
+    (0.5, lambda t, x, v: 20.0 * v - 99.0 * x, 2**-6),  # modes 9 and 11 > h**-0.5 = 8
+], ids=["zero-diagonal", "two-modes"])
+def test_modes_the_step_cannot_follow_are_divergence_errors(alpha, rhs, h):
+    fode = FODE2(alpha=alpha, rhs=rhs, v0=1.0, t_end=8 * h)
+    with pytest.raises(DivergenceError, match=f"at t = 0 has a growing mode .* reduce h = {h:g}$"):
+        solve_fode2(fode, h)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
