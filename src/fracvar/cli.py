@@ -44,16 +44,10 @@ from .varcalc import (
     el_residual,
     lagrangian_catalog,
     make_lagrangian,
-)
-from .fodesolve import (
-    _VARIANTS,
-    DivergenceError,
-    MultiTermFDE,
     make_model,
     model_catalog,
-    solve_fode2,
-    solve_multiterm,
 )
+from .fodesolve import DivergenceError, MultiTermFDE, solve_fode2, solve_multiterm
 
 
 # Fewest nodes a grid or a sampled input may have.
@@ -265,7 +259,7 @@ def _cmd_solve(args) -> tuple[dict, dict]:
 def _cmd_models(args) -> tuple[dict, dict]:
     rows = []
     for name, (description, factory) in model_catalog().items():
-        for variant in _VARIANTS:
+        for variant in (v.value for v in Variant):
             problem = factory(variant)
             if isinstance(problem, MultiTermFDE):
                 kind, orders = "multiterm", ";".join(f"{mu:g}" for _, mu in problem.terms)
@@ -323,6 +317,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         description="fractional derivatives, jet lifts, variational checks, model solving",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    variants = [v.value for v in Variant]
 
     sp = sub.add_parser("deriv", help="fractional derivative of a built-in function")
     sp.add_argument("--alpha", type=float, default=0.5, help="derivative order (may exceed 1)")
@@ -354,7 +349,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     sp = sub.add_parser("el-check", help="stationarity residual along a path")
     _add_lagrangian_flags(sp)
-    sp.add_argument("--variant", default="classical", choices=["classical", "fractional"])
+    sp.add_argument("--variant", default="classical", choices=variants)
     sp.add_argument("--from-file", default=None, dest="from_file",
                     help="CSV with columns t,x instead of --fn")
     _add_fn_flags(sp)
@@ -363,7 +358,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     sp = sub.add_parser("solve", help="integrate a catalog model")
     sp.add_argument("--model", required=True)
-    sp.add_argument("--variant", default="fractional", choices=_VARIANTS)
+    sp.add_argument("--variant", default="fractional", choices=variants)
     sp.add_argument("--h", type=float, default=None, help="step size (default t_end/1024)")
     sp.add_argument("--forcing", type=float, default=None, help="constant f (default: the entry's)")
     _add_parameter_flags(sp, (factory for _, factory in model_catalog().values()), "forcing")

@@ -31,14 +31,7 @@ one call of F on the block's nodes. No node reads a later one: the schemes
 stay exactly causal. A non-finite solution raises ``DivergenceError``
 naming the first bad node.
 
-``model_catalog()`` is a dict of name to (description, factory), and
-``make_model(name, variant, **params)`` raises ValueError for an unknown
-name or variant, a parameter the model does not take, or a non-finite
-float, as ``make_lagrangian`` does. The multi-term entries (phillips
-classical, business-cycle, bagley-torvik) are not written out here: each
-is the classical Euler-Lagrange equation of a Lagrangian catalog entry,
-whose level map {jet level a: q_a} gives the terms (q_a, 2 a alpha)
-(``varcalc._el_terms``).
+The model catalog, whose problems these solvers take, is in ``varcalc``.
 """
 
 from __future__ import annotations
@@ -52,6 +45,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .fracops import (
     _BLOCK,
+    _FD_ABS_FLOOR,
+    _FD_REL_STEP,
     FracOrder,
     SampledPath,
     Side,
@@ -61,8 +56,6 @@ from .fracops import (
     frac_deriv,
     gl_weights,
 )
-from .varcalc import _FD_ABS_FLOOR, _FD_REL_STEP, _as_fn, _build, _el_terms
-from .varcalc import _bt_default_forcing, _plate_levels, _potential_levels
 
 __all__ = [
     "DivergenceError",
@@ -72,16 +65,14 @@ __all__ = [
     "solve_multiterm",
     "solve_fode2",
     "fde_residual",
-    "model_catalog",
-    "make_model",
 ]
 
 DIVERGENCE_GUARD = 1e12
 
-# `solve_fode2`'s chord steps: from step _FEW on, runs of nodes whose steps
-# shrink by less than 10x take F's Jacobian afresh (once); they are halved
-# after _MAX_CHORD steps, and done once within _CHORD_TOL of the solution.
-_FEW, _MAX_CHORD, _CHORD_TOL = 2, 10, 1e-10
+# `solve_fode2`'s chord steps: runs of nodes whose steps shrink by less
+# than 10x take F's Jacobian afresh (once); they are halved after
+# _MAX_CHORD steps, and done once within _CHORD_TOL of the solution.
+_MAX_CHORD, _CHORD_TOL = 10, 1e-10
 
 # `solve_multiterm` sums lags below _HEAD directly; `_inverse_series` works in runs of _RUN.
 _HEAD, _RUN = 32, 64
@@ -89,6 +80,15 @@ _HEAD, _RUN = 32, 64
 
 class DivergenceError(RuntimeError):
     """Raised when a solve turns non-finite or leaves the trust region."""
+
+
+def _as_fn(value) -> Callable[[float], float]:
+    """A forcing given as None (zero), a finite constant or a callable of t, as a callable."""
+    if callable(value):
+        return value
+    v = 0.0 if value is None else float(value)
+    _require_finite(forcing=v)
+    return lambda t: v
 
 
 @dataclass(frozen=True)
@@ -344,8 +344,7 @@ def solve_fode2(fode: FODE2, h: float) -> SolveReport:
     T(w) V) - F and solves (D**2 - F_v D - F_x) dX = -R, a symbol of orders
     (2 alpha, alpha), by `_block_solver`. F_x and F_v are central
     differences at (0, x0, v0), taken once afresh at a run's middle node
-    where its steps shrink by less than 10x from step _FEW on; they serve
-    later runs.
+    where its steps shrink by less than 10x; they serve later runs.
 
     Nodes are done when X and V are estimated within _CHORD_TOL of max |X|
     and max |V| of the implicit equations' solution: the last step was that
@@ -405,7 +404,7 @@ def solve_fode2(fode: FODE2, h: float) -> SolveReport:
                 break
             done = change <= (1.0 - change / last) * _CHORD_TOL * reach_x
             # A single node takes Newton steps, a solver of its own each.
-            if not done and (j1 - j0 == 1 or step >= _FEW and not fresh and change > 0.1 * last):
+            if not done and (j1 - j0 == 1 or not fresh and change > 0.1 * last):
                 fresh, mid = True, (j1 - j0) // 2
                 solve, gain = symbol_solver(tb[mid], x0 + xb[mid], v0 + vb[mid], j1 - j0)
                 block_solver = (solve, gain) if j1 - j0 > 1 else block_solver
@@ -493,76 +492,3 @@ def fde_residual(fde: MultiTermFDE, path: SampledPath) -> SampledPath:
         raise ValueError("path is too short for a residual check at this order")
     return SampledPath(path.t0 + drop * path.h, path.h, res[drop:])
 
-
-# ---------------------------------------------------------------------------
-# Model catalog.
-# ---------------------------------------------------------------------------
-
-# Every model has these variants.
-_VARIANTS = ("classical", "fractional")
-
-
-def _friction_factory(variant, m=1.0, gamma_coef=0.5, potential=None, x0=0.0, v0=1.0,
-                      alpha=0.999, t_end=2.0):
-    """Damped motion in a potential: m x'' + gamma x' - dU/dx = 0."""
-    if m == 0.0:
-        raise ValueError("m must be nonzero")
-    u = potential
-
-    def u_x(t, x):
-        if u is None:
-            return 0.0
-        s = np.maximum(_FD_REL_STEP * np.abs(x), _FD_ABS_FLOOR)
-        return (u(t, x + s) - u(t, x - s)) / (2.0 * s)
-
-    def rhs(t, x, v):
-        return (u_x(t, x) - gamma_coef * v) / m
-
-    a = 1.0 if variant == "classical" else alpha
-    return FODE2(alpha=a, rhs=rhs, x0=x0, v0=v0, t_end=t_end)
-
-
-def _phillips_factory(variant, a1=0.5, b1=1.0, f=0.2, x0=1.0, v0=0.0, alpha=0.999, t_end=5.0):
-    """Stabilization dynamics: x'' + a1 x' + b1 x + f = 0."""
-    if variant == "classical":
-        return MultiTermFDE(_el_terms(0.5, _potential_levels(2, a1, 0.0)), b1, -f, t_end)
-    return FODE2(
-        alpha=alpha,
-        rhs=lambda t, x, v: -a1 * v - b1 * x - f,
-        x0=x0,
-        v0=v0,
-        t_end=t_end,
-    )
-
-
-def _business_cycle_factory(variant, a1=0.5, a2=0.5, b1=1.0, f=0.2, alpha=0.5, t_end=1.0):
-    """Third-order cycle dynamics: x''' + a2 x'' + a1 x' + b1 x + f = 0."""
-    terms = _el_terms(0.5 if variant == "classical" else alpha, _potential_levels(3, a1, a2))
-    return MultiTermFDE(terms, b1, -f, t_end)
-
-
-def _bagley_torvik_factory(variant, a=1.0, b=1.0, c=1.0, forcing=None, alpha=0.25, t_end=1.0):
-    """Damped plate model: a x'' + b D^(3/2) x + c x = f(t)."""
-    terms = _el_terms(0.25 if variant == "classical" else alpha, _plate_levels(a, b))
-    return MultiTermFDE(terms, c, _bt_default_forcing if forcing is None else forcing, t_end)
-
-
-def model_catalog() -> dict:
-    """Name to (description, factory) of the built-in models; a factory takes the variant."""
-    return {
-        "friction": ("damped motion in a potential: m x'' + g x' - dU/dx = 0", _friction_factory),
-        "phillips": ("stabilization dynamics: x'' + a1 x' + b1 x + f = 0", _phillips_factory),
-        "business-cycle": ("third-order cycle dynamics: x''' + a2 x'' + a1 x' + b1 x + f = 0",
-                           _business_cycle_factory),
-        "bagley-torvik": ("damped plate model: a x'' + b D^(3/2) x + c x = f(t)",
-                          _bagley_torvik_factory),
-    }
-
-
-def make_model(name: str, variant: str, **params):
-    """The model's problem in ``variant``, a MultiTermFDE or a FODE2; ValueError as in ``_build``."""
-    if variant not in _VARIANTS:
-        known = ", ".join(_VARIANTS)
-        raise ValueError(f"model {name!r} has no variant {variant!r} (use {known})")
-    factories = {n: factory for n, (_, factory) in model_catalog().items()}
-    return _build("model", factories, name, variant, **params)

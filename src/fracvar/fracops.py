@@ -51,6 +51,9 @@ DEFAULT_T0 = 0.0
 DEFAULT_T1 = 1.0
 DEFAULT_NPTS = 1025
 
+# Step of the package's central differences: relative, with an absolute floor.
+_FD_REL_STEP, _FD_ABS_FLOOR = 1e-6, 1e-8
+
 
 def _require_finite(**values) -> None:
     """Raise ValueError naming the first of ``values`` that is not finite."""

@@ -50,9 +50,10 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
+from .fodesolve import FODE2, MultiTermFDE, _as_fn
 # perfbench/tracing.py patches frac_deriv and frac_deriv_from_base here by name.
 from .fracops import FracOrder, SampledPath, frac_deriv, frac_deriv_from_base, gl_weights
-from .fracops import _require_finite
+from .fracops import _FD_ABS_FLOOR, _FD_REL_STEP, _require_finite
 from .jet import JetPoint, JetTrajectory
 from .specfun import gamma
 
@@ -71,6 +72,8 @@ __all__ = [
     "power_law_mixed_lagrangian",
     "lagrangian_catalog",
     "make_lagrangian",
+    "model_catalog",
+    "make_model",
 ]
 
 # Samples of the internal grid of a fractional partial, terminal to value.
@@ -81,16 +84,12 @@ FRAC_PARTIAL_NODES = 513
 # FRAC_PARTIAL_NODES values takes about 1 MiB.
 _PARTIAL_ROWS = 256
 
-# Step policy for classical finite-difference partials.
-_FD_REL_STEP = 1e-6
-_FD_ABS_FLOOR = 1e-8
-
 _VALIDATION_POINTS = 100
 
 
 class Variant(str, Enum):
-    FRACTIONAL = "fractional"
     CLASSICAL = "classical"
+    FRACTIONAL = "fractional"
 
 
 Coord = tuple
@@ -423,28 +422,29 @@ def el_explicit_rhs(L: Lagrangian, point: JetPoint) -> tuple[float, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Built-in Lagrangian catalog.
+# Built-in catalogs: Lagrangians, and the models derived from them.
 #
-# Every entry ships two coefficient sets. "normalized" recomputes each gamma
-# factor so the classical-variant residual reproduces the target equation
-# exactly under the scaled-jet convention: differentiating a level-a jet to
-# order a alpha gives D^(2 a alpha) x / Gamma(1 + a alpha), so a quadratic
-# term reproducing coef * D^(2 a alpha) x needs the prefactor
+# Every Lagrangian ships two coefficient sets. "normalized" recomputes each
+# gamma factor so the classical-variant residual reproduces the target
+# equation exactly under the scaled-jet convention: differentiating a
+# level-a jet to order a alpha gives D^(2 a alpha) x / Gamma(1 + a alpha),
+# so a quadratic term reproducing coef * D^(2 a alpha) x needs the prefactor
 # Gamma(1 + a alpha), not the Gamma(1 + 2 a alpha) that appears when that
 # scaling is dropped. "literature" keeps the latter, conventional, factors.
 # A quadratic entry's kinetic part is one level map {jet level a: q_a}, and
 # its normalized classical Euler-Lagrange equation U_x + sum_a q_a
-# D^(2 a alpha) x = 0 gives the model catalog's multi-term equations.
+# D^(2 a alpha) x = 0 gives the terms (q_a, 2 a alpha) (`_el_terms`) of
+# the model catalog's multi-term equations (phillips classical,
+# business-cycle, bagley-torvik), which are not written out.
+#
+# ``lagrangian_catalog()`` is a dict of name to factory and
+# ``model_catalog()`` one of name to (description, factory), whose factory
+# takes the variant first and returns a MultiTermFDE or a FODE2. Both are
+# built by `_build`: ``make_lagrangian(name, **params)`` and
+# ``make_model(name, variant, **params)`` raise ValueError for an unknown
+# name (or variant), a parameter the entry does not take, or a non-finite
+# float.
 # ---------------------------------------------------------------------------
-
-def _as_fn(value) -> Callable[[float], float]:
-    """A forcing given as None (zero), a finite constant or a callable of t, as a callable."""
-    if callable(value):
-        return value
-    v = 0.0 if value is None else float(value)
-    _require_finite(forcing=v)
-    return lambda t: v
-
 
 def _plate_levels(a: float, b: float) -> dict:
     """The plate's level map: a D^(8 alpha) x + b D^(6 alpha) x."""
@@ -670,6 +670,63 @@ def lagrangian_catalog() -> dict:
     }
 
 
+def _friction_factory(variant, m=1.0, gamma_coef=0.5, potential=None, x0=0.0, v0=1.0,
+                      alpha=0.999, t_end=2.0):
+    """Damped motion in a potential: m x'' + gamma x' - dU/dx = 0."""
+    if m == 0.0:
+        raise ValueError("m must be nonzero")
+    u = potential
+
+    def u_x(t, x):
+        if u is None:
+            return 0.0
+        s = np.maximum(_FD_REL_STEP * np.abs(x), _FD_ABS_FLOOR)
+        return (u(t, x + s) - u(t, x - s)) / (2.0 * s)
+
+    def rhs(t, x, v):
+        return (u_x(t, x) - gamma_coef * v) / m
+
+    a = 1.0 if variant == "classical" else alpha
+    return FODE2(alpha=a, rhs=rhs, x0=x0, v0=v0, t_end=t_end)
+
+
+def _phillips_factory(variant, a1=0.5, b1=1.0, f=0.2, x0=1.0, v0=0.0, alpha=0.999, t_end=5.0):
+    """Stabilization dynamics: x'' + a1 x' + b1 x + f = 0."""
+    if variant == "classical":
+        return MultiTermFDE(_el_terms(0.5, _potential_levels(2, a1, 0.0)), b1, -f, t_end)
+    return FODE2(
+        alpha=alpha,
+        rhs=lambda t, x, v: -a1 * v - b1 * x - f,
+        x0=x0,
+        v0=v0,
+        t_end=t_end,
+    )
+
+
+def _business_cycle_factory(variant, a1=0.5, a2=0.5, b1=1.0, f=0.2, alpha=0.5, t_end=1.0):
+    """Third-order cycle dynamics: x''' + a2 x'' + a1 x' + b1 x + f = 0."""
+    terms = _el_terms(0.5 if variant == "classical" else alpha, _potential_levels(3, a1, a2))
+    return MultiTermFDE(terms, b1, -f, t_end)
+
+
+def _bagley_torvik_factory(variant, a=1.0, b=1.0, c=1.0, forcing=None, alpha=0.25, t_end=1.0):
+    """Damped plate model: a x'' + b D^(3/2) x + c x = f(t)."""
+    terms = _el_terms(0.25 if variant == "classical" else alpha, _plate_levels(a, b))
+    return MultiTermFDE(terms, c, _bt_default_forcing if forcing is None else forcing, t_end)
+
+
+def model_catalog() -> dict:
+    """Name to (description, factory) of the built-in models; a factory takes the variant."""
+    return {
+        "friction": ("damped motion in a potential: m x'' + g x' - dU/dx = 0", _friction_factory),
+        "phillips": ("stabilization dynamics: x'' + a1 x' + b1 x + f = 0", _phillips_factory),
+        "business-cycle": ("third-order cycle dynamics: x''' + a2 x'' + a1 x' + b1 x + f = 0",
+                           _business_cycle_factory),
+        "bagley-torvik": ("damped plate model: a x'' + b D^(3/2) x + c x = f(t)",
+                          _bagley_torvik_factory),
+    }
+
+
 def _build(kind: str, catalog: dict, name: str, *args, **params):
     """``catalog[name](*args, **params)``, the constructor of both catalogs.
 
@@ -688,3 +745,12 @@ def _build(kind: str, catalog: dict, name: str, *args, **params):
 
 def make_lagrangian(name: str, **params) -> Lagrangian:
     return _build("Lagrangian", lagrangian_catalog(), name, **params)
+
+
+def make_model(name: str, variant: str, **params):
+    """The model's problem in ``variant``, a MultiTermFDE or a FODE2; ValueError as in ``_build``."""
+    variants = [v.value for v in Variant]
+    if variant not in variants:
+        raise ValueError(f"model {name!r} has no variant {variant!r} (use {', '.join(variants)})")
+    factories = {n: factory for n, (_, factory) in model_catalog().items()}
+    return _build("model", factories, name, variant, **params)

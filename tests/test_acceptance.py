@@ -246,7 +246,8 @@ def test_a10_lagrangian_family_recovery():
 
 
 def test_a11_economic_model_classical_crosscheck():
-    from fracvar.fodesolve import make_model, solve_fode2
+    from fracvar.fodesolve import solve_fode2
+    from fracvar.varcalc import make_model
 
     prob = make_model("phillips", "fractional")  # alpha = 0.999
     h = 5.0 / 4096

@@ -13,14 +13,11 @@ from scipy.integrate import solve_ivp
 
 from fracvar.fodesolve import (
     _CHORD_TOL,
-    _bt_default_forcing,
     _inverse_series,
     FODE2,
     DivergenceError,
     MultiTermFDE,
     fde_residual,
-    make_model,
-    model_catalog,
     solve_fode2,
     solve_multiterm,
 )
@@ -34,7 +31,13 @@ from fracvar.fracops import (
 )
 from fracvar.jet import JetTrajectory, lift
 from fracvar.specfun import gamma
-from fracvar.varcalc import el_residual, make_lagrangian
+from fracvar.varcalc import (
+    _bt_default_forcing,
+    el_residual,
+    make_lagrangian,
+    make_model,
+    model_catalog,
+)
 
 
 def plate_fde(t_end=1.0):
@@ -586,6 +589,7 @@ def plain_fode2(fode, h):
     Node j solves h**-alpha (w * X)_j = v0 + V_j and h**-alpha (w * V)_j =
     F(t_j, x0 + X_j, v0 + V_j) for X_j and V_j by Newton's method on the
     2x2 system, F's derivatives by central differences, from node j - 1.
+    The steps are Python floats, by Cramer's rule.
     """
     n = int(round(fode.t_end / h)) + 1
     w = gl_weights(FracOrder(fode.alpha), n)
@@ -593,16 +597,18 @@ def plain_fode2(fode, h):
     big = np.zeros((2, n))
     rev = np.zeros((2, n))  # big time-reversed: nodes j-1, j-2, ... are contiguous
     for j in range(1, n):
-        hist_x, hist_v = (w[1 : j + 1].dot(r[n - j :]) for r in rev)
-        x, v = big[:, j - 1]
+        hist_x, hist_v = (float(w[1 : j + 1].dot(r[n - j :])) for r in rev)
+        x, v = big[:, j - 1].tolist()
         for _ in range(50):
             f = lambda dx, dv: fode.rhs(h * j, fode.x0 + x + dx, fode.v0 + v + dv)  # noqa: E731
-            res = np.array([s * (hist_x + x) - fode.v0 - v, s * (hist_v + v) - f(0.0, 0.0)])
+            res_x, res_v = s * (hist_x + x) - fode.v0 - v, s * (hist_v + v) - f(0.0, 0.0)
             e = 1e-7
             f_x, f_v = (f(e, 0.0) - f(-e, 0.0)) / (2 * e), (f(0.0, e) - f(0.0, -e)) / (2 * e)
-            step = np.linalg.solve(np.array([[s, -1.0], [-f_x, s - f_v]]), -res)
-            x, v = x + step[0], v + step[1]
-            if np.all(np.abs(step) <= 1e-16 * np.maximum(1.0, np.abs([x, v]))):
+            # The step solves [[s, -1], [-f_x, s - f_v]] (dx, dv) = -(res_x, res_v).
+            det = s * (s - f_v) - f_x
+            dx, dv = (-res_x * (s - f_v) - res_v) / det, (-s * res_v - f_x * res_x) / det
+            x, v = x + dx, v + dv
+            if abs(dx) <= 1e-16 * max(1.0, abs(x)) and abs(dv) <= 1e-16 * max(1.0, abs(v)):
                 break
         big[:, j] = rev[:, n - 1 - j] = x, v
     return big
@@ -1021,16 +1027,26 @@ def laplace_solution(fde, forcing_transform):
 
 
 # Fractional entries of the derived catalog, with orders above and below one
-# at their top level. The plate's default forcing 6 t + 6 t**1.5 / Gamma(2.5)
-# + t**3 transforms to 6 / s**2 + 6 / s**2.5 + 6 / s**4.
-@pytest.mark.parametrize("name, params, forcing_transform", [
-    ("business-cycle", {"alpha": 0.4}, lambda s: -0.2 / s),
-    ("business-cycle", {"alpha": 0.3, "a1": 0.7, "a2": 0.2, "b1": 1.3, "f": 0.1},
+# at their top level, and a three-term equation outside it. The plate's
+# default forcing 6 t + 6 t**1.5 / Gamma(2.5) + t**3 transforms to 6 / s**2
+# + 6 / s**2.5 + 6 / s**4.
+PLATE_FORCING_TRANSFORM = lambda s: 6 / s**2 + 6 / s ** mpmath.mpf(2.5) + 6 / s**4  # noqa: E731
+
+
+@pytest.mark.parametrize("problem, forcing_transform", [
+    (lambda: make_model("business-cycle", "fractional", alpha=0.4), lambda s: -0.2 / s),
+    (lambda: make_model("business-cycle", "fractional", alpha=0.3, a1=0.7, a2=0.2, b1=1.3, f=0.1),
      lambda s: -0.1 / s),
-    ("bagley-torvik", {"alpha": 0.3}, lambda s: 6 / s**2 + 6 / s ** mpmath.mpf(2.5) + 6 / s**4),
-], ids=["business-cycle-0.4", "business-cycle-0.3", "bagley-torvik-0.3"])
-def test_derived_fractional_solves_converge_to_the_laplace_inverse(name, params, forcing_transform):
-    fde = make_model(name, "fractional", **params)
+    (lambda: make_model("bagley-torvik", "fractional", alpha=0.3), PLATE_FORCING_TRANSFORM),
+    (lambda: MultiTermFDE(((1.0, 1.8), (0.3, 1.2), (0.7, 0.6)), 1.0, lambda t: t),
+     lambda s: 1 / s**2),
+    (lambda: make_model("business-cycle", "fractional", alpha=0.2), lambda s: -0.2 / s),
+    (lambda: make_model("bagley-torvik", "fractional", alpha=0.2), PLATE_FORCING_TRANSFORM),
+    (lambda: make_model("bagley-torvik", "fractional", alpha=0.15), PLATE_FORCING_TRANSFORM),
+], ids=["business-cycle-0.4", "business-cycle-0.3", "bagley-torvik-0.3", "three-term",
+        "business-cycle-0.2", "bagley-torvik-0.2", "bagley-torvik-0.15"])
+def test_derived_fractional_solves_converge_to_the_laplace_inverse(problem, forcing_transform):
+    fde = problem()
     exact = laplace_solution(fde, forcing_transform)
     errors = [abs(solve_multiterm(fde, 2.0**-j).solution.values[-1] - exact) for j in range(9, 13)]
     ratios = [fine / coarse for coarse, fine in zip(errors, errors[1:])]

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 import fracvar.varcalc as varcalc
-from fracvar.fodesolve import _bt_default_forcing, make_model
 from fracvar.fracops import FracOrder, SampledPath, frac_deriv
 from fracvar.jet import JetPoint, lift
 from fracvar.specfun import gamma
 from fracvar.varcalc import (
     Lagrangian,
     Variant,
+    _bt_default_forcing,
     action,
     bagley_torvik_lagrangian,
     el_explicit_rhs,
@@ -21,6 +21,7 @@ from fracvar.varcalc import (
     hessian_g,
     lagrangian_catalog,
     make_lagrangian,
+    make_model,
     order_potential_lagrangian,
     power_law_mixed_lagrangian,
 )
