@@ -21,15 +21,20 @@ scheme implicit Euler.
 
 Every history sum uses the blocks of ``fracops._block_layout``, which the
 solves take one at a time through ``fracops._far_blocks``; it states the
-block lengths, FFT lengths and costs. Both solve a block with one helper,
-`_block_solver`: the inverse series r of a multi-term symbol, FFT products
-and one correction step. ``solve_multiterm`` evaluates the forcing once
-on the time array and solves each block at once. ``solve_fode2``, whose
-right side may be nonlinear, eliminates v and solves each block by chord
-steps, each a solve of the two-term symbol of orders (2 alpha, alpha) and
-one call of F on the block's nodes. No node reads a later one: the schemes
-stay exactly causal. A non-finite solution raises ``DivergenceError``
-naming the first bad node.
+block lengths, FFT lengths and costs. The blocks tile the unknown nodes
+1 .. n - 1: node 0 is given and adds nothing to any sum, so a grid of
+2**k + 1 nodes has no one-node last block. Both solvers invert a block's
+multi-term symbol as a series r (`_symbol_inverse`) and take the in-block
+products at twice the block length or more, each forward FFT and each inverse FFT
+serving several products at once. ``solve_multiterm`` evaluates the
+forcing once on the time array and solves each block at once by
+`_block_solver`: r times the right side and one correction step.
+``solve_fode2``, whose right side may be nonlinear, eliminates x and
+solves each block for v by chord steps, each one call of F on the block's
+nodes and one product with r, the inverse of the two-term symbol of orders
+(2 alpha, alpha). No node reads a later one: the schemes stay exactly
+causal. A non-finite solution raises ``DivergenceError`` naming the first
+bad node.
 
 The model catalog, whose problems these solvers take, is in ``varcalc``.
 """
@@ -45,14 +50,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .fracops import (
     _BLOCK,
-    _FD_ABS_FLOOR,
-    _FD_REL_STEP,
     FracOrder,
     SampledPath,
     Side,
     _far_blocks,
     _require_finite,
     _support,
+    _weights,
     frac_deriv,
     gl_weights,
 )
@@ -71,11 +75,16 @@ DIVERGENCE_GUARD = 1e12
 
 # `solve_fode2`'s chord steps: runs of nodes whose steps shrink by less
 # than 10x take F's Jacobian afresh (once); they are halved after
-# _MAX_CHORD steps, and done once within _CHORD_TOL of the solution.
+# _MAX_CHORD steps, and done once within _DONE, a quarter of _CHORD_TOL, of
+# the solution (a block's error carries into the later blocks' sums). F's
+# Jacobian comes from central differences of step _FD_STEP max(1, |u|).
 _MAX_CHORD, _CHORD_TOL = 10, 1e-10
+_DONE, _FD_STEP = 0.25 * _CHORD_TOL, np.finfo(np.float64).eps ** (1.0 / 3.0)
 
-# `solve_multiterm` sums lags below _HEAD directly; `_inverse_series` works in runs of _RUN.
-_HEAD, _RUN = 32, 64
+# `_block_solver` sums lags below _HEAD directly; `_inverse_series` substitutes
+# _START coefficients (_RUN for a polynomial symbol) and doubles them in runs
+# up to _RUN.
+_HEAD, _START, _RUN = 32, 8, 64
 
 
 class DivergenceError(RuntimeError):
@@ -194,30 +203,33 @@ def _inverse_series(a: np.ndarray, count: int) -> np.ndarray:
 
     a(z) = sum_k a[k] z**k with a[0] nonzero. ``a`` may hold fewer than
     ``count`` lags (a polynomial symbol: integer orders only), and each
-    coefficient reads only the lags it holds. The first _RUN coefficients
-    come by forward substitution. Each later run of _RUN solves its
+    coefficient reads only the lags it holds. The first _START coefficients
+    come by forward substitution, the first _RUN for a polynomial symbol:
+    with the shorter head the cubic business-cycle symbol's solves erred up
+    to 11x more against long double. Each later run of min(k, _RUN) from
+    coefficient k on, doubling the known head up to _RUN, solves its
     diagonal block of a's Toeplitz matrix, whose inverse is the Toeplitz
-    matrix of r[:_RUN]: one product with ``a`` sums the earlier
-    coefficients, one convolution with r[:_RUN] solves, and one more with
+    matrix of r[:run]: one product with ``a`` sums the earlier
+    coefficients, one convolution with r[:run] solves, and one more with
     the block's residual refines (the explicit inverse alone erred 5e-7 of
     max |r| on the classical business-cycle symbol at 2048 coefficients).
     """
-    head = min(count, _RUN)
-    # r[:head] time-reversed: r[k-1], r[k-2], ... read as one contiguous slice.
-    rev = np.zeros(head)
-    rev[-1] = 1.0 / a[0]
+    head = min(count, _RUN if a.size < count else _START)
+    r = np.zeros(count)
+    r[0] = 1.0 / a[0]
     for k in range(1, head):
         m = min(k, a.size - 1)
-        rev[head - 1 - k] = -a[1 : m + 1].dot(rev[head - k : head - k + m]) / a[0]
-    r = np.concatenate([rev[::-1], np.zeros(count - head)])
+        r[k] = -a[1 : m + 1].dot(r[k - m : k][::-1]) / a[0]
     lags = np.zeros(count)  # lags[i] = a[i + 1]
     lags[: min(a.size, count) - 1] = a[1:count]
-    for k in range(head, count, _RUN):
-        run, m = min(_RUN, count - k), min(k, a.size - 1)
+    k = head
+    while k < count:
+        run, m = min(k, _RUN, count - k), min(k, a.size - 1)
         # known[t] = sum over j = 1 .. m of a[j + t] r[k - j].
         known = sliding_window_view(lags[: m + run - 1], m)[:run] @ r[k - m : k][::-1]
         u = -np.convolve(r[:run], known)[:run]
         r[k : k + run] = u - np.convolve(r[:run], known + np.convolve(a[:run], u)[:run])[:run]
+        k += run
     return r
 
 
@@ -229,64 +241,83 @@ def _node_values(fn, *args: np.ndarray) -> np.ndarray:
         return np.array([fn(*node) for node in zip(*(a.tolist() for a in args))], dtype=np.float64)
 
 
-def _block_solver(weights: np.ndarray, scales: np.ndarray, c0: float, size: int):
-    """(solve, r), solve(rhs, fft=True) -> (x_b, residual()) of a * x_b = rhs.
+def _fft_points(size: int) -> int:
+    """The FFT length of products of two series of ``size`` terms: a power of two >= 2 size.
 
-    a = c0 delta + sum_i scales[i] weights[i] is the block's lower-triangular
-    Toeplitz symbol and r its inverse series over ``size`` lags, so on
-    rhs.size <= ``size`` nodes x_b = r * rhs, followed by one correction
-    step x_b += r * (rhs - a * x_b). The residual sums each row's lags below
-    _HEAD directly, row by row, and all longer lags by one FFT product with
-    the tail row sum_i s_i w_i[_HEAD:]. Where that row is nonzero the
-    products with r are FFT products too; the spectra of r and of the tail
-    row are taken once, at twice ``size``. Integer orders alone, and ``fft``
-    false, keep direct products with r. A solve whose FFTs turn non-finite
-    is done again by direct sums, so that a non-finite x_b starts at its
-    first non-finite node. A symbol that overflows or whose diagonal is zero
-    raises ValueError. Callers ignore overflow and invalid values in numpy:
-    they raise at non-finite results.
+    Twice an odd block length can hold a large prime factor (2 * 699 = 2 * 3 * 233).
+    """
+    return 1 << (2 * size - 1).bit_length()
+
+
+def _symbol_inverse(weights: np.ndarray, scales: np.ndarray, c0: float, size: int):
+    """r over ``size`` lags, the inverse series of a = c0 delta + sum_i scales[i] weights[i].
+
+    a is a block's lower-triangular Toeplitz symbol. A symbol that overflows
+    or whose diagonal is zero raises ValueError.
     """
     # Lags past a weight row's last nonzero entry (integer orders) add
     # nothing to the sums within a block.
-    supports = _support(weights)
-    a = scales @ weights[:, : supports.max()]
+    a = scales @ weights[:, : _support(weights).max()]
     a[0] += c0
     if not np.all(np.isfinite(a)):
         raise ValueError("degenerate implicit update: scaled coefficients overflow at this h")
     if a[0] == 0.0:
         raise ValueError("degenerate implicit update: operator diagonal is zero at this h")
-    r = _inverse_series(a[:size], size)
+    return _inverse_series(a[:size], size)
+
+
+def _block_solver(weights: np.ndarray, scales: np.ndarray, c0: float, size: int):
+    """solve(rhs) -> (x_b, defect), the block solve of a * x_b = rhs.
+
+    a = c0 delta + sum_i scales[i] weights[i] and r, its inverse series
+    from `_symbol_inverse`, is taken over ``size`` lags. On rhs.size <=
+    ``size`` nodes x_b = r * rhs, then one correction step x_b += r * (rhs
+    - a * x_b); ``defect`` is max |rhs - a * x_b| of the result. The
+    residuals sum each row's lags below _HEAD directly, row by row, and all
+    longer lags through the tail row tail = sum_i s_i w_i[_HEAD:]. Where
+    that row is nonzero the products are FFT products at `_fft_points`:
+    one forward FFT of v and one two-row inverse give r * v and
+    tail * (r * v) from the spectra of r and of the series tail * r, taken
+    once. So a solve makes two forward and two inverse FFTs, and its defect
+    reuses tail * x_b + tail * delta. Integer orders alone keep direct
+    products. A solve whose FFTs turn non-finite is done again by direct
+    sums, so that a non-finite x_b starts at its first non-finite node.
+    Callers ignore overflow and invalid values in numpy: they raise at
+    non-finite results.
+    """
+    r = _symbol_inverse(weights, scales, c0, size)
+    supports = _support(weights)
     tail = np.concatenate([np.zeros(_HEAD), scales @ weights[:, _HEAD:size]])[:size]
-    spectral = bool(np.any(tail))
+    spectral, points = bool(np.any(tail)), _fft_points(size)
     if spectral:
-        spec_r, spec_tail = np.fft.rfft([r, tail], 2 * size)
+        spec_r, spec_tail = np.fft.rfft([r, tail], points)
+        tail_r = np.fft.irfft(spec_r * spec_tail, points)[:size]
+        spec = np.array([spec_r, np.fft.rfft(tail_r, points)])
 
-    def product(spec, v):
-        """The first v.size terms of the series product of v and a spectrum's row."""
-        return np.fft.irfft(spec * np.fft.rfft(v, 2 * size), 2 * size)[: v.size]
-
-    def residual(rhs, xb, spectral):
-        """rhs - a * xb, its lags from _HEAD on by the tail's spectrum if ``spectral``."""
+    def residual(rhs, xb, tail_xb=None):
+        """rhs - a * xb, the lags from _HEAD on given as tail_xb if not None."""
         res = rhs - c0 * xb
         for s, w, m in zip(scales, weights, supports):
-            m = min(m, _HEAD) if spectral else m
+            m = m if tail_xb is None else min(m, _HEAD)
             res -= s * np.convolve(w[: min(m, xb.size)], xb)[: xb.size]
-        return res - product(spec_tail, xb) if spectral else res
+        return res if tail_xb is None else res - tail_xb
 
-    def times_r(v, spectral):
-        return product(spec_r, v) if spectral else np.convolve(r[: v.size], v)[: v.size]
+    def products(v):
+        """r * v and tail * r * v, their first v.size terms."""
+        return np.fft.irfft(spec * np.fft.rfft(v, points), points)[:, : v.size]
 
-    def solve_block(rhs, spectral):
-        xb = times_r(rhs, spectral)
-        return xb + times_r(residual(rhs, xb, spectral), spectral)
+    def solve(rhs):
+        if spectral:
+            xb, tail_xb = products(rhs)
+            step, tail_step = products(residual(rhs, xb, tail_xb))
+            xb += step
+            if np.all(np.isfinite(xb)):
+                return xb, np.max(np.abs(residual(rhs, xb, tail_xb + tail_step)))
+        xb = np.convolve(r[: rhs.size], rhs)[: rhs.size]
+        xb += np.convolve(r[: rhs.size], residual(rhs, xb))[: rhs.size]
+        return xb, np.max(np.abs(residual(rhs, xb)))
 
-    def solve(rhs, fft=True):
-        if fft and spectral and np.all(np.isfinite(xb := solve_block(rhs, True))):
-            return xb, lambda: residual(rhs, xb, True)
-        xb = solve_block(rhs, False)
-        return xb, lambda: residual(rhs, xb, False)
-
-    return solve, r
+    return solve
 
 
 def solve_multiterm(fde: MultiTermFDE, h: float) -> SolveReport:
@@ -294,40 +325,39 @@ def solve_multiterm(fde: MultiTermFDE, h: float) -> SolveReport:
 
     Node j satisfies c_0 x_j + sum_i s_i H_i(j) = f_j, where s_i =
     c_i h**(-mu_i) and H_i(j) is term i's history sum over the nodes up to
-    j, node 0 is given (x_0 = 0) and the history before it is zero. On the
-    blocks of ``fracops._far_blocks`` this is one lower-triangular Toeplitz
-    system per block (Podlubny 2000): with far_i the part of H_i that
-    reaches earlier blocks, the block's nodes x_b solve a * x_b = rhs, where
-    rhs = f - sum_i s_i far_i and a = c_0 delta + sum_i s_i w_i is the
-    combined symbol, by `_block_solver`. Its residual of the final nodes
-    gives ``max_defect``. A non-finite block raises DivergenceError at its
-    first non-finite node. Scaled coefficients that overflow raise
-    ValueError.
+    j, node 0 is given (x_0 = 0) and the history before it is zero. The
+    blocks of ``fracops._far_blocks`` tile the unknown nodes 1 .. n - 1, and
+    each is one lower-triangular Toeplitz system (Podlubny 2000): with
+    far_i the part of H_i that reaches earlier blocks, the block's nodes
+    x_b solve a * x_b = rhs, where rhs = f - sum_i s_i far_i and a = c_0
+    delta + sum_i s_i w_i is the combined symbol, by `_block_solver`. Its
+    residual of the final nodes gives ``max_defect``. A non-finite block
+    raises DivergenceError at its first non-finite node. Scaled
+    coefficients that overflow raise ValueError.
     """
     steps = _grid_steps(fde.t_end, h)
     n = steps + 1
     with np.errstate(over="ignore", invalid="ignore"):
         # Weights of huge orders overflow in their recurrence, and a numpy
         # power overflows to inf where Python's raises OverflowError.
-        weights = np.array([gl_weights(FracOrder(mu), n) for _, mu in fde.terms])
+        weights = np.array([gl_weights(FracOrder(mu), n - 1) for _, mu in fde.terms])
         scales = np.array([c * np.float64(h) ** -mu for c, mu in fde.terms])
     f = _node_values(fde.forcing, h * np.arange(n))
     x = np.zeros(n)
-    defects = []
+    defect = 0.0
     # Integer orders alone keep one block: block boundaries cancel sums of
     # size h**-mu |x|, up to 10x the single block's roundoff against long double.
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite raises below
-        for lo, hi, far in _far_blocks(x, weights, blocked=_support(weights).max() > _BLOCK):
+        for lo, hi, far in _far_blocks(x[1:], weights, blocked=_support(weights).max() > _BLOCK):
             if not lo:
-                solve, _ = _block_solver(weights, scales, fde.zero_order_coeff, hi)
-            first = max(lo, 1)
-            xb, residual = solve(f[first:hi] - scales @ far[:, first - lo :])
+                solve = _block_solver(weights, scales, fde.zero_order_coeff, hi)
+            xb, largest = solve(f[lo + 1 : hi + 1] - scales @ far)
             if not np.all(np.isfinite(xb)):
-                bad = first + int(np.argmin(np.isfinite(xb)))
+                bad = lo + 1 + int(np.argmin(np.isfinite(xb)))
                 raise DivergenceError(f"solution is not finite at t = {h * bad:g}")
-            x[first:hi] = xb
-            defects.append(np.max(np.abs(residual())))
-    return SolveReport(SampledPath(0.0, h, x), float(np.max(defects)), steps)
+            x[lo + 1 : hi + 1] = xb
+            defect = max(defect, largest)
+    return SolveReport(SampledPath(0.0, h, x), float(defect), steps)
 
 
 def solve_fode2(fode: FODE2, h: float) -> SolveReport:
@@ -335,25 +365,33 @@ def solve_fode2(fode: FODE2, h: float) -> SolveReport:
 
     Node j >= 1 of X = x - x0 and V = v - v0 (zero history, weights w of
     order alpha) solves h**-alpha (w * X)_j = v0 + V_j and h**-alpha (w *
-    V)_j = F(t_j, x0 + X_j, v0 + V_j): implicit Euler at alpha = 1. On each
-    block of ``fracops._far_blocks``, V = D X + h**-alpha far_X - v0 with D
-    = h**-alpha T(w), and X solves the second equation by chord steps from
-    the line through the last two nodes. A step calls F once on the
-    block's node arrays (node by node where F refuses arrays, as
-    ``MultiTermFDE.forcing``), takes the residual R = h**-alpha (far_V +
-    T(w) V) - F and solves (D**2 - F_v D - F_x) dX = -R, a symbol of orders
-    (2 alpha, alpha), by `_block_solver`. F_x and F_v are central
-    differences at (0, x0, v0), taken once afresh at a run's middle node
-    where its steps shrink by less than 10x; they serve later runs.
+    V)_j = F(t_j, x0 + X_j, v0 + V_j): implicit Euler at alpha = 1. The
+    blocks of ``fracops._far_blocks`` tile the nodes 1 .. n - 1. On each,
+    with D = h**-alpha T(w) and far_X, far_V the parts of the sums that
+    reach earlier blocks, the first equation gives X = D**-1 (v0 + V -
+    h**-alpha far_X), where D**-1 = h**alpha T(w_int) takes the weights of
+    order -alpha, and V solves the second equation by chord steps from the
+    line through the last two nodes. A step takes D**-1 V and D V from one
+    forward FFT and one two-row inverse FFT (the first step's also carry
+    D**-1 of the far part), calls F once on the block's node arrays (node
+    by node where F refuses arrays, as ``MultiTermFDE.forcing``), forms the
+    residual R = h**-alpha far_V + D V - F, a fresh history sum of the
+    iterate, and takes dX = -r * R and dV = D dX = -(D r) * R from one more
+    transform pair. r is the inverse series of the symbol D**2 - F_v D - F_x
+    of orders (2 alpha, alpha) (`_symbol_inverse`), taken without a
+    correction step: the next step's R makes up for it. F_x and F_v are
+    central differences at (0, x0, v0), taken once afresh at a run's middle
+    node where its steps shrink by less than 10x; they serve later runs.
 
-    Nodes are done when X and V are estimated within _CHORD_TOL of max |X|
-    and max |V| of the implicit equations' solution: the last step was that
-    small, or the next must be, as |r * R| <= sum |r| max |R| for the
-    symbol's inverse series r. They keep the last iterate, whose largest
-    |R| is ``max_defect``. Runs whose steps stop shrinking, or pass
+    Nodes are done when X and V are estimated within _DONE, a quarter of
+    _CHORD_TOL, of max |X| and max(|v0|, max |V|) from the implicit
+    equations' solution: the step dX, dV is that small, or the bounds sum
+    |r| max |R| and sum |D r| max |R| on it already say so, each over the
+    steps' shrink factor. They keep the iterate whose R was measured; its
+    largest |R| is ``max_defect``. Runs whose steps stop shrinking, or pass
     _MAX_CHORD, are halved and solved in order, by direct sums (free of the
     FFT roundoff that fast-growing nodes spread), down to single nodes,
-    which take Newton steps.
+    which take Newton steps, as a one-node block does.
     Raises DivergenceError at the first node whose X or V is non-finite or
     passes DIVERGENCE_GUARD, or whose steps do not converge alone; F is
     never called on a later block. It also raises, naming t and h, where F's
@@ -363,71 +401,93 @@ def solve_fode2(fode: FODE2, h: float) -> SolveReport:
     steps = _grid_steps(fode.t_end, h)
     n = steps + 1
     alpha, x0, v0 = fode.alpha, fode.x0, fode.v0
-    w = gl_weights(FracOrder(alpha), n)
+    w = gl_weights(FracOrder(alpha), n - 1)
     scale = h**-alpha
     big = np.zeros((2, n))
     t = h * np.arange(n)
-    size_x = size_v = 0.0
+    size_x, size_v = 0.0, abs(v0)  # V is measured against max(|v0|, max |V|)
 
     def chord(j0, j1, far_x, far_v, fft):
         """Nodes j0 .. j1 - 1 into ``big``, given the far parts of D X and D V there.
 
+        far_x holds h**-alpha far_X - v0, so that X = D**-1 (V - far_x).
         Returns their largest |R|, or None where the steps do not converge.
         """
-        nonlocal block_solver, size_x, size_v
-        solve, gain = block_solver
-        slope = big[0, j0 - 1] - big[0, j0 - 2] if j0 >= 2 else 0.0
-        tb, xb = t[j0:j1], big[0, j0 - 1] + slope * np.arange(1, j1 - j0 + 1)
-        last, done, fresh = math.inf, False, False
-        for step in range(1, _MAX_CHORD + 2):
-            vb = far_x + times_d(xb, fft)
-            res = far_v + times_d(vb, fft) - _node_values(fode.rhs, tb, x0 + xb, v0 + vb)
+        nonlocal chord_solver, size_x, size_v
+        series, spec, gain = chord_solver
+        m = j1 - j0
+        newton = m == 1  # a single node takes Newton steps, by direct sums
+        fft = fft and not newton
+        slope = big[1, j0 - 1] - big[1, j0 - 2] if j0 >= 2 else 0.0
+        tb, vb = t[j0:j1], big[1, j0 - 1] + slope * np.arange(1, m + 1)
+        last, fresh, far_ix = math.inf, False, None
+        for _ in range(_MAX_CHORD):
+            # X = D**-1 V - D**-1 far_x and D V, the first step's D**-1 far_x too.
+            if not fft:
+                xb = h**alpha * np.convolve(w_int[:m], vb - far_x)[:m]
+                dvb = far_v + scale * np.convolve(w[:m], vb)[:m]
+            elif far_ix is None:
+                ix, dv, far_ix = np.fft.irfft(np.fft.rfft([vb, far_x], points)[[0, 0, 1]]
+                                              * spec_d, points)[:, :m]
+                xb, dvb = ix - far_ix, far_v + dv
+            else:
+                ix, dv = np.fft.irfft(np.fft.rfft(vb, points) * spec_d[:2], points)[:, :m]
+                xb, dvb = ix - far_ix, far_v + dv
+            res = dvb - _node_values(fode.rhs, tb, x0 + xb, v0 + vb)
             # Past the guard, FFT roundoff of the large nodes can reach the
             # small ones: those nodes are halved down to the first past it.
             within = np.max(np.abs([xb, vb])) <= DIVERGENCE_GUARD  # False for NaN
             reach_x = max(size_x, float(np.max(np.abs(xb))))
             reach_v = max(size_v, float(np.max(np.abs(vb))))
+            largest = float(np.max(np.abs(res)))
             # The steps shrink by about change / last each, so the iterate's
             # distance to their limit is about change / (1 - change / last).
-            bound_x, bound_v = gain[:, j1 - j0 - 1] * float(np.max(np.abs(res)))
+            # The next step is at most sum |r| max |R| in X, sum |D r| max |R| in V.
+            bound_x, bound_v = gain[:, m - 1] * largest
             shrink = 1.0 - bound_x / last
-            if within and (done or bound_x <= shrink * _CHORD_TOL * reach_x
-                           and bound_v <= shrink * _CHORD_TOL * reach_v):
-                big[:, j0:j1] = xb, vb
-                size_x, size_v = reach_x, reach_v
-                return float(np.max(np.abs(res)))
-            if done or step > _MAX_CHORD:
+            if within and bound_x <= shrink * _DONE * reach_x and (
+                    bound_v <= shrink * _DONE * reach_v):
                 break
-            dx = solve(-res, fft)[0]
-            change = float(np.max(np.abs(dx)))
-            if not (change < last or j1 - j0 == 1 and change < math.inf):  # growing or NaN
+            # The step dX = -r * R and its V part dV = D dX = -(D r) * R.
+            if fft:
+                step = np.fft.irfft(spec * np.fft.rfft(-res, points), points)[:, :m]
+            else:
+                step = np.array([np.convolve(row[:m], -res)[:m] for row in series])
+            change, change_v = (float(c) for c in np.max(np.abs(step), axis=1))
+            if not (change < last or newton and change < math.inf):  # growing or NaN
+                return stalled(j0, newton, within and math.isfinite(change))
+            shrink = 1.0 - change / last if change < last else 0.0
+            if change <= shrink * _DONE * reach_x and change_v <= shrink * _DONE * reach_v:
+                if not within:
+                    return stalled(j0, newton, False)
                 break
-            done = change <= (1.0 - change / last) * _CHORD_TOL * reach_x
-            # A single node takes Newton steps, a solver of its own each.
-            if not done and (j1 - j0 == 1 or not fresh and change > 0.1 * last):
-                fresh, mid = True, (j1 - j0) // 2
-                solve, gain = symbol_solver(tb[mid], x0 + xb[mid], v0 + vb[mid], j1 - j0)
-                block_solver = (solve, gain) if j1 - j0 > 1 else block_solver
-            xb, last = xb + dx, change
-        if j1 - j0 == 1:
-            what = "chord steps did not converge" if within and math.isfinite(change) else (
-                f"solution is not finite or exceeded {DIVERGENCE_GUARD:g}")
-            raise DivergenceError(f"{what} at t = {t[j0]:g}")
-        return None
+            # A Newton step takes a solver of its own each time.
+            if newton or not fresh and change > 0.1 * last:
+                fresh, mid = True, m // 2
+                series, spec, gain = symbol_solver(tb[mid], x0 + xb[mid], v0 + vb[mid], newton)
+                chord_solver = chord_solver if newton else (series, spec, gain)
+            vb, last = vb + step[1], change
+        else:
+            return stalled(j0, newton, within)
+        big[:, j0:j1] = xb, vb
+        size_x, size_v = reach_x, reach_v
+        return largest
 
-    def times_d(v, fft):
-        """D v: h**-alpha times the first v.size terms of w * v, by FFT if ``fft``."""
-        if fft:
-            return scale * np.fft.irfft(spec_w * np.fft.rfft(v, 2 * size), 2 * size)[: v.size]
-        return scale * np.convolve(w[: v.size], v)[: v.size]
+    def stalled(j0, newton, finite):
+        """None, for a run to halve, or DivergenceError for a single node."""
+        if not newton:
+            return None
+        what = "chord steps did not converge" if finite else (
+            f"solution is not finite or exceeded {DIVERGENCE_GUARD:g}")
+        raise DivergenceError(f"{what} at t = {t[j0]:g}")
 
-    def symbol_solver(tj, xj, vj, m):
-        """The solve of m > 1 (a block) or 1 nodes with F's Jacobian at (tj, xj, vj).
+    def symbol_solver(tj, xj, vj, newton):
+        """(series, spec, gain) of a block, or a ``newton`` node, with F's Jacobian at (tj, xj, vj).
 
+        series holds r and D r, spec their spectra (None for a node), and
         gain[:, k - 1] sums |r| and |D r| over k lags.
         """
-        m = size if m > 1 else 1
-        sx, sv = (max(_FD_REL_STEP * abs(u), _FD_ABS_FLOOR) for u in (xj, vj))
+        sx, sv = (_FD_STEP * max(1.0, abs(u)) for u in (xj, vj))
         f = _node_values(fode.rhs, np.full(4, tj), xj + np.array([sx, -sx, 0.0, 0.0]),
                          vj + np.array([0.0, 0.0, sv, -sv]))
         fx, fv = (f[0] - f[1]) / (2.0 * sx), (f[2] - f[3]) / (2.0 * sv)
@@ -441,22 +501,29 @@ def solve_fode2(fode: FODE2, h: float) -> SolveReport:
         if scale * (scale - fv) - fx <= 0.0 or fv * fv + 4.0 * fx >= 0.0 and fv > 2.0 * scale:
             raise DivergenceError(f"F's Jacobian at t = {tj:g} has a growing mode at rate "
                                   f"h**-alpha = {scale:g} or faster: reduce h = {h:g}")
-        solve, r = _block_solver(weights, np.array([scale * scale, -fv * scale]), -fx, m)
-        return solve, np.cumsum(np.abs([r, times_d(r, m > 1)]), axis=1)
+        r = _symbol_inverse(weights, np.array([scale * scale, -fv * scale]), -fx,
+                            1 if newton else size)
+        if newton:
+            series, spec = np.array([r, scale * r]), None
+        else:
+            series = np.array([r, np.fft.irfft(np.fft.rfft(r, points) * spec_d[1], points)[:size]])
+            spec = np.fft.rfft(series, points)
+        return series, spec, np.cumsum(np.abs(series), axis=1)
 
     defect = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite iterates halve or raise
-        for lo, hi, far in _far_blocks(big, w):
+        for lo, hi, far in _far_blocks(big[:, 1:], w):
             if not lo:
-                size = hi
+                size, points = hi, _fft_points(hi)
                 weights = np.array([gl_weights(FracOrder(2.0 * alpha), size), w[:size]])
-                spec_w = np.fft.rfft(w[:size], 2 * size)
-                block_solver = symbol_solver(0.0, x0, v0, size)
-            first = max(lo, 1)
+                # D**-1 = h**alpha T(w_int), w_int the weights of order -alpha:
+                # the spectra of D**-1 and D, and D**-1 again for far_x.
+                w_int = _weights(-alpha, size)
+                spec_d = np.fft.rfft([h**alpha * w_int, scale * w[:size]], points)[[0, 1, 0]]
+                chord_solver = symbol_solver(0.0, x0, v0, False)
             # Runs of nodes to solve, the next one last: (j0, j1, the far
             # parts of D X and D V from before node k0, k0, by FFT or not).
-            runs = [(first, hi, scale * far[0, first - lo :] - v0, scale * far[1, first - lo :],
-                     first, True)]
+            runs = [(lo + 1, hi + 1, scale * far[0] - v0, scale * far[1], lo + 1, True)]
             while runs:
                 j0, j1, far_x, far_v, k0, fft = runs.pop()
                 if k0 < j0:  # add the lags from the nodes k0 .. j0 - 1

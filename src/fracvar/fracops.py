@@ -189,14 +189,19 @@ def _support(w: np.ndarray) -> np.ndarray:
 def _block_layout(g2: np.ndarray, w2: np.ndarray, blocked: bool) -> tuple:
     """(blk, nb, fft, short, g_fft, spec_w) of the history sums of ``g2``, ``w2``.
 
-    ``nb`` blocks of ``blk`` nodes: one for at most 2 * _BLOCK nodes or if
-    not ``blocked`` (the rest is then empty or None), else _BLOCK nodes each.
+    ``nb`` blocks of ``blk`` nodes: one for at most _BLOCK nodes or if not
+    ``blocked`` (the rest is then empty or None), else _BLOCK nodes each.
+    Offline sums block only above 4 * _BLOCK nodes, so this limit is the
+    solvers': on one block of 1024 nodes, chord steps on a nonlinear F took
+    about twice the time they took on two blocks of _BLOCK.
     ``fft`` rows have weights that reach past a block and read rows ``g_fft``
-    of ``g2``; ``short`` rows' lags 1 .. p end within one. spec_w[:, d - 1]
-    pairs blocks d apart: the FFT rows' w[(d-1)blk : (d+1)blk], real FFT.
+    of ``g2``; ``short`` rows' lags 1 .. p end within one. spec_w[:, nb - 1 - d]
+    pairs blocks d apart: the FFT rows' w[(d-1)blk : (d+1)blk], real FFT,
+    largest block lag first, so that the lags from block b back to block 0
+    are the contiguous slice spec_w[:, nb - 1 - b :].
     """
     n = g2.shape[-1]
-    blk = _BLOCK if blocked and n > 2 * _BLOCK else n
+    blk = _BLOCK if blocked and n > _BLOCK else n
     nb = -(-n // blk)
     if nb == 1:
         return blk, nb, (), [], slice(0), None
@@ -213,7 +218,7 @@ def _block_layout(g2: np.ndarray, w2: np.ndarray, blocked: bool) -> tuple:
     wpad = np.zeros((len(w2[w_fft]), nb * blk))
     wpad[:, 1:n] = w2[w_fft, 1:]
     segments = sliding_window_view(wpad, 2 * blk, axis=-1)[:, ::blk]
-    return blk, nb, fft, short, g_fft, np.fft.rfft(segments, axis=-1)
+    return blk, nb, fft, short, g_fft, np.fft.rfft(segments[:, ::-1], axis=-1)
 
 
 def _far_blocks(g: np.ndarray, w: np.ndarray, blocked: bool = True):
@@ -238,7 +243,7 @@ def _far_blocks(g: np.ndarray, w: np.ndarray, blocked: bool = True):
         lo, hi = b * blk, min(n, (b + 1) * blk)
         far = np.zeros((rows, hi - lo))
         if b:
-            spec = np.sum(spec_g[:, :b] * spec_w[:, b - 1 :: -1], axis=1)
+            spec = np.sum(spec_g[:, :b] * spec_w[:, nb - 1 - b :], axis=1)
             far[fft] = np.fft.irfft(spec, 2 * blk)[:, blk : blk + hi - lo]
             for r, p in short:
                 m = min(p, hi - lo)
@@ -287,7 +292,7 @@ def _history(g: np.ndarray, w: np.ndarray) -> np.ndarray:
         spec_g = np.fft.rfft(g2[:, : (nb - 1) * blk].reshape(rows, nb - 1, blk), 2 * blk)
         acc = np.zeros((rows, nb - 1, blk + 1), dtype=complex)  # block b at b - 1
         for d in range(nb - 1, 0, -1):
-            acc[:, d - 1 :] += spec_g[:, : nb - d] * spec_w[:, d - 1 : d]
+            acc[:, d - 1 :] += spec_g[:, : nb - d] * spec_w[:, nb - 1 - d : nb - d]
         far = np.fft.irfft(acc, 2 * blk)[..., blk:].reshape(rows, -1)
         # near + far equals `_far_blocks`' far + near bit for bit.
         out[:, blk:] += far[:, : n - blk]

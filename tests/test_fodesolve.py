@@ -294,12 +294,13 @@ def test_non_finite_forcing_is_a_divergence_error(bad, n):
 
 
 def test_overflowing_far_sums_are_a_divergence_error():
-    # A finite forcing of 1e308 overflows the far sums of the second block:
-    # its FFTs turn every node non-finite, and the direct sums name the first.
+    # A finite forcing of 1e308 overflows the far sums of the second block,
+    # nodes 513 on: its FFTs turn every node non-finite, and the direct sums
+    # name the first.
     fde = make_model("bagley-torvik", "classical", forcing=1e308)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DivergenceError, match="^solution is not finite at t = 0.5$"):
+        with pytest.raises(DivergenceError, match="^solution is not finite at t = 0.500977$"):
             solve_multiterm(fde, 2**-10)
 
 
@@ -404,6 +405,22 @@ def test_inverse_series_matches_long_double_substitution(name, variant, params, 
     assert float(np.max(np.abs(r - ref)) / np.max(np.abs(ref))) <= 1e-8
 
 
+# Grids of 2**12 + 1 nodes tile into eight blocks of 512 unknown nodes.
+# Each bound is about three times the measured error, so that a change that
+# costs more than that in accuracy fails.
+@pytest.mark.parametrize("fde, bound", [
+    (MultiTermFDE(((1.0, 1.8), (0.3, 1.2), (0.7, 0.6)), 1.0, lambda t: t), 1.5e-11),
+    (make_model("bagley-torvik", "classical"), 3e-12),  # orders 2, 1.5
+    (make_model("bagley-torvik", "fractional", alpha=0.2), 2.5e-11),  # orders 1.6, 1.2
+    (make_model("business-cycle", "fractional", alpha=0.4), 2.5e-9),  # orders 2.4, 1.6, 0.8
+], ids=["three-term", "bagley-torvik", "bagley-torvik-0.2", "business-cycle-0.4"])
+def test_blocked_solves_match_long_double_substitution(fde, bound):
+    h = 2.0**-12
+    x = solve_multiterm(fde, h).solution.values
+    ref = forward_substitution(fde, h)
+    assert float(np.max(np.abs(x - ref)) / np.max(np.abs(ref))) <= bound
+
+
 # === residual substitution ==================================================
 
 
@@ -449,8 +466,11 @@ def test_free_fractional_motion():
 
 
 def block_of(j):
-    """The block of ``fracops._far_blocks`` that node j of a blocked grid lies in."""
-    return j // _BLOCK
+    """The block of ``fracops._far_blocks`` that node j >= 1 of a blocked grid lies in.
+
+    The solvers' blocks tile the unknown nodes 1 .. n - 1.
+    """
+    return (j - 1) // _BLOCK
 
 
 @pytest.mark.parametrize("n", [257, 3 * _BLOCK + 1])
@@ -518,7 +538,7 @@ def test_nan_right_side_names_its_node_and_stops_in_its_block():
 
     with pytest.raises(DivergenceError, match=f"at t = {h * bad_node:g}$"):
         solve_fode2(FODE2(alpha=0.6, rhs=rhs, x0=1.0), h)
-    assert max(calls) < h * 2 * _BLOCK  # F is never called on a later block
+    assert max(calls) <= h * 2 * _BLOCK  # F is never called on a later block
 
 
 def test_initial_values_are_injected():
@@ -572,7 +592,7 @@ def test_non_finite_right_side_is_a_divergence_error(bad, n):
     message = f"not finite or exceeded 1e\\+12 at t = {h * first_bad:g}$"
     with pytest.raises(DivergenceError, match=message):
         solve_fode2(FODE2(alpha=0.6, rhs=rhs, x0=1.0), h)
-    last = n - 1 if n <= 2 * _BLOCK else (block_of(first_bad) + 1) * _BLOCK - 1
+    last = n - 1 if n <= 2 * _BLOCK else (block_of(first_bad) + 1) * _BLOCK
     assert max(calls) <= h * last  # F is never called on a later block
 
 
@@ -701,6 +721,47 @@ def test_runs_whose_chord_steps_stall_are_halved(alpha, rhs):
     big = plain_fode2(FODE2(alpha=alpha, rhs=rhs, x0=2.0, t_end=2.0), h)
     assert np.max(np.abs(rep.solution.values - 2.0 - big[0])) <= _CHORD_TOL * np.max(np.abs(big[0]))
     assert np.max(np.abs(rep.aux.values - big[1])) <= _CHORD_TOL * np.max(np.abs(big[1]))
+
+
+def count_calls(monkeypatch, fode, h):
+    """(F calls, FFT calls, sizes of F's calls) of one solve of ``fode``."""
+    sizes, ffts = [], [0]
+    for name in ("rfft", "irfft"):
+        def counted(*args, _real=getattr(np.fft, name), **kwargs):
+            ffts[0] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+
+    def rhs(t, x, v):
+        sizes.append(np.size(t))
+        return fode.rhs(t, x, v)
+
+    solve_fode2(FODE2(fode.alpha, rhs, fode.x0, fode.v0, fode.t_end), h)
+    monkeypatch.undo()
+    return len(sizes), ffts[0], sizes
+
+
+# On 8193 nodes the blocks are 16 runs of 512 unknown nodes. A linear F
+# takes one Jacobian (four probes in one call) and two chord steps a block:
+# the first step's solve is exact up to roundoff, and the second's, sized
+# by its own product, shows it. Each step makes two transform pairs and
+# each block's far sums one more; the FFT budgets are half the calls of a
+# solve whose chord steps took up to ten FFTs each.
+@pytest.mark.parametrize("alpha, ffts", [(0.35, 137), (0.65, 137), (0.8, 172), (0.95, 212)])
+def test_linear_right_side_takes_two_calls_a_block(monkeypatch, alpha, ffts):
+    fode = FODE2(alpha, lambda t, x, v: -2.0 * x, x0=1.0)
+    calls, fft_calls, sizes = count_calls(monkeypatch, fode, 2.0**-13)
+    assert calls <= 33 and fft_calls <= ffts
+    assert sizes[0] == 4 and set(sizes[1:]) == {_BLOCK}  # no single-node Newton steps
+
+
+# F's Jacobian probes step by about eps**(1/3) max(1, |u|), so that F_v is
+# good to about eps**(2/3) at v0 = 0 and the linear pair needs no third
+# chord step.
+@pytest.mark.parametrize("alpha", [0.5, 0.8])
+def test_phillips_pair_takes_two_calls_a_block(monkeypatch, alpha):
+    fode = make_model("phillips", "fractional", alpha=alpha, t_end=1.0)
+    assert count_calls(monkeypatch, fode, 2.0**-13)[0] <= 33
 
 
 def test_implicit_euler_reduction_at_order_one():
