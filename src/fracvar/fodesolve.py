@@ -244,7 +244,10 @@ def _node_values(fn, *args: np.ndarray) -> np.ndarray:
 def _fft_points(size: int) -> int:
     """The FFT length of products of two series of ``size`` terms: a power of two >= 2 size.
 
-    Twice an odd block length can hold a large prime factor (2 * 699 = 2 * 3 * 233).
+    One block holds every unknown node of a grid of up to 2 * _BLOCK + 1,
+    and their count can have a large prime factor: on 510 nodes, 2 * 509
+    points made the three-term solve take 1.5x and the linear FODE2 solve
+    1.7x the time they took at 1024 points.
     """
     return 1 << (2 * size - 1).bit_length()
 
@@ -366,15 +369,16 @@ def solve_fode2(fode: FODE2, h: float) -> SolveReport:
     Node j >= 1 of X = x - x0 and V = v - v0 (zero history, weights w of
     order alpha) solves h**-alpha (w * X)_j = v0 + V_j and h**-alpha (w *
     V)_j = F(t_j, x0 + X_j, v0 + V_j): implicit Euler at alpha = 1. The
-    blocks of ``fracops._far_blocks`` tile the nodes 1 .. n - 1. On each,
-    with D = h**-alpha T(w) and far_X, far_V the parts of the sums that
-    reach earlier blocks, the first equation gives X = D**-1 (v0 + V -
-    h**-alpha far_X), where D**-1 = h**alpha T(w_int) takes the weights of
-    order -alpha, and V solves the second equation by chord steps from the
-    line through the last two nodes. A step takes D**-1 V and D V from one
-    forward FFT and one two-row inverse FFT (the first step's also carry
-    D**-1 of the far part), calls F once on the block's node arrays (node
-    by node where F refuses arrays, as ``MultiTermFDE.forcing``), forms the
+    blocks of ``fracops._far_blocks`` tile the nodes 1 .. n - 1, and are
+    solved in runs of at most _BLOCK nodes. On each run, with D = h**-alpha
+    T(w) and far_X, far_V the parts of the sums that reach earlier nodes,
+    the first equation gives X = D**-1 (v0 + V - h**-alpha far_X), where
+    D**-1 = h**alpha T(w_int) takes the weights of order -alpha, and V
+    solves the second equation by chord steps from the line through the
+    last two nodes. A step takes D**-1 V and D V from one forward FFT and
+    one two-row inverse FFT (the first step's also carry D**-1 of the far
+    part), calls F once on the run's node arrays (node by node where F
+    refuses arrays, as ``MultiTermFDE.forcing``), forms the
     residual R = h**-alpha far_V + D V - F, a fresh history sum of the
     iterate, and takes dX = -r * R and dV = D dX = -(D r) * R from one more
     transform pair. r is the inverse series of the symbol D**2 - F_v D - F_x
@@ -423,16 +427,16 @@ def solve_fode2(fode: FODE2, h: float) -> SolveReport:
         last, fresh, far_ix = math.inf, False, None
         for _ in range(_MAX_CHORD):
             # X = D**-1 V - D**-1 far_x and D V, the first step's D**-1 far_x too.
-            if not fft:
-                xb = h**alpha * np.convolve(w_int[:m], vb - far_x)[:m]
-                dvb = far_v + scale * np.convolve(w[:m], vb)[:m]
-            elif far_ix is None:
-                ix, dv, far_ix = np.fft.irfft(np.fft.rfft([vb, far_x], points)[[0, 0, 1]]
-                                              * spec_d, points)[:, :m]
+            if fft:
+                rows = [vb] if far_ix is not None else [vb, far_x]
+                k = len(rows) + 1  # D**-1 V, D V and, with far_x, D**-1 far_x
+                ix, dv, *first = np.fft.irfft(np.fft.rfft(rows, points)[[0, 0, 1][:k]] * spec_d[:k],
+                                              points)[:, :m]
+                far_ix = first[0] if first else far_ix
                 xb, dvb = ix - far_ix, far_v + dv
             else:
-                ix, dv = np.fft.irfft(np.fft.rfft(vb, points) * spec_d[:2], points)[:, :m]
-                xb, dvb = ix - far_ix, far_v + dv
+                xb = h**alpha * np.convolve(w_int[:m], vb - far_x)[:m]
+                dvb = far_v + scale * np.convolve(w[:m], vb)[:m]
             res = dvb - _node_values(fode.rhs, tb, x0 + xb, v0 + vb)
             # Past the guard, FFT roundoff of the large nodes can reach the
             # small ones: those nodes are halved down to the first past it.
@@ -514,7 +518,11 @@ def solve_fode2(fode: FODE2, h: float) -> SolveReport:
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite iterates halve or raise
         for lo, hi, far in _far_blocks(big[:, 1:], w):
             if not lo:
-                size, points = hi, _fft_points(hi)
+                # One block of up to 2 _BLOCK nodes is taken in runs of at most
+                # _BLOCK: on 1024 nodes, the chord steps of Duffing's F stalled
+                # and were halved down to direct sums, at twice the time.
+                size = min(hi, _BLOCK)
+                points = _fft_points(size)
                 weights = np.array([gl_weights(FracOrder(2.0 * alpha), size), w[:size]])
                 # D**-1 = h**alpha T(w_int), w_int the weights of order -alpha:
                 # the spectra of D**-1 and D, and D**-1 again for far_x.
@@ -523,7 +531,9 @@ def solve_fode2(fode: FODE2, h: float) -> SolveReport:
                 chord_solver = symbol_solver(0.0, x0, v0, False)
             # Runs of nodes to solve, the next one last: (j0, j1, the far
             # parts of D X and D V from before node k0, k0, by FFT or not).
-            runs = [(lo + 1, hi + 1, scale * far[0] - v0, scale * far[1], lo + 1, True)]
+            far_x, far_v = scale * far[0] - v0, scale * far[1]
+            runs = [(lo + 1 + i, lo + 1 + min(i + size, hi - lo), far_x[i : i + size],
+                     far_v[i : i + size], lo + 1, True) for i in range(0, hi - lo, size)][::-1]
             while runs:
                 j0, j1, far_x, far_v, k0, fft = runs.pop()
                 if k0 < j0:  # add the lags from the nodes k0 .. j0 - 1

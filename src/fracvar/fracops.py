@@ -189,11 +189,8 @@ def _support(w: np.ndarray) -> np.ndarray:
 def _block_layout(g2: np.ndarray, w2: np.ndarray, blocked: bool) -> tuple:
     """(blk, nb, fft, short, g_fft, spec_w) of the history sums of ``g2``, ``w2``.
 
-    ``nb`` blocks of ``blk`` nodes: one for at most _BLOCK nodes or if not
-    ``blocked`` (the rest is then empty or None), else _BLOCK nodes each.
-    Offline sums block only above 4 * _BLOCK nodes, so this limit is the
-    solvers': on one block of 1024 nodes, chord steps on a nonlinear F took
-    about twice the time they took on two blocks of _BLOCK.
+    ``nb`` blocks of ``blk`` nodes: one for at most 2 * _BLOCK nodes or if
+    not ``blocked`` (the rest is then empty or None), else _BLOCK nodes each.
     ``fft`` rows have weights that reach past a block and read rows ``g_fft``
     of ``g2``; ``short`` rows' lags 1 .. p end within one. spec_w[:, nb - 1 - d]
     pairs blocks d apart: the FFT rows' w[(d-1)blk : (d+1)blk], real FFT,
@@ -201,7 +198,7 @@ def _block_layout(g2: np.ndarray, w2: np.ndarray, blocked: bool) -> tuple:
     are the contiguous slice spec_w[:, nb - 1 - b :].
     """
     n = g2.shape[-1]
-    blk = _BLOCK if blocked and n > _BLOCK else n
+    blk = _BLOCK if blocked and n > 2 * _BLOCK else n
     nb = -(-n // blk)
     if nb == 1:
         return blk, nb, (), [], slice(0), None

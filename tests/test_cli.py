@@ -359,15 +359,15 @@ def test_non_finite_table_is_a_numerical_error(capsys, argv, row):
 # The solvers stop at the first non-finite node with a typed error, without
 # a RuntimeWarning, before any table is written. A forcing of 1e308
 # overflows the multi-term solve's far sums at the second block's first
-# node; the FODE2 right side -b1 x overflows to -inf at the first node,
-# both from finite inputs.
+# node (at the default step, one block holds every node); the FODE2 right
+# side -b1 x overflows to -inf at the first node, both from finite inputs.
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "argv, message",
     [
         (
-            ["solve", "--model", "bagley-torvik", "--forcing", "1e308"],
-            "solution is not finite at t = 0.5",
+            ["solve", "--model", "bagley-torvik", "--forcing", "1e308", "--h", "0.00048828125"],
+            "solution is not finite at t = 0.250488",
         ),
         (
             ["solve", "--model", "phillips", "--variant", "fractional", "--b1", "1e308",
