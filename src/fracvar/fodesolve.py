@@ -24,9 +24,9 @@ solves take one at a time through ``fracops._far_blocks``; it states the
 block lengths, FFT lengths and costs. The blocks tile the unknown nodes
 1 .. n - 1: node 0 is given and adds nothing to any sum, so a grid of
 2**k + 1 nodes has no one-node last block. Both solvers invert a block's
-multi-term symbol as a series r (`_symbol_inverse`) and take the in-block
-products at twice the block length or more, each forward FFT and each inverse FFT
-serving several products at once. ``solve_multiterm`` evaluates the
+multi-term symbol as a series r (`_symbol_inverse`) and take the
+in-block products at `_fft_points`, each forward FFT and each inverse
+FFT serving several products at once. ``solve_multiterm`` evaluates the
 forcing once on the time array and solves each block at once by
 `_block_solver`: r times the right side and one correction step.
 ``solve_fode2``, whose right side may be nonlinear, eliminates x and

@@ -474,7 +474,9 @@ def block_of(j):
     return (j - 1) // _BLOCK
 
 
-@pytest.mark.parametrize("n", [257, 3 * _BLOCK + 1])
+# At 2 * _BLOCK + 1 nodes the unknown nodes are one block, solved in two
+# runs of _BLOCK.
+@pytest.mark.parametrize("n", [257, 2 * _BLOCK + 1, 3 * _BLOCK + 1])
 def test_right_side_is_called_on_block_arrays(n):
     h = 1.0 / (n - 1)
     calls = []
@@ -493,7 +495,7 @@ def test_right_side_is_called_on_block_arrays(n):
     blocks = []
     for c in runs:
         j0 = int(round(c[0] / h))
-        assert np.array_equal(c, t[j0 : j0 + c.size])
+        assert np.array_equal(c, t[j0 : j0 + c.size]) and c.size <= _BLOCK
         assert block_of(j0) == block_of(j0 + c.size - 1) or n <= 2 * _BLOCK
         blocks.append(block_of(j0))
     assert blocks == sorted(blocks)  # blocks in order, never back to an earlier one
