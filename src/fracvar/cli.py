@@ -198,8 +198,7 @@ def _build_lagrangian(args):
 def _cmd_deriv(args) -> tuple[dict, dict]:
     order = FracOrder(args.alpha)
     path = _sample(args)
-    side = Side.LEFT if args.side == "left" else Side.RIGHT
-    out = frac_deriv(path, order, side)
+    out = frac_deriv(path, order, Side(args.side))
     return {"t": out.times(), "value": out.values}, {"alpha": args.alpha, "h": path.h}
 
 
@@ -210,10 +209,6 @@ def _cmd_mlf(args) -> tuple[dict, dict]:
 
 
 def _cmd_lift(args) -> tuple[dict, dict]:
-    if not 0.0 < args.alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1) for a lift")
-    if args.k < 1:
-        raise ValueError("jet order k must be at least 1")
     path = _sample(args)
     traj = lift((path,), args.alpha, args.k)
     jets = {f"y{a}": traj.jets[a, 0] for a in range(1, args.k + 1)}
@@ -321,7 +316,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     sp = sub.add_parser("deriv", help="fractional derivative of a built-in function")
     sp.add_argument("--alpha", type=float, default=0.5, help="derivative order (may exceed 1)")
-    sp.add_argument("--side", default="left", choices=["left", "right"])
+    sp.add_argument("--side", default="left", choices=[s.value for s in Side])
     _add_fn_flags(sp)
     _add_common(sp)
     sp.set_defaults(run=_cmd_deriv)

@@ -125,7 +125,7 @@ def lift(
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if k < 1:
-        raise ValueError("k must be a positive integer")
+        raise ValueError("jet order k must be at least 1")
     ref = base[0]
     if not all(ref.same_grid(p) for p in base):
         raise ValueError("all component paths must share one grid")

@@ -108,7 +108,11 @@ def mittag_leffler(params: MLParams, z: float) -> float:
     for a in range(1, params.max_terms):
         # term_a = z**a / Gamma(1 + alpha a), built up incrementally through
         # log-gamma ratios so no intermediate gamma value overflows on its own.
-        lg0, lg1 = math.lgamma(1.0 + alpha * (a - 1)), math.lgamma(1.0 + alpha * a)
+        try:
+            lg0, lg1 = math.lgamma(1.0 + alpha * (a - 1)), math.lgamma(1.0 + alpha * a)
+        except OverflowError:
+            # Gamma(1 + alpha a) is past float range: this term and every later one vanish.
+            return total
         term *= z * math.exp(lg0 - lg1)
         # Each factor's product and exp, and its exponent relative to |lg0| + |lg1|.
         drift += 2.0 + abs(lg0) + abs(lg1)

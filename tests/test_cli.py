@@ -147,8 +147,8 @@ def test_unknown_names_print_their_message_unquoted(capsys):
         "order2-potential, order3-potential, power-law-mixed\n"))
 
 
-# Orders and grids rejected before any sampling: by the library, or for a
-# lift, which checks alpha and k only after sampling, by the command.
+# Orders and grids rejected by the library: before any sampling, except a
+# lift's alpha and k, which lift checks on entry, after the path is sampled.
 @pytest.mark.parametrize("argv, message", [
     (["deriv", "--alpha", "0"], "order mu must be positive"),
     (["deriv", "--alpha", "-1"], "order mu must be positive"),
@@ -156,7 +156,7 @@ def test_unknown_names_print_their_message_unquoted(capsys):
     (["lift", "--grid", "1:0:33"], "t1 must exceed t0"),
     (["action", "--grid", "1:0:33"], "t1 must exceed t0"),
     (["deriv", "--grid", "0:1"], "grid must look like t0:T:n, got '0:1'"),
-    (["lift", "--alpha", "1.5"], "alpha must lie in (0, 1) for a lift"),
+    (["lift", "--alpha", "1.5"], "alpha must lie in (0, 1)"),
     (["lift", "--k", "0"], "jet order k must be at least 1"),
 ], ids=["deriv-alpha-0", "deriv-alpha-negative", "deriv-reversed-grid", "lift-reversed-grid",
         "action-reversed-grid", "grid-without-count", "lift-alpha", "lift-k"])
@@ -511,6 +511,36 @@ def test_infinite_orders_are_usage_errors(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert f"error: {message}" in err
+
+
+# Commands that no other test runs as given: a success writes nothing to
+# stderr, a failure no table and one typed line. The fractional solves at
+# h = 2**-13 take the blocked spectral path (business-cycle) and blocks of
+# chord steps (phillips), and must raise no RuntimeWarning; a zero leading
+# coefficient of the derived plate equation is a usage error; an order whose
+# Gamma(1 + alpha) overflows sums to its first term.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, code", [
+    (["solve", "--model", "business-cycle", "--variant", "fractional", "--alpha", "0.4",
+      "--h", "0.0001220703125"], 0),
+    (["solve", "--model", "phillips", "--variant", "fractional", "--h", "0.0001220703125"], 0),
+    (["solve", "--model", "bagley-torvik", "--a", "0"], 2),
+    (["solve", "--model", "business-cycle", "--forcing", "5"], 2),
+    (["deriv", "--fn", "sin", "--gamma", "3"], 2),
+    (["deriv", "--out", "."], 2),
+    (["deriv", "--fn", "pow", "--gamma", "-1", "--grid", "0:1:33"], 3),
+    (["mlf", "--alpha", "1e308", "--z", "0"], 0),
+], ids=["business-cycle-fine", "phillips-fine", "plate-zero-leading", "foreign-model-flag",
+        "foreign-function-flag", "out-directory", "deriv-non-finite-33", "mlf-gamma-overflow"])
+def test_commands_end_in_their_exit_code_and_stderr(capsys, argv, code):
+    got, out, err = run(capsys, argv)
+    assert got == code
+    if code == 0:
+        assert err == ""
+    else:
+        assert out == ""
+        assert err.startswith({2: "error: ", 3: "numerical failure: "}[code])
+        assert err.count("\n") == 1
 
 
 # === output formats =========================================================

@@ -1117,6 +1117,22 @@ def test_derived_fractional_solves_converge_to_the_laplace_inverse(problem, forc
     assert all(0.45 <= r <= 0.55 for r in ratios), ratios
 
 
+# The classical variants: orders 2 and 1 (phillips), 3, 2 and 1
+# (business-cycle), 2 and 3/2 (the plate). A solve of integer orders only
+# is one direct block, O(N**2), so phillips runs to t_end = 1, not 5.
+@pytest.mark.parametrize("problem, forcing_transform", [
+    (lambda: make_model("phillips", "classical", t_end=1.0), lambda s: -0.2 / s),
+    (lambda: make_model("business-cycle", "classical"), lambda s: -0.2 / s),
+    (lambda: make_model("bagley-torvik", "classical"), PLATE_FORCING_TRANSFORM),
+], ids=["phillips", "business-cycle", "bagley-torvik"])
+def test_classical_solves_converge_to_the_laplace_inverse(problem, forcing_transform):
+    fde = problem()
+    exact = laplace_solution(fde, forcing_transform)
+    errors = [abs(solve_multiterm(fde, 2.0**-j).solution.values[-1] - exact) for j in range(9, 13)]
+    ratios = [fine / coarse for coarse, fine in zip(errors, errors[1:])]
+    assert all(0.45 <= r <= 0.55 for r in ratios), ratios
+
+
 # The fractional phillips pair D^alpha x = v, D^alpha v = -a1 v - b1 x - f,
 # started from x0 and v0, has L[x - x0] = (v0 s**(alpha - 1) - (b1 x0 + f) / s)
 # / (s**(2 alpha) + a1 s**alpha + b1).

@@ -116,6 +116,14 @@ def test_overflowing_series_raises():
         mittag_leffler(MLParams(alpha=0.25), 49.0)
 
 
+# Gamma(1 + alpha) overflows from alpha = 2.6e305 on: every term past the
+# first has vanished, so the sum is 1.
+@pytest.mark.parametrize("alpha", [3e305, 1e308])
+@pytest.mark.parametrize("z", [0.0, -50.0, 50.0])
+def test_orders_whose_gamma_overflows_sum_to_one(alpha, z):
+    assert mittag_leffler(MLParams(alpha=alpha), z) == 1.0
+
+
 def test_term_cap_raises():
     with pytest.raises(ConvergenceError):
         mittag_leffler(MLParams(alpha=0.1, max_terms=3), 30.0)
