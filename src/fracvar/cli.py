@@ -12,10 +12,10 @@ from the CLI or the library), 3 when a computation fails numerically
 one-line diagnostic goes to the error stream in both failure cases.
 
 Each parameter flag is one keyword of the chosen --fn function, Lagrangian
-or model, built by varcalc._build; --potential-quadratic q stands for the
-potential U = q x**2 / 2. A flag the choice does not take, or a non-finite
-value, is a usage error naming it, and so is --fn, --grid or a function
-flag beside el-check's --from-file.
+or model, built by varcalc._build; --potential-quadratic q is the order-k
+potentials' potential_quadratic, U = q x**2 / 2. A flag the choice does not
+take, or a non-finite value, is a usage error naming it, and so is --fn,
+--grid or a function flag beside el-check's --from-file.
 
 --config points at a flat JSON object whose keys are long flag names
 (hyphens or underscores). A value comes from an explicit flag first, then
@@ -177,21 +177,6 @@ def _set_flags(args, names) -> dict:
     return {n: getattr(args, n) for n in names if getattr(args, n) is not None}
 
 
-# Lagrangian construction shared by action and el-check.
-
-
-def _build_lagrangian(args):
-    params = _set_flags(args, args.parameters)
-    q = params.pop("potential_quadratic", None)
-    if q is not None:
-        if not np.isfinite(q):
-            raise ValueError("--potential-quadratic must be finite")
-        # U = q x**2 / 2 with U_x = q x; q = 0 is the factories' default, no potential.
-        u, u_x = (lambda t, x: 0.5 * q * x * x, lambda t, x: q * x) if q else (None, None)
-        params.update(potential=u, potential_x=u_x)
-    return make_lagrangian(args.lagrangian, **params)
-
-
 # Subcommand bodies: each returns its table and the meta fields it sets.
 
 
@@ -216,7 +201,7 @@ def _cmd_lift(args) -> tuple[dict, dict]:
 
 
 def _cmd_action(args) -> tuple[dict, dict]:
-    lag = _build_lagrangian(args)
+    lag = make_lagrangian(args.lagrangian, **_set_flags(args, args.parameters))
     path = _sample(args)
     traj = lift((path,), lag.alpha, lag.k)
     value = action_integral(lag, traj)
@@ -224,7 +209,7 @@ def _cmd_action(args) -> tuple[dict, dict]:
 
 
 def _cmd_el_check(args) -> tuple[dict, dict]:
-    lag = _build_lagrangian(args)
+    lag = make_lagrangian(args.lagrangian, **_set_flags(args, args.parameters))
     if args.coefficients == "literature-fractional" and args.variant == "classical":
         # The classical partial of y**alpha is unbounded at the momentum base
         # point, where the jet levels are zeroed.
@@ -298,11 +283,8 @@ def _add_lagrangian_flags(sp) -> None:
         "--coefficients", default=None,
         choices=["normalized", "literature", "literature-fractional"],
     )
-    sp.add_argument("--potential-quadratic", type=float, default=None, dest="potential_quadratic",
-                    help="quadratic potential U = q x**2 / 2")
     sp.add_argument("--forcing", type=float, default=None, help="constant f (default: the entry's)")
-    _add_parameter_flags(sp, lagrangian_catalog().values(), "coefficients", "potential_quadratic",
-                         "forcing")
+    _add_parameter_flags(sp, lagrangian_catalog().values(), "coefficients", "forcing")
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:

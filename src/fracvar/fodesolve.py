@@ -19,9 +19,9 @@ the package, so their output composes consistently with ``frac_deriv`` for
 residual checks. Alpha equal to one is allowed in ``FODE2`` and makes the
 scheme implicit Euler.
 
-Every history sum uses the blocks of ``fracops._block_layout``, which the
-solves take one at a time through ``fracops._far_blocks``; it states the
-block lengths, FFT lengths and costs. The blocks tile the unknown nodes
+Every history sum uses the blocks of ``fracops._far_blocks``, which the
+solves take one at a time and whose docstring states the block lengths,
+FFT lengths and costs. The blocks tile the unknown nodes
 1 .. n - 1: node 0 is given and adds nothing to any sum, so a grid of
 2**k + 1 nodes has no one-node last block. Both solvers invert a block's
 multi-term symbol as a series r (`_symbol_inverse`) and take the

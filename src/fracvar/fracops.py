@@ -51,9 +51,6 @@ DEFAULT_T0 = 0.0
 DEFAULT_T1 = 1.0
 DEFAULT_NPTS = 1025
 
-# Step of the package's central differences: relative, with an absolute floor.
-_FD_REL_STEP, _FD_ABS_FLOOR = 1e-6, 1e-8
-
 
 def _require_finite(**values) -> None:
     """Raise ValueError naming the first of ``values`` that is not finite."""
@@ -186,54 +183,48 @@ def _support(w: np.ndarray) -> np.ndarray:
     return np.where(np.any(w2, axis=1), w2.shape[-1] - np.argmax(w2[:, ::-1] != 0, axis=1), 0)
 
 
-def _block_layout(g2: np.ndarray, w2: np.ndarray, blocked: bool) -> tuple:
-    """(blk, nb, fft, short, g_fft, spec_w) of the history sums of ``g2``, ``w2``.
+def _lag_spectra(w2: np.ndarray, blk: int, nb: int) -> np.ndarray:
+    """Spectra of the weight rows ``w2`` at the block lags of ``nb`` blocks of ``blk`` nodes.
 
-    ``nb`` blocks of ``blk`` nodes: one for at most 2 * _BLOCK nodes or if
-    not ``blocked`` (the rest is then empty or None), else _BLOCK nodes each.
-    ``fft`` rows have weights that reach past a block and read rows ``g_fft``
-    of ``g2``; ``short`` rows' lags 1 .. p end within one. spec_w[:, nb - 1 - d]
-    pairs blocks d apart: the FFT rows' w[(d-1)blk : (d+1)blk], real FFT,
+    [:, nb - 1 - d] pairs blocks d apart: w[(d-1)blk : (d+1)blk], real FFT,
     largest block lag first, so that the lags from block b back to block 0
-    are the contiguous slice spec_w[:, nb - 1 - b :].
+    are the contiguous slice [:, nb - 1 - b :]. Lag 0 never reaches a later
+    block (its products land in the discarded half of the FFT output).
+    Leaving it out keeps its roundoff out of the far sums, which matters
+    when w[0] dominates the weights (orders near zero).
     """
-    n = g2.shape[-1]
-    blk = _BLOCK if blocked and n > 2 * _BLOCK else n
-    nb = -(-n // blk)
-    if nb == 1:
-        return blk, nb, (), [], slice(0), None
-    support = np.broadcast_to(_support(w2), (max(len(g2), len(w2)),))
-    fft = np.flatnonzero(support > blk)
-    short = [(r, p - 1) for r, p in enumerate(support) if 1 < p <= blk]
-    # A single row of g or w serves every FFT row; without FFT rows none is taken.
-    g_fft = slice(None) if len(g2) == 1 and fft.size else fft
-    w_fft = slice(None) if len(w2) == 1 and fft.size else fft
-    # Lag 0 never reaches a later block (its products land in the
-    # discarded half of the FFT output). Leaving it out keeps its
-    # roundoff out of the far sums, which matters when w[0] dominates
-    # the weights (orders near zero).
-    wpad = np.zeros((len(w2[w_fft]), nb * blk))
-    wpad[:, 1:n] = w2[w_fft, 1:]
-    segments = sliding_window_view(wpad, 2 * blk, axis=-1)[:, ::blk]
-    return blk, nb, fft, short, g_fft, np.fft.rfft(segments[:, ::-1], axis=-1)
+    # A spare zero block leaves one block (nb = 1) a window, of which it takes none.
+    wpad = np.zeros((len(w2), (nb + 1) * blk))
+    wpad[:, 1 : w2.shape[-1]] = w2[:, 1:]
+    segments = sliding_window_view(wpad, 2 * blk, axis=-1)[:, : (nb - 1) * blk : blk]
+    return np.fft.rfft(segments[:, ::-1], axis=-1)
 
 
 def _far_blocks(g: np.ndarray, w: np.ndarray, blocked: bool = True):
-    """The blocks of `_block_layout`, one at a time, with their far parts.
+    """The blocks of the history sums of ``g`` and ``w``, one at a time, with their far parts.
 
-    Yields (lo, hi, far) for consecutive blocks [lo, hi), where far[r, i]
-    is row r's sum, at node lo + i, over the lags that reach nodes before
-    lo. The caller fills g[..., lo:hi] before it asks for the next block
-    (the generator keeps a view of ``g``), whose spectrum it then takes.
-    Earlier blocks enter through their spectra times the weights' at their
-    block lags, largest lag first (Hairer, Lubich and Schlichte 1985). Short
-    rows (integer orders) reach only a few nodes back, so their far sums are
-    direct, without a whole block's FFT roundoff, and cost O(n * _BLOCK).
+    ``g`` and ``w`` have one row or the same number of rows. The blocks are
+    one for at most 2 * _BLOCK nodes or if not ``blocked``, else _BLOCK
+    nodes each. Yields (lo, hi, far) for consecutive blocks [lo, hi), where
+    far[r, i] is row r's sum, at node lo + i, over the lags that reach
+    nodes before lo. The caller fills g[..., lo:hi] before it asks for the
+    next block (the generator keeps a view of ``g``), whose spectrum it then
+    takes. Earlier blocks enter through their spectra times the weights' at
+    their block lags (`_lag_spectra`; Hairer, Lubich and Schlichte 1985).
+    Short rows, whose lags 1 .. p end within a block (integer orders), reach
+    only a few nodes back, so their far sums are direct, without a whole
+    block's FFT roundoff, and cost O(n * _BLOCK).
     """
     g2, w2 = np.atleast_2d(g), np.atleast_2d(w)
-    n = g2.shape[-1]
-    rows = max(len(g2), len(w2))
-    blk, nb, fft, short, g_fft, spec_w = _block_layout(g2, w2, blocked)
+    rows, n = max(len(g2), len(w2)), g2.shape[-1]
+    blk = _BLOCK if blocked and n > 2 * _BLOCK else n
+    nb = -(-n // blk)
+    support = np.broadcast_to(_support(w2), (rows,))
+    fft = np.flatnonzero(support > blk)
+    short = [(r, p - 1) for r, p in enumerate(support) if 1 < p <= blk]
+    # A single row of g or w serves every FFT row; without FFT rows none is taken.
+    g_fft, w_fft = (slice(None) if len(a) == 1 and fft.size else fft for a in (g2, w2))
+    spec_w = _lag_spectra(w2[w_fft], blk, nb)
     g_rows, w_rows = np.broadcast_to(g2, (rows, n)), np.broadcast_to(w2, (rows, n))
     spec_g = np.empty((len(g2[g_fft]), nb - 1, blk + 1), dtype=complex)
     for b in range(nb):
@@ -252,52 +243,48 @@ def _far_blocks(g: np.ndarray, w: np.ndarray, blocked: bool = True):
 
 
 def _history(g: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """History sums y[..., j] = sum_{k<=j} w[k] g[..., j-k], exactly causal.
+    """History sums y[j] = sum_{k<=j} w[k] g[j-k] of one sample row, exactly causal.
 
-    ``g`` has shape (n,) or (rows, n) and ``w``, one weight row, shape (n,).
-    Sums of at most 4 * _BLOCK nodes are one np.convolve per row, O(n**2).
-    Longer ones take blocks of _BLOCK nodes, O(n * _BLOCK + n**2 / _BLOCK).
-    Weights that reach past one block sum all blocks at once: within blocks
-    as one product of the (nb, _BLOCK) blocks with the upper-triangular
-    Toeplitz slab of w[:_BLOCK], across them to `_far_blocks`' bits by one
-    FFT of all blocks, the spectra summed by block lag and one inverse FFT.
-    Shorter weights (integer orders) take each block's np.convolve plus the
-    direct far part that `_far_blocks` yields. Blocked sums overtake direct
-    ones between 3 and 4 * _BLOCK nodes and differ from them by FFT roundoff
-    of whole blocks, not of each node's terms. Node j reads g only at nodes
-    up to j: changing g at a node, to NaN or inf too, leaves earlier outputs
-    bit-identical.
+    ``g`` and ``w`` have shape (n,). Sums of at most 4 * _BLOCK nodes are
+    one np.convolve, O(n**2). Longer ones take blocks of _BLOCK nodes,
+    O(n * _BLOCK + n**2 / _BLOCK). Weights that reach past one block sum
+    all blocks at once: within blocks as one product of the (nb, _BLOCK)
+    blocks with the upper-triangular Toeplitz slab of w[:_BLOCK], across
+    them to `_far_blocks`' bits by one FFT of all blocks, the spectra summed
+    by block lag and one inverse FFT. Shorter weights (integer orders) take
+    each block's np.convolve plus the direct far part that `_far_blocks`
+    yields. Blocked sums overtake direct ones between 3 and 4 * _BLOCK nodes
+    and differ from them by FFT roundoff of whole blocks, not of each node's
+    terms. Node j reads g only at nodes up to j: changing g at a node, to
+    NaN or inf too, leaves earlier outputs bit-identical.
     """
-    g2 = np.atleast_2d(g)
-    rows, n = g2.shape
-    out = np.empty((rows, n))
-    blocked = n > 4 * _BLOCK
-    if blocked and _support(w)[0] > _BLOCK:
-        blk, nb, _, _, _, spec_w = _block_layout(g2, w[None], True)
-        wpad = np.concatenate((np.zeros(blk - 1), w[:blk]))
-        slab = np.ascontiguousarray(sliding_window_view(wpad, blk)[::-1])
-        for r in range(rows):
-            # A slab zero times a later inf or NaN is NaN: the product takes g as
-            # zero from its first non-finite node q, and q's block sums directly.
-            q = np.append(np.flatnonzero(~np.isfinite(g2[r])), n)[0]
-            blocks = np.concatenate((g2[r, :q], np.zeros(nb * blk - q)))
-            out[r] = (blocks.reshape(nb, blk) @ slab).ravel()[:n]
-            if q < n:
-                lo, hi = q - q % blk, min(n, q - q % blk + blk)
-                out[r, q:hi] = np.convolve(g2[r, lo:hi], w[: hi - lo])[q - lo : hi - lo]
-        del slab  # frees the slab before the FFT temporaries
-        spec_g = np.fft.rfft(g2[:, : (nb - 1) * blk].reshape(rows, nb - 1, blk), 2 * blk)
-        acc = np.zeros((rows, nb - 1, blk + 1), dtype=complex)  # block b at b - 1
-        for d in range(nb - 1, 0, -1):
-            acc[:, d - 1 :] += spec_g[:, : nb - d] * spec_w[:, nb - 1 - d : nb - d]
-        far = np.fft.irfft(acc, 2 * blk)[..., blk:].reshape(rows, -1)
-        # near + far equals `_far_blocks`' far + near bit for bit.
-        out[:, blk:] += far[:, : n - blk]
-    else:
-        for lo, hi, far in _far_blocks(g2, w, blocked):
-            for r in range(rows):
-                out[r, lo:hi] = far[r] + np.convolve(g2[r, lo:hi], w[: hi - lo])[: hi - lo]
-    return out if np.ndim(g) > 1 else out[0]
+    n, blk = g.size, _BLOCK
+    blocked = n > 4 * blk
+    if not (blocked and _support(w)[0] > blk):
+        out = np.empty(n)
+        for lo, hi, far in _far_blocks(g, w, blocked):
+            out[lo:hi] = far[0] + np.convolve(g[lo:hi], w[: hi - lo])[: hi - lo]
+        return out
+    nb = -(-n // blk)
+    spec_w = _lag_spectra(w[None], blk, nb)[0]
+    wpad = np.concatenate((np.zeros(blk - 1), w[:blk]))
+    slab = np.ascontiguousarray(sliding_window_view(wpad, blk)[::-1])
+    # A slab zero times a later inf or NaN is NaN: the product takes g as
+    # zero from its first non-finite node q, and q's block sums directly.
+    q = np.append(np.flatnonzero(~np.isfinite(g)), n)[0]
+    blocks = np.concatenate((g[:q], np.zeros(nb * blk - q)))
+    out = (blocks.reshape(nb, blk) @ slab).ravel()[:n]
+    if q < n:
+        lo, hi = q - q % blk, min(n, q - q % blk + blk)
+        out[q:hi] = np.convolve(g[lo:hi], w[: hi - lo])[q - lo : hi - lo]
+    del slab  # frees the slab before the FFT temporaries
+    spec_g = np.fft.rfft(g[: (nb - 1) * blk].reshape(nb - 1, blk), 2 * blk)
+    acc = np.zeros((nb - 1, blk + 1), dtype=complex)  # block b at b - 1
+    for d in range(nb - 1, 0, -1):
+        acc[d - 1 :] += spec_g[: nb - d] * spec_w[nb - 1 - d]
+    # near + far equals `_far_blocks`' far + near bit for bit.
+    out[blk:] += np.fft.irfft(acc, 2 * blk)[:, blk:].ravel()[: n - blk]
+    return out
 
 
 def _step_scale(mu: float, h: float) -> float:

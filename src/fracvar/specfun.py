@@ -38,7 +38,7 @@ def gen_binomial(alpha: float, k: int) -> float:
     Computed by the product recurrence so integer alpha < k comes out as an
     exact zero instead of tripping over gamma poles.
     """
-    if k < 0:
+    if not (k >= 0 and k % 1 == 0):  # NaN and infinities fail too
         raise ValueError("k must be a non-negative integer")
     out = 1.0
     for i in range(int(k)):

@@ -53,7 +53,7 @@ import numpy as np
 from .fodesolve import FODE2, MultiTermFDE, _as_fn
 # perfbench/tracing.py patches frac_deriv and frac_deriv_from_base here by name.
 from .fracops import FracOrder, SampledPath, frac_deriv, frac_deriv_from_base, gl_weights
-from .fracops import _FD_ABS_FLOOR, _FD_REL_STEP, _require_finite
+from .fracops import _require_finite
 from .jet import JetPoint, JetTrajectory
 from .specfun import gamma
 
@@ -85,6 +85,9 @@ FRAC_PARTIAL_NODES = 513
 _PARTIAL_ROWS = 256
 
 _VALIDATION_POINTS = 100
+
+# Step of `_partial`'s and friction's central differences: relative, with an absolute floor.
+_FD_REL_STEP, _FD_ABS_FLOOR = 1e-6, 1e-8
 
 
 class Variant(str, Enum):
@@ -559,6 +562,7 @@ def order_potential_lagrangian(
     potential=None,
     potential_x=None,
     coefficients: str = "normalized",
+    potential_quadratic: float = 0.0,
 ) -> Lagrangian:
     """Quadratic-kinetic Lagrangian families of order one, two or three.
 
@@ -574,10 +578,16 @@ def order_potential_lagrangian(
     with V = dU/dx, exactly for normalized coefficients
     C_a = Gamma(1 + a alpha). The literature set uses Gamma(1 + 2 a alpha).
     ``potential`` is U(t, x); pass ``potential_x`` for its x-derivative to
-    get analytic partials, otherwise finite differences are used.
+    get analytic partials, otherwise finite differences are used. A nonzero
+    ``potential_quadratic`` q stands for U = q x**2 / 2 with U_x = q x, and
+    excludes both.
     """
     if k not in (1, 2, 3):
         raise ValueError("the family is defined for k in {1, 2, 3}")
+    if q := potential_quadratic:
+        if potential is not None or potential_x is not None:
+            raise ValueError("potential_quadratic excludes potential and potential_x")
+        potential, potential_x = lambda t, x: 0.5 * q * x * x, lambda t, x: q * x
     coefs = _level_coefs(coefficients, alpha, _potential_levels(k, a1, a2))
     u = potential if potential is not None else (lambda t, x: 0.0)
     return _quadratic(alpha, u, potential_x, coefs)

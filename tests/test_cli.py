@@ -459,7 +459,7 @@ def test_overflowing_scaled_coefficients_are_usage_errors(capsys, argv):
         (["el-check", "--lagrangian", "bagley-torvik", "--forcing", "inf"],
          "forcing must be finite"),
         (["el-check", "--lagrangian", "order1-potential", "--potential-quadratic", "inf"],
-         "--potential-quadratic must be finite"),
+         "potential_quadratic must be finite"),
         (["action", "--lagrangian", "order2-potential", "--a2", "nan"], "a2 must be finite"),
     ],
     ids=["friction-m-zero", "order2-a1", "bagley-torvik-a", "power-law-gamma-exp",
@@ -845,17 +845,18 @@ def test_lagrangian_flags_reach_the_factory(capsys):
 
 
 # The catalogs' and the built-in functions' float parameters become flags of
-# the same name (dest); the forcing, potential and step flags are listed by
-# hand. Every float flag stays None when unset.
+# the same name (dest), the order-k potentials' potential_quadratic among
+# them; the forcing and step flags are listed by hand. Every float flag
+# stays None when unset.
 @pytest.mark.parametrize("command, params", [
     ("solve", {"a", "a1", "a2", "alpha", "b", "b1", "c", "f", "gamma_coef", "m", "t_end",
                "v0", "x0"}),
-    ("el-check", {"a", "a1", "a2", "alpha", "b", "c", "gamma_exp"}),
-    ("action", {"a", "a1", "a2", "alpha", "b", "c", "gamma_exp"}),
+    ("el-check", {"a", "a1", "a2", "alpha", "b", "c", "gamma_exp", "potential_quadratic"}),
+    ("action", {"a", "a1", "a2", "alpha", "b", "c", "gamma_exp", "potential_quadratic"}),
 ])
 def test_float_flags_of_the_catalog_commands(command, params):
     by_hand = {"solve": {"h", "forcing"}}.get(
-        command, {"gamma", "cval", "center", "width", "potential_quadratic", "forcing"}
+        command, {"gamma", "cval", "center", "width", "forcing"}
     )
     floats = [a for a in _build_parser()[1][command]._actions if a.type is float]
     assert {a.dest for a in floats} == params | by_hand
@@ -904,8 +905,8 @@ def test_zero_forcing_selector_reaches_power_law_mixed(capsys):
 
 # A value for each float parameter flag, unlike every factory's default.
 FLAG_VALUES = {"a": 1.2, "a1": 0.4, "a2": 0.6, "alpha": 0.35, "b": 0.8, "b1": 1.5, "c": 1.3,
-               "f": 0.3, "gamma_coef": 0.7, "gamma_exp": 1.5, "m": 1.5, "t_end": 0.5,
-               "v0": 0.5, "x0": 0.25}
+               "f": 0.3, "gamma_coef": 0.7, "gamma_exp": 1.5, "m": 1.5, "potential_quadratic": 0.7,
+               "t_end": 0.5, "v0": 0.5, "x0": 0.25}
 
 
 def parameter_flags(command):
@@ -913,7 +914,7 @@ def parameter_flags(command):
 
     The empty flag list calls the factory at its defaults, ``forcing=None`` among them.
     """
-    by_hand = {"coefficients", "potential_quadratic", "forcing"}
+    by_hand = {"coefficients", "forcing"}
     floats = [n for n in _build_parser()[1][command].get_default("parameters") if n not in by_hand]
     flags = [([f"--{n.replace('_', '-')}", repr(FLAG_VALUES[n])], {n: FLAG_VALUES[n]})
              for n in floats]
@@ -921,10 +922,7 @@ def parameter_flags(command):
               (["--forcing", "0.5"], {"forcing": 0.5})]
     if command != "solve":
         flags.append((["--coefficients", "literature"], {"coefficients": "literature"}))
-        potential = {"potential": lambda t, x: 0.5 * 0.7 * x * x,
-                     "potential_x": lambda t, x: 0.7 * x}
-        flags.append((["--potential-quadratic", "0.7"], potential))
-        flags.append((["--potential-quadratic", "0"], {"potential": None, "potential_x": None}))
+        flags.append((["--potential-quadratic", "0"], {"potential_quadratic": 0.0}))
     return flags
 
 

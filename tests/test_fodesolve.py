@@ -505,7 +505,8 @@ def test_right_side_is_called_on_block_arrays(n):
     # history sums give it again to roundoff, and the first equation's to
     # roundoff.
     x, v = rep.solution.values, rep.aux.values
-    dx, dv = h**-0.6 * _history(np.array([x, v]), gl_weights(FracOrder(0.6), n))
+    w = gl_weights(FracOrder(0.6), n)
+    dx, dv = h**-0.6 * _history(x, w), h**-0.6 * _history(v, w)
     fresh = np.max(np.abs(dv[1:] - (1.0 - x[1:] - 0.3 * v[1:])))
     size = h**-0.6 * np.max(np.abs(v))
     assert rep.max_defect <= _CHORD_TOL * size

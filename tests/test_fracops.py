@@ -18,6 +18,7 @@ from fracvar.fracops import (
     frac_deriv_from_base,
     gl_weights,
     ibp_residual,
+    _far_blocks,
     _history,
     _taylor_base_poly,
     _weights,
@@ -494,14 +495,27 @@ def test_history_of_zero_is_exactly_zero(n, mu):
     assert np.all(out == 0.0)
 
 
-@settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=KERNEL_LENGTHS, mu=KERNEL_ORDERS)
-def test_history_rows_equal_single_rows(seed, n, mu):
-    g2, w = kernel_input(seed, 2 * n, 1.0).reshape(2, n), _weights(mu, n)
-    both = _history(g2, w)
-    assert both.shape == (2, n)
-    assert np.array_equal(both[0], _history(g2[0], w))
-    assert np.array_equal(both[1], _history(g2[1], w))
+# The solvers' multi-row calls: `solve_fode2` sums two sample rows (X, V)
+# with one weight row, `solve_multiterm` one sample row with a weight row
+# per term.
+FAR_SHAPES = {"fode2-0.6": (2, (0.6,)), "fode2-1": (2, (1.0,)),
+              "multiterm": (1, (1.8, 2.0, 0.6))}
+
+
+@pytest.mark.parametrize("n", [2 * _BLOCK, 2 * _BLOCK + 1, 4 * _BLOCK + 2, 9 * _BLOCK + 7])
+@pytest.mark.parametrize("g_rows, mus", list(FAR_SHAPES.values()), ids=list(FAR_SHAPES))
+def test_far_blocks_rows_equal_single_rows(n, g_rows, mus):
+    g = kernel_input(n, g_rows * n, 1.0).reshape(g_rows, n)
+    w = np.array([_weights(mu, n) for mu in mus])
+    rows = max(g_rows, len(mus))
+    singles = [_far_blocks(g[min(r, g_rows - 1)], w[min(r, len(mus) - 1)]) for r in range(rows)]
+    for lo, hi, far in _far_blocks(g, w):
+        assert far.shape == (rows, hi - lo)
+        for row, single in zip(far, singles):
+            s_lo, s_hi, s_far = next(single)
+            assert (s_lo, s_hi) == (lo, hi)
+            assert np.array_equal(row, s_far[0])
+    assert all(next(single, None) is None for single in singles)
 
 
 @settings(max_examples=25, deadline=None)
@@ -555,25 +569,22 @@ MANY_BLOCKS = [32 * _BLOCK + 1, 64 * _BLOCK + 1]
 @pytest.mark.parametrize("n", MANY_BLOCKS)
 @pytest.mark.parametrize("mu", [-1.5, -0.7, 0.05, 0.7, 1.5, 1.95, 2.5])
 def test_history_over_many_blocks(n, mu):
-    g, w = kernel_input(n, 2 * n, 1.0).reshape(2, n), _weights(mu, n)
-    out = _history(g[0], w)
+    g, w = kernel_input(n, n, 1.0), _weights(mu, n)
+    out = _history(g, w)
     # The direct sums at the first and last node of every block and at a
     # few nodes between (np.convolve of all nodes would take seconds).
     rng = np.random.default_rng(n)
     nodes = np.unique(np.concatenate((np.arange(0, n, _BLOCK), np.arange(_BLOCK - 1, n, _BLOCK),
                                       rng.integers(0, n, 64))))
-    direct = np.array([w[: j + 1] @ g[0, j::-1] for j in nodes])
-    size = np.array([np.abs(w[: j + 1]) @ np.abs(g[0, j::-1]) for j in nodes])
+    direct = np.array([w[: j + 1] @ g[j::-1] for j in nodes])
+    size = np.array([np.abs(w[: j + 1]) @ np.abs(g[j::-1]) for j in nodes])
     assert np.all(np.abs(out[nodes] - direct) <= 1e-13 * size)
     for p in (3 * _BLOCK - 1, n // 2, n - _BLOCK + 5):
-        bumped = g[0].copy()
+        bumped = g.copy()
         bumped[p] += 1.0
         after = _history(bumped, w)
         assert np.array_equal(out[:p], after[:p])
         assert after[p] != out[p]
-    both = _history(g, w)
-    assert np.array_equal(both[0], out)
-    assert np.array_equal(both[1], _history(g[1], w))
 
 
 # === derivatives on both kernel paths =======================================
@@ -624,21 +635,20 @@ def test_derivatives_match_the_direct_sum(n, mu):
 @pytest.mark.parametrize("n", [4 * _BLOCK, 4 * _BLOCK + 1, 8 * _BLOCK + 1])
 def test_long_derivatives_take_the_blocked_path(monkeypatch, n):
     # A derivative that silently went back to one O(n**2) block would still
-    # pass every accuracy test; count the blocks of the kernel's layout, and
-    # the lengths of the direct sums it makes, instead.
+    # pass every accuracy test; count the blocks whose lag spectra the kernel
+    # takes, and the lengths of the direct sums it makes, instead.
     blocks, segments = [], [0]
-    real, convolve = fracops._block_layout, np.convolve
+    real, convolve = fracops._lag_spectra, np.convolve
 
-    def counted(*args, **kwargs):
-        layout = real(*args, **kwargs)
-        blocks.extend(range(layout[1]))
-        return layout
+    def counted(w2, blk, nb):
+        blocks.extend(range(nb))
+        return real(w2, blk, nb)
 
     def measured(a, v, *args, **kwargs):
         segments.append(min(len(a), len(v)))
         return convolve(a, v, *args, **kwargs)
 
-    monkeypatch.setattr(fracops, "_block_layout", counted)
+    monkeypatch.setattr(fracops, "_lag_spectra", counted)
     monkeypatch.setattr(np, "convolve", measured)
     frac_deriv(SampledPath.from_function(np.sin, 0.0, 1.0, n), FracOrder(0.5))
     assert len(blocks) == (1 if n <= 4 * _BLOCK else -(-n // _BLOCK))

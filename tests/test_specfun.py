@@ -37,8 +37,10 @@ def test_gen_binomial_matches_reference(alpha):
 def test_gen_binomial_edge_cases():
     assert gen_binomial(0.7, 0) == 1.0
     assert gen_binomial(3.0, 4) == 0.0
-    with pytest.raises(ValueError):
-        gen_binomial(0.5, -1)
+    # range(int(k)) took 2.5 as 2: C(0.5, 2.5) came out as C(0.5, 2) = -0.125.
+    for k in (-1, 2.5, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^k must be a non-negative integer$"):
+            gen_binomial(0.5, k)
 
 
 def test_gen_binomial_pascal_identity():

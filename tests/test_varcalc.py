@@ -634,9 +634,11 @@ def test_plate_lagrangian_and_model_share_one_default_forcing():
         ("bagley-torvik", {"forcing": np.inf}, "forcing must be finite"),
         ("power-law-mixed", {"gamma_exp": np.inf}, "gamma_exp must be finite"),
         ("power-law-mixed", {"forcing": -np.inf}, "forcing must be finite"),
+        ("order1-potential", {"potential_quadratic": np.nan},
+         "potential_quadratic must be finite"),
     ],
     ids=["order2-a1", "order2-a2", "bagley-torvik-a", "bagley-torvik-forcing",
-         "power-law-gamma-exp", "power-law-forcing"],
+         "power-law-gamma-exp", "power-law-forcing", "order1-potential-quadratic"],
 )
 def test_catalog_rejects_non_finite_coefficients_by_name(name, params, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -654,6 +656,13 @@ def test_catalog_lagrangians_refuse_keywords_their_factory_does_not_take():
     message = "^Lagrangian 'bagley-torvik' takes no parameter 'potential'$"
     with pytest.raises(ValueError, match=message):
         make_lagrangian("bagley-torvik", potential=lambda t, x: x * x)
+    message = "^Lagrangian 'bagley-torvik' takes no parameter 'potential_quadratic'$"
+    with pytest.raises(ValueError, match=message):
+        make_lagrangian("bagley-torvik", potential_quadratic=2.0)
+    # A quadratic potential and a given one are two potentials.
+    message = "^potential_quadratic excludes potential and potential_x$"
+    with pytest.raises(ValueError, match=message):
+        make_lagrangian("order1-potential", potential_quadratic=2.0, potential=lambda t, x: x * x)
 
 
 # Gamma factors that overflow used to raise OverflowError("math range error"),
