@@ -258,21 +258,27 @@ def _add_common(sp) -> None:
     sp.add_argument("--format", default="csv", choices=["csv", "json"])
 
 
-def _add_parameter_flags(sp, factories, *made, dest="parameters") -> None:
-    """One float flag, None when unset, per float-default factory parameter.
+def _add_parameter_flags(sp, catalog, *made, dest="parameters") -> None:
+    """One float flag, None when unset, per float-default parameter of the ``catalog`` factories.
 
-    These and the flags ``made`` by hand are recorded as ``dest`` (see _set_flags).
+    A flag's help gives each default with the entries that take it. These
+    and the flags ``made`` by hand are recorded as ``dest`` (see _set_flags).
     """
-    params = (p for fn in factories for p in inspect.signature(fn).parameters.values())
-    names = tuple(dict.fromkeys(p.name for p in params if isinstance(p.default, float)))
-    for name in names:
-        sp.add_argument(f"--{name.replace('_', '-')}", type=float, default=None, dest=name)
-    sp.set_defaults(**{dest: names + made})
+    defaults = {}  # name -> default -> entries
+    for entry, factory in catalog.items():
+        for p in inspect.signature(factory).parameters.values():
+            if isinstance(p.default, float):
+                defaults.setdefault(p.name, {}).setdefault(p.default, []).append(entry)
+    for name, by_default in defaults.items():
+        text = "; ".join(f"{d:g} ({', '.join(entries)})" for d, entries in by_default.items())
+        sp.add_argument(f"--{name.replace('_', '-')}", type=float, default=None, dest=name,
+                        help=f"default {text}")
+    sp.set_defaults(**{dest: tuple(defaults) + made})
 
 
 def _add_fn_flags(sp) -> None:
     sp.add_argument("--fn", default=None, choices=list(_FUNCTIONS), help="default pow")
-    _add_parameter_flags(sp, _FUNCTIONS.values(), dest="fn_parameters")
+    _add_parameter_flags(sp, _FUNCTIONS, dest="fn_parameters")
     sp.add_argument("--grid", default=None,
                     help=f"uniform grid t0:T:n (n >= {_MIN_NODES}, default {_DEFAULT_GRID})")
 
@@ -284,7 +290,7 @@ def _add_lagrangian_flags(sp) -> None:
         choices=["normalized", "literature", "literature-fractional"],
     )
     sp.add_argument("--forcing", type=float, default=None, help="constant f (default: the entry's)")
-    _add_parameter_flags(sp, lagrangian_catalog().values(), "coefficients", "forcing")
+    _add_parameter_flags(sp, lagrangian_catalog(), "coefficients", "forcing")
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
@@ -338,7 +344,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--variant", default="fractional", choices=variants)
     sp.add_argument("--h", type=float, default=None, help="step size (default t_end/1024)")
     sp.add_argument("--forcing", type=float, default=None, help="constant f (default: the entry's)")
-    _add_parameter_flags(sp, (factory for _, factory in model_catalog().values()), "forcing")
+    _add_parameter_flags(sp, {n: factory for n, (_, factory) in model_catalog().items()}, "forcing")
     _add_common(sp)
     sp.set_defaults(run=_cmd_solve)
 

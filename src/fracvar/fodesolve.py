@@ -12,7 +12,8 @@ Both are solved implicitly: every history sum includes the new node, so
 the discrete equations of a block of nodes form a lower-triangular
 Toeplitz system. Initial values enter through regularization: the pair's
 solver advances the deviations x - x0 and v - v0, which have zero history,
-so the fractional derivative of the constant part drops out exactly.
+so the fractional derivative of the constant part drops out exactly; x - x0
+is the order-alpha integral of v, so v is the only history it keeps.
 
 Both solvers use the same convolution-weight discretization as the rest of
 the package, so their output composes consistently with ``frac_deriv`` for
@@ -175,8 +176,8 @@ class SolveReport:
     were solved exactly (machine-level values). For ``solve_fode2`` it is
     the residual of the second equation, h**-alpha (w * V) - F, at the
     returned nodes, where the chord steps stopped; the first equation holds
-    by construction. ``aux`` carries the velocity path for the coupled
-    system, None otherwise.
+    to the rounding of the weights' composition. ``aux`` carries the
+    velocity path for the coupled system, None otherwise.
     """
 
     solution: SampledPath
@@ -367,25 +368,28 @@ def solve_fode2(fode: FODE2, h: float) -> SolveReport:
     """Implicit solve of the coupled pair, a block at a time, by chord steps.
 
     Node j >= 1 of X = x - x0 and V = v - v0 (zero history, weights w of
-    order alpha) solves h**-alpha (w * X)_j = v0 + V_j and h**-alpha (w *
-    V)_j = F(t_j, x0 + X_j, v0 + V_j): implicit Euler at alpha = 1. The
-    blocks of ``fracops._far_blocks`` tile the nodes 1 .. n - 1, and are
-    solved in runs of at most _BLOCK nodes. On each run, with D = h**-alpha
-    T(w) and far_X, far_V the parts of the sums that reach earlier nodes,
-    the first equation gives X = D**-1 (v0 + V - h**-alpha far_X), where
-    D**-1 = h**alpha T(w_int) takes the weights of order -alpha, and V
-    solves the second equation by chord steps from the line through the
-    last two nodes. A step takes D**-1 V and D V from one forward FFT and
-    one two-row inverse FFT (the first step's also carry D**-1 of the far
-    part), calls F once on the run's node arrays (node by node where F
-    refuses arrays, as ``MultiTermFDE.forcing``), forms the
-    residual R = h**-alpha far_V + D V - F, a fresh history sum of the
-    iterate, and takes dX = -r * R and dV = D dX = -(D r) * R from one more
-    transform pair. r is the inverse series of the symbol D**2 - F_v D - F_x
-    of orders (2 alpha, alpha) (`_symbol_inverse`), taken without a
-    correction step: the next step's R makes up for it. F_x and F_v are
-    central differences at (0, x0, v0), taken once afresh at a run's middle
-    node where its steps shrink by less than 10x; they serve later runs.
+    order alpha) solves h**-alpha (w * X)_j = v_j and h**-alpha (w * V)_j =
+    F(t_j, x0 + X_j, v_j): implicit Euler at alpha = 1. The blocks of
+    ``fracops._far_blocks`` tile the nodes 1 .. n - 1, and are solved in
+    runs of at most _BLOCK nodes. With D = h**-alpha T(w), the first
+    equation gives X = D**-1 v over the nodes from 1 on, where
+    D**-1 = h**alpha T(w_int) takes the weights of order -alpha, which
+    invert w's (Lubich 1985). So v is the only history, and v0 enters once,
+    as D V = D v - h**-alpha v0 cumsum(w). (Summing D**-1 V and h**alpha v0
+    cumsum(w_int) instead cancels where x stays far below v0 t**alpha: on
+    stiff friction x lost 2.8e-10 of max |x|.) On each run, given the parts
+    of X and D V that reach earlier nodes, V solves the second equation by
+    chord steps from the line through the last two nodes. A step takes
+    D**-1 v and D v from one forward FFT and one two-row inverse FFT, calls
+    F once on the run's node arrays (node by node where F refuses arrays, as
+    ``MultiTermFDE.forcing``), forms the residual R = D V - F, a fresh
+    history sum of the iterate, and takes dX = -r * R and dV = D dX =
+    -(D r) * R from one more transform pair. r is the inverse series of the
+    symbol D**2 - F_v D - F_x of orders (2 alpha, alpha)
+    (`_symbol_inverse`), taken without a correction step: the next step's R
+    makes up for it. F_x and F_v are central differences at (0, x0, v0),
+    taken once afresh at a run's middle node where its steps shrink by less
+    than 10x; they serve later runs.
 
     Nodes are done when X and V are estimated within _DONE, a quarter of
     _CHORD_TOL, of max |X| and max(|v0|, max |V|) from the implicit
@@ -407,14 +411,15 @@ def solve_fode2(fode: FODE2, h: float) -> SolveReport:
     alpha, x0, v0 = fode.alpha, fode.x0, fode.v0
     w = gl_weights(FracOrder(alpha), n - 1)
     scale = h**-alpha
-    big = np.zeros((2, n))
+    ops = np.array([h**alpha * _weights(-alpha, n - 1), scale * w])  # the weights of D**-1 and D
+    big = np.array([np.zeros(n), np.full(n, v0)])  # X and v
     t = h * np.arange(n)
     size_x, size_v = 0.0, abs(v0)  # V is measured against max(|v0|, max |V|)
 
-    def chord(j0, j1, far_x, far_v, fft):
-        """Nodes j0 .. j1 - 1 into ``big``, given the far parts of D X and D V there.
+    def chord(j0, j1, past, fft):
+        """Nodes j0 .. j1 - 1 into ``big``, given the parts ``past`` of X and D V from before j0.
 
-        far_x holds h**-alpha far_X - v0, so that X = D**-1 (V - far_x).
+        past[0] holds D**-1 of the earlier v, so that X = past[0] + D**-1 v on the run.
         Returns their largest |R|, or None where the steps do not converge.
         """
         nonlocal chord_solver, size_x, size_v
@@ -423,20 +428,14 @@ def solve_fode2(fode: FODE2, h: float) -> SolveReport:
         newton = m == 1  # a single node takes Newton steps, by direct sums
         fft = fft and not newton
         slope = big[1, j0 - 1] - big[1, j0 - 2] if j0 >= 2 else 0.0
-        tb, vb = t[j0:j1], big[1, j0 - 1] + slope * np.arange(1, m + 1)
-        last, fresh, far_ix = math.inf, False, None
+        tb, vb = t[j0:j1], big[1, j0 - 1] - v0 + slope * np.arange(1, m + 1)
+        last, fresh = math.inf, False
         for _ in range(_MAX_CHORD):
-            # X = D**-1 V - D**-1 far_x and D V, the first step's D**-1 far_x too.
+            # X and D V: their past parts plus D**-1 v and D v on the run.
             if fft:
-                rows = [vb] if far_ix is not None else [vb, far_x]
-                k = len(rows) + 1  # D**-1 V, D V and, with far_x, D**-1 far_x
-                ix, dv, *first = np.fft.irfft(np.fft.rfft(rows, points)[[0, 0, 1][:k]] * spec_d[:k],
-                                              points)[:, :m]
-                far_ix = first[0] if first else far_ix
-                xb, dvb = ix - far_ix, far_v + dv
+                xb, dvb = past + np.fft.irfft(np.fft.rfft(v0 + vb, points) * spec_d, points)[:, :m]
             else:
-                xb = h**alpha * np.convolve(w_int[:m], vb - far_x)[:m]
-                dvb = far_v + scale * np.convolve(w[:m], vb)[:m]
+                xb, dvb = past + [np.convolve(u[:m], v0 + vb)[:m] for u in ops]
             res = dvb - _node_values(fode.rhs, tb, x0 + xb, v0 + vb)
             # Past the guard, FFT roundoff of the large nodes can reach the
             # small ones: those nodes are halved down to the first past it.
@@ -473,7 +472,7 @@ def solve_fode2(fode: FODE2, h: float) -> SolveReport:
             vb, last = vb + step[1], change
         else:
             return stalled(j0, newton, within)
-        big[:, j0:j1] = xb, vb
+        big[:, j0:j1] = xb, v0 + vb
         size_x, size_v = reach_x, reach_v
         return largest
 
@@ -514,39 +513,36 @@ def solve_fode2(fode: FODE2, h: float) -> SolveReport:
             spec = np.fft.rfft(series, points)
         return series, spec, np.cumsum(np.abs(series), axis=1)
 
+    # One block of up to 2 _BLOCK nodes is taken in runs of at most _BLOCK:
+    # on 1024 nodes, the chord steps of Duffing's F stalled and were halved
+    # down to direct sums, at twice the time.
+    size = min(n - 1, _BLOCK)
+    points = _fft_points(size)
+    weights = np.array([gl_weights(FracOrder(2.0 * alpha), size), w[:size]])
+    spec_d = np.fft.rfft(ops[:, :size], points)
+    from_v0 = v0 * np.cumsum(ops[1])  # D v - D V, the part of D v from v0
     defect = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite iterates halve or raise
-        for lo, hi, far in _far_blocks(big[:, 1:], w):
-            if not lo:
-                # One block of up to 2 _BLOCK nodes is taken in runs of at most
-                # _BLOCK: on 1024 nodes, the chord steps of Duffing's F stalled
-                # and were halved down to direct sums, at twice the time.
-                size = min(hi, _BLOCK)
-                points = _fft_points(size)
-                weights = np.array([gl_weights(FracOrder(2.0 * alpha), size), w[:size]])
-                # D**-1 = h**alpha T(w_int), w_int the weights of order -alpha:
-                # the spectra of D**-1 and D, and D**-1 again for far_x.
-                w_int = _weights(-alpha, size)
-                spec_d = np.fft.rfft([h**alpha * w_int, scale * w[:size]], points)[[0, 1, 0]]
-                chord_solver = symbol_solver(0.0, x0, v0, False)
-            # Runs of nodes to solve, the next one last: (j0, j1, the far
-            # parts of D X and D V from before node k0, k0, by FFT or not).
-            far_x, far_v = scale * far[0] - v0, scale * far[1]
-            runs = [(lo + 1 + i, lo + 1 + min(i + size, hi - lo), far_x[i : i + size],
-                     far_v[i : i + size], lo + 1, True) for i in range(0, hi - lo, size)][::-1]
+        chord_solver = symbol_solver(0.0, x0, v0, False)
+        for lo, hi, far in _far_blocks(big[1, 1:], ops):
+            far[1] -= from_v0[lo:hi]
+            # Runs of nodes to solve, the next one last: (j0, j1, the parts
+            # of X and D V from before node k0, k0, by FFT or not).
+            runs = [(lo + 1 + i, min(lo + 1 + i + size, hi + 1), far[:, i : i + size], lo + 1, True)
+                    for i in range(0, hi - lo, size)][::-1]
             while runs:
-                j0, j1, far_x, far_v, k0, fft = runs.pop()
+                j0, j1, past, k0, fft = runs.pop()
                 if k0 < j0:  # add the lags from the nodes k0 .. j0 - 1
-                    near = [np.convolve(w[: j1 - k0], g)[j0 - k0 : j1 - k0] for g in big[:, k0:j0]]
-                    far_x, far_v = far_x + scale * near[0], far_v + scale * near[1]
-                largest = chord(j0, j1, far_x, far_v, fft)
+                    g = big[1, k0:j0]
+                    past = past + [np.convolve(u[: j1 - k0], g)[j0 - k0 : j1 - k0] for u in ops]
+                largest = chord(j0, j1, past, fft)
                 if largest is None:
                     mid = (j0 + j1 + 1) // 2
-                    runs += [(mid, j1, far_x[mid - j0 :], far_v[mid - j0 :], j0, False),
-                             (j0, mid, far_x[: mid - j0], far_v[: mid - j0], j0, False)]
+                    runs += [(mid, j1, past[:, mid - j0 :], j0, False),
+                             (j0, mid, past[:, : mid - j0], j0, False)]
                 else:
                     defect = max(defect, largest)
-    x, v = x0 + big[0], v0 + big[1]
+    x, v = x0 + big[0], big[1]
     return SolveReport(SampledPath(0.0, h, x), defect, steps, SampledPath(0.0, h, v))
 
 

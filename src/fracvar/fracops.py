@@ -203,43 +203,39 @@ def _lag_spectra(w2: np.ndarray, blk: int, nb: int) -> np.ndarray:
 def _far_blocks(g: np.ndarray, w: np.ndarray, blocked: bool = True):
     """The blocks of the history sums of ``g`` and ``w``, one at a time, with their far parts.
 
-    ``g`` and ``w`` have one row or the same number of rows. The blocks are
-    one for at most 2 * _BLOCK nodes or if not ``blocked``, else _BLOCK
-    nodes each. Yields (lo, hi, far) for consecutive blocks [lo, hi), where
-    far[r, i] is row r's sum, at node lo + i, over the lags that reach
-    nodes before lo. The caller fills g[..., lo:hi] before it asks for the
-    next block (the generator keeps a view of ``g``), whose spectrum it then
-    takes. Earlier blocks enter through their spectra times the weights' at
-    their block lags (`_lag_spectra`; Hairer, Lubich and Schlichte 1985).
-    Short rows, whose lags 1 .. p end within a block (integer orders), reach
-    only a few nodes back, so their far sums are direct, without a whole
-    block's FFT roundoff, and cost O(n * _BLOCK).
+    ``g`` is one sample row, of shape (n,), and ``w`` one or more weight
+    rows of n entries. The blocks are one for at most 2 * _BLOCK nodes or if
+    not ``blocked``, else _BLOCK nodes each. Yields (lo, hi, far) for
+    consecutive blocks [lo, hi), where far[r, i] is weight row r's sum, at
+    node lo + i, over the lags that reach nodes before lo. The caller fills
+    g[lo:hi] before it asks for the next block (the generator keeps a view
+    of ``g``), whose spectrum it then takes. Earlier blocks enter through
+    their spectra times the weights' at their block lags (`_lag_spectra`;
+    Hairer, Lubich and Schlichte 1985). Short rows, whose lags 1 .. p end
+    within a block (integer orders), reach only a few nodes back, so their
+    far sums are direct, without a whole block's FFT roundoff, and cost
+    O(n * _BLOCK).
     """
-    g2, w2 = np.atleast_2d(g), np.atleast_2d(w)
-    rows, n = max(len(g2), len(w2)), g2.shape[-1]
+    w2, n = np.atleast_2d(w), g.size
     blk = _BLOCK if blocked and n > 2 * _BLOCK else n
     nb = -(-n // blk)
-    support = np.broadcast_to(_support(w2), (rows,))
+    support = _support(w2)
     fft = np.flatnonzero(support > blk)
     short = [(r, p - 1) for r, p in enumerate(support) if 1 < p <= blk]
-    # A single row of g or w serves every FFT row; without FFT rows none is taken.
-    g_fft, w_fft = (slice(None) if len(a) == 1 and fft.size else fft for a in (g2, w2))
-    spec_w = _lag_spectra(w2[w_fft], blk, nb)
-    g_rows, w_rows = np.broadcast_to(g2, (rows, n)), np.broadcast_to(w2, (rows, n))
-    spec_g = np.empty((len(g2[g_fft]), nb - 1, blk + 1), dtype=complex)
+    spec_w = _lag_spectra(w2[fft], blk, nb)
+    spec_g = np.empty((nb - 1, blk + 1), dtype=complex)
     for b in range(nb):
         lo, hi = b * blk, min(n, (b + 1) * blk)
-        far = np.zeros((rows, hi - lo))
+        far = np.zeros((len(w2), hi - lo))
         if b:
-            spec = np.sum(spec_g[:, :b] * spec_w[:, nb - 1 - b :], axis=1)
+            spec = np.sum(spec_g[:b] * spec_w[:, nb - 1 - b :], axis=1)
             far[fft] = np.fft.irfft(spec, 2 * blk)[:, blk : blk + hi - lo]
             for r, p in short:
                 m = min(p, hi - lo)
-                tail = np.convolve(g_rows[r, lo - p : lo], w_rows[r, 1 : p + 1])
-                far[r, :m] = tail[p - 1 : p - 1 + m]
+                far[r, :m] = np.convolve(g[lo - p : lo], w2[r, 1 : p + 1])[p - 1 : p - 1 + m]
         yield lo, hi, far
-        if b < nb - 1:
-            spec_g[:, b] = np.fft.rfft(g2[g_fft, lo:hi], 2 * blk)
+        if b < nb - 1 and fft.size:  # without FFT rows no spectrum is taken
+            spec_g[b] = np.fft.rfft(g[lo:hi], 2 * blk)
 
 
 def _history(g: np.ndarray, w: np.ndarray) -> np.ndarray:

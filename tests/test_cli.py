@@ -863,6 +863,17 @@ def test_float_flags_of_the_catalog_commands(command, params):
     assert all(a.default is None for a in floats)
 
 
+# A generated flag's help gives each default with the entries that take it.
+@pytest.mark.parametrize("command", ["deriv", "lift", "action", "el-check", "solve"])
+def test_generated_parameter_flags_have_help(command):
+    sp = _build_parser()[1][command]
+    generated = {n for key in ("parameters", "fn_parameters") for n in sp.get_default(key) or ()}
+    flags = {a.dest: a.help for a in sp._actions if a.dest in generated and a.type is float}
+    assert flags and all(flags.values())
+    if command == "solve":
+        assert flags["gamma_coef"] == "default 0.5 (friction)"
+
+
 # --potential-quadratic q makes U = q x**2 / 2 with U_x = q x.
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_potential_quadratic_reaches_the_order_k_potentials(capsys, k):

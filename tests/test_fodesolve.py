@@ -638,25 +638,38 @@ def plain_fode2(fode, h):
     return big
 
 
-@pytest.mark.parametrize("n", FODE2_NODES)
-@pytest.mark.parametrize("alpha", [0.3, 0.6, 0.95, 1.0])
-@pytest.mark.parametrize(
-    "rhs",
-    [
-        lambda t, x, v: 1.0 - 2.0 * x - 0.5 * v,
-        lambda t, x, v: math.cos(3.0 * t) + math.sin(x) - 0.3 * v * abs(v),
-    ],
-    ids=["linear", "nonlinear"],
-)
-def test_fode2_matches_plain_implicit_stepping(n, alpha, rhs):
-    # x0 = v0 = 0, so that x and v are the deviations X and V.
+PLAIN_RIGHT_SIDES = {
+    "linear": lambda t, x, v: 1.0 - 2.0 * x - 0.5 * v,
+    "nonlinear": lambda t, x, v: math.cos(3.0 * t) + math.sin(x) - 0.3 * v * abs(v),
+}
+
+
+# The cases start at rest, and a few at (x0, v0) = (0.5, -1): on one block
+# of all unknown nodes, on the blocked grid just past it, and on 2050 nodes.
+PLAIN_CASES = [pytest.param(rhs, alpha, n, 0.0, 0.0, id=f"{name}-{alpha}-{n}")
+               for name, rhs in PLAIN_RIGHT_SIDES.items() for alpha in (0.3, 0.6, 0.95, 1.0)
+               for n in FODE2_NODES]
+PLAIN_CASES += [pytest.param(rhs, alpha, n, 0.5, -1.0, id=f"{name}-{alpha}-{n}-start")
+                for name, rhs in PLAIN_RIGHT_SIDES.items() for alpha in (0.3, 0.95, 1.0)
+                for n in (2 * _BLOCK + 1, 2 * _BLOCK + 9, 4 * _BLOCK + 2)]
+
+
+@pytest.mark.parametrize("rhs, alpha, n, x0, v0", PLAIN_CASES)
+def test_fode2_matches_plain_implicit_stepping(rhs, alpha, n, x0, v0):
     h = 2**-10
-    rep = solve_fode2(FODE2(alpha=alpha, rhs=rhs, t_end=(n - 1) * h), h)
-    big = plain_fode2(FODE2(alpha=alpha, rhs=rhs, t_end=(n - 1) * h), h)
+    fode = FODE2(alpha=alpha, rhs=rhs, x0=x0, v0=v0, t_end=(n - 1) * h)
+    rep = solve_fode2(fode, h)
+    big = plain_fode2(fode, h)
+    xs, vs = rep.solution.values - x0, rep.aux.values - v0
     # Chord steps stop once their iterate is within _CHORD_TOL max |X| of
     # the solution of the implicit equations; V = D X carries that to V.
-    assert np.max(np.abs(rep.solution.values - big[0])) <= _CHORD_TOL * np.max(np.abs(big[0]))
-    assert np.max(np.abs(rep.aux.values - big[1])) <= _CHORD_TOL * np.max(np.abs(big[1]))
+    assert np.max(np.abs(xs - big[0])) <= _CHORD_TOL * np.max(np.abs(big[0]))
+    assert np.max(np.abs(vs - big[1])) <= _CHORD_TOL * np.max(np.abs(big[1]))
+    # X = D**-1 (v0 + V), so the first equation h**-alpha (w * X) = v0 + V
+    # holds to the rounding of the weights' composition: up to 2.2e-12 of
+    # max(|v0|, max |V|), at 2050 nodes.
+    first = h**-alpha * np.convolve(gl_weights(FracOrder(alpha), n), xs)[:n] - (v0 + vs)
+    assert np.max(np.abs(first[1:])) <= 1e-11 * max(abs(v0), np.max(np.abs(vs)))
 
 
 def plain_explicit_fode2(fode, h):

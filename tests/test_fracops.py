@@ -495,22 +495,20 @@ def test_history_of_zero_is_exactly_zero(n, mu):
     assert np.all(out == 0.0)
 
 
-# The solvers' multi-row calls: `solve_fode2` sums two sample rows (X, V)
-# with one weight row, `solve_multiterm` one sample row with a weight row
-# per term.
-FAR_SHAPES = {"fode2-0.6": (2, (0.6,)), "fode2-1": (2, (1.0,)),
-              "multiterm": (1, (1.8, 2.0, 0.6))}
+# The solvers' weight rows: each solver sums one sample row, `solve_fode2`
+# v with the weights of orders -alpha and alpha, `solve_multiterm` x with a
+# weight row per term.
+FAR_SHAPES = {"fode2-0.6": (-0.6, 0.6), "fode2-1": (-1.0, 1.0), "multiterm": (1.8, 2.0, 0.6)}
 
 
 @pytest.mark.parametrize("n", [2 * _BLOCK, 2 * _BLOCK + 1, 4 * _BLOCK + 2, 9 * _BLOCK + 7])
-@pytest.mark.parametrize("g_rows, mus", list(FAR_SHAPES.values()), ids=list(FAR_SHAPES))
-def test_far_blocks_rows_equal_single_rows(n, g_rows, mus):
-    g = kernel_input(n, g_rows * n, 1.0).reshape(g_rows, n)
+@pytest.mark.parametrize("mus", list(FAR_SHAPES.values()), ids=list(FAR_SHAPES))
+def test_far_blocks_rows_equal_single_rows(n, mus):
+    g = kernel_input(n, n, 1.0)
     w = np.array([_weights(mu, n) for mu in mus])
-    rows = max(g_rows, len(mus))
-    singles = [_far_blocks(g[min(r, g_rows - 1)], w[min(r, len(mus) - 1)]) for r in range(rows)]
+    singles = [_far_blocks(g, row) for row in w]
     for lo, hi, far in _far_blocks(g, w):
-        assert far.shape == (rows, hi - lo)
+        assert far.shape == (len(mus), hi - lo)
         for row, single in zip(far, singles):
             s_lo, s_hi, s_far = next(single)
             assert (s_lo, s_hi) == (lo, hi)
