@@ -77,8 +77,9 @@ DIVERGENCE_GUARD = 1e12
 # `solve_fode2`'s chord steps: runs of nodes whose steps shrink by less
 # than 10x take F's Jacobian afresh (once); they are halved after
 # _MAX_CHORD steps, and done once within _DONE, a quarter of _CHORD_TOL, of
-# the solution (a block's error carries into the later blocks' sums). F's
-# Jacobian comes from central differences of step _FD_STEP max(1, |u|).
+# the solution (a block's error carries into the later blocks' sums).
+# _FD_STEP max(1, |u|) is the library's central-difference step (F's Jacobian
+# here, `varcalc`'s partials): eps**(1/3) balances s**2 truncation, eps / s rounding.
 _MAX_CHORD, _CHORD_TOL = 10, 1e-10
 _DONE, _FD_STEP = 0.25 * _CHORD_TOL, np.finfo(np.float64).eps ** (1.0 / 3.0)
 

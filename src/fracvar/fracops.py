@@ -310,48 +310,31 @@ def _onesided_stencil(r: int) -> np.ndarray:
     return coef
 
 
-def _taylor_base_poly(values: np.ndarray, h: float, degree: int) -> np.ndarray:
-    """Samples of the degree-``degree`` Taylor polynomial at the base node.
+def _base_fit(values: np.ndarray, h: float, mu: float, m: int) -> tuple:
+    """(P, top, carry): samples of the degree-(m - 1) Taylor polynomial at the base node.
 
-    The stencils apply to values - values[0], so that a constant's fitted
-    coefficients are exact zeros whether or not a stencil sums to zero in
-    floating point.
+    With v = values[:r+2] and c_r the one-sided stencil of degree r, P's
+    coefficient r is c_r @ (v - v_0) / h**r / r!: a constant's coefficients
+    are exact zeros whether or not a stencil sums to zero in floating point.
+    The same pass sums the rounding gate's terms of each stencil:
+    top = sum_r |c_r @ v| (n-1)**r / r!, P's fitted terms at the last node,
+    and carry, the fit's rounding in units of eps h**-mu. Coefficient r is
+    rounded by eps |c_r| @ |v| / h**r / r!, which D^mu t**r = r! /
+    Gamma(r + 1 - mu) t**(r - mu) carries to node j as |c_r| @ |v|
+    j**(r - mu) / |Gamma(r + 1 - mu)|, largest at j = n // 2.
     """
     n = values.size
     t = h * np.arange(n)
-    poly = np.full(n, values[0])
-    for r in range(1, degree + 1):
-        rise = values[: r + 2] - values[0]
-        poly += float(_onesided_stencil(r) @ rise) / h**r / math.factorial(r) * t**r
-    return poly
-
-
-def _rounding_estimate(values: np.ndarray, g_size: float, mu: float, m: int) -> tuple:
-    """(v_size, error) of `_left_deriv_values`, with g = values - P and g_size = max|g|.
-
-    F = sum_r |c_r @ v| (n-1)**r / r! sums P's fitted terms at the last node,
-    so v_size = g_size + |v_0| + F bounds max|values|. ``error`` estimates
-    the rounding error over the grid's second half, in units of eps h**-mu:
-    - the sum's: each g_i is rounded by about eps v_size. Taken as
-      independent, these roundings give the scaled sums a standard deviation
-      of ||w||_2 v_size, with ||w||_2**2 = sum_k C(mu, k)**2 = C(2 mu, mu);
-      three of them count;
-    - the fit's: coefficient r is rounded by eps |c_r| @ |v| / h**r / r!, which
-      D^mu t**r = r! / Gamma(r + 1 - mu) t**(r - mu) carries to node j as
-      |c_r| @ |v| j**(r - mu) / |Gamma(r + 1 - mu)|, largest at j = n // 2.
-    """
-    n = values.size
-    with np.errstate(over="ignore", invalid="ignore"):  # absurd orders: inf or NaN
-        fitted, fit = 0.0, 0.0
-        for r in range(1, m):
-            c, v = _onesided_stencil(r), values[: r + 2]
-            fitted += abs(c @ v) * np.exp(r * math.log(n - 1) - math.lgamma(r + 1))
+    poly, top, carry = np.full(n, values[0]), 0.0, 0.0
+    for r in range(1, m):
+        c, v = _onesided_stencil(r), values[: r + 2]
+        poly += float(c @ (v - values[0])) / h**r / math.factorial(r) * t**r
+        with np.errstate(over="ignore", invalid="ignore"):  # absurd orders: inf or NaN
+            top += abs(c @ v) * np.exp(r * math.log(n - 1) - math.lgamma(r + 1))
             if (r - mu) % 1:  # 1 / Gamma(r + 1 - mu) vanishes at integer orders
                 log_carry = (r - mu) * math.log(n // 2) - math.lgamma(r + 1 - mu)
-                fit += np.abs(c) @ np.abs(v) * np.exp(log_carry)
-        v_size = g_size + abs(values[0]) + fitted
-        norm_w = np.exp(0.5 * math.lgamma(2 * mu + 1) - math.lgamma(mu + 1))
-        return float(v_size), float(3.0 * norm_w * v_size + fit)
+                carry += np.abs(c) @ np.abs(v) * np.exp(log_carry)
+    return poly, top, carry
 
 
 def _scaled_history(g: np.ndarray, mu: float, h: float, scale: float) -> np.ndarray:
@@ -375,22 +358,31 @@ def _scaled_history(g: np.ndarray, mu: float, h: float, scale: float) -> np.ndar
 def _left_deriv_values(values: np.ndarray, h: float, order: FracOrder) -> np.ndarray:
     """The left derivative's values, or FloatingPointError where rounding may swamp them.
 
-    Raises, naming mu and h, where `_rounding_estimate`'s error exceeds the
-    output's size over the grid's second half, taken as at least v_size /
-    T**mu for a grid of length T. The fitted polynomial's truncation error
-    near the base has decayed there; the floor keeps results near zero
-    (polynomials of lower degree) from being held to their own size.
-    Non-finite samples pass through to the output unchecked, and so does
-    g = 0 (a polynomial of lower degree fitted exactly): its sums are zeros.
+    The sums take g = values - P, with P, top and carry from `_base_fit`.
+    Each g_i is rounded by about eps v_size, v_size = max|g| + |v_0| + top
+    bounding max|values|. Taken as independent, these roundings give the
+    scaled sums a standard deviation of ||w||_2 v_size, with ||w||_2**2 =
+    sum_k C(mu, k)**2 = C(2 mu, mu). Three of them plus carry, in units of
+    eps h**-mu, estimate the rounding error over the grid's second half.
+    Raises, naming mu and h, where that exceeds the output's size there,
+    taken as at least v_size / T**mu for a grid of length T: the fit's
+    truncation error near the base has decayed there, and the floor keeps
+    results near zero (polynomials of lower degree) from being held to their
+    own size. Non-finite samples pass through to the output unchecked, and
+    so does g = 0 (a polynomial of lower degree fitted exactly).
     """
     mu, n = order.mu, values.size
     scale = _step_scale(mu, h)
     with np.errstate(invalid="ignore"):  # non-finite samples: inf - inf, inf * 0
-        g = values - _taylor_base_poly(values, h, order.m - 1)
+        poly, top, carry = _base_fit(values, h, mu, order.m)
+        g = np.subtract(values, poly, out=poly)  # P's buffer: a live P slows the sums
     out = _scaled_history(g, mu, h, scale)
     g_size = float(np.max(np.abs(g)))
     if 0.0 < g_size < math.inf:
-        v_size, error = _rounding_estimate(values, g_size, mu, order.m)
+        with np.errstate(over="ignore"):  # absurd orders: inf
+            v_size = float(g_size + abs(values[0]) + top)
+            norm_w = np.exp(0.5 * math.lgamma(2 * mu + 1) - math.lgamma(mu + 1))
+            error = float(3.0 * norm_w * v_size + carry)
         size = max(float(np.max(np.abs(out[n // 2 :]))), v_size * scale * (n - 1) ** -mu)
         error *= np.finfo(np.float64).eps * scale
         if error > size:

@@ -55,6 +55,10 @@ class JetPoint:
 
     def y_at(self, a: int, i: int = 0) -> float:
         """Jet value of level a (1-based) for coordinate i."""
+        if not 1 <= a <= self.k:
+            raise ValueError(f"jet level {a} out of range for order {self.k}")
+        if not 0 <= i < self.n:
+            raise ValueError(f"coordinate index {i} out of range for dimension {self.n}")
         return self.y[a - 1][i]
 
     @classmethod

@@ -33,10 +33,12 @@ must not write to its argument, and returns that shape or a scalar, which
 is broadcast. There is no per-point fallback: a callable that accepts only
 floats raises its own error.
 
-A fractional partial in one coordinate samples the callback at
-FRAC_PARTIAL_NODES points from the coordinate's lower terminal to its value,
-the last sample being the value itself, and takes the last node of the
-Grunwald-Letnikov sum on that grid. It is zero at the terminal.
+A classical partial without an analytic one is a central difference of the
+solver's step, _FD_STEP max(1, |v|). A fractional partial in one coordinate
+samples the callback at FRAC_PARTIAL_NODES points from the coordinate's
+lower terminal to its value, the last sample being the value itself, and
+takes the last node of the Grunwald-Letnikov sum on that grid. It is zero
+at the terminal.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .fodesolve import FODE2, MultiTermFDE, _as_fn
+from .fodesolve import FODE2, MultiTermFDE, _FD_STEP, _as_fn
 # perfbench/tracing.py patches frac_deriv and frac_deriv_from_base here by name.
 from .fracops import FracOrder, SampledPath, frac_deriv, frac_deriv_from_base, gl_weights
 from .fracops import _require_finite
@@ -85,9 +87,6 @@ FRAC_PARTIAL_NODES = 513
 _PARTIAL_ROWS = 256
 
 _VALIDATION_POINTS = 100
-
-# Step of `_partial`'s and friction's central differences: relative, with an absolute floor.
-_FD_REL_STEP, _FD_ABS_FLOOR = 1e-6, 1e-8
 
 
 class Variant(str, Enum):
@@ -217,12 +216,12 @@ def _partial(
     full size, the others as broadcast views. So a partial of a partial
     makes one call on a 2-D grid. alpha = 1: the ordinary partial, L's
     analytic one if ``fn`` is L and it is given, else a central difference
-    on v +- s. 0 < alpha < 1: the order-alpha partial from the coordinate's
-    lower terminal (see the module docstring). Its grid has
-    FRAC_PARTIAL_NODES samples per value, so columns of 2 * _PARTIAL_ROWS
-    or more leading rows are taken in chunks of _PARTIAL_ROWS rows (the last
-    chunk takes the remainder), with one call each; every row's result is
-    the same as from one call.
+    on v +- _FD_STEP max(1, |v|). 0 < alpha < 1: the order-alpha partial
+    from the coordinate's lower terminal (see the module docstring). Its
+    grid has FRAC_PARTIAL_NODES samples per value, so columns of
+    2 * _PARTIAL_ROWS or more leading rows are taken in chunks of
+    _PARTIAL_ROWS rows (the last chunk takes the remainder), with one call
+    each; every row's result is the same as from one call.
     """
     head, *idx = coord
     if fn is None and alpha == 1.0 and head == "x" and L.partial_x is not None:
@@ -238,7 +237,7 @@ def _partial(
     def partial(cols: Columns) -> np.ndarray:
         v = cols[j]
         if alpha == 1.0:
-            s = np.maximum(_FD_REL_STEP * np.abs(v), _FD_ABS_FLOOR)
+            s = _FD_STEP * np.maximum(1.0, np.abs(v))
             grid = np.stack((v + s, v - s), axis=-1)
         elif np.any(v < terminal - 1e-12):
             raise ValueError(
@@ -379,11 +378,13 @@ class HessianG:
 def hessian_g(L: Lagrangian, point: JetPoint, variant: Variant = Variant.CLASSICAL) -> HessianG:
     """Hessian g_ij of L with respect to y^(i(alpha)), y^(j(alpha)).
 
-    The classical variant nests finite differences (or differentiates the
-    analytic first partials when present). The fractional variant nests two
-    fractional partials of order alpha, one callback call on a grid of
-    FRAC_PARTIAL_NODES squared samples per entry. Singularity is reported
-    through the ``regular`` flag rather than an error.
+    The classical variant takes central differences of `_partial`'s step:
+    of L's analytic first partials when present (rounding about eps**(2/3)
+    of their size), else nested ones of L (about eps**(1/3) of L's size).
+    The fractional variant nests two fractional partials of order alpha,
+    one callback call on a grid of FRAC_PARTIAL_NODES squared samples per
+    entry. Singularity is reported through the ``regular`` flag rather than
+    an error.
     """
     order = L.alpha if Variant(variant) is Variant.FRACTIONAL else 1.0
     cols = _columns(point.t, point.x, point.y)
@@ -690,7 +691,7 @@ def _friction_factory(variant, m=1.0, gamma_coef=0.5, potential=None, x0=0.0, v0
     def u_x(t, x):
         if u is None:
             return 0.0
-        s = np.maximum(_FD_REL_STEP * np.abs(x), _FD_ABS_FLOOR)
+        s = _FD_STEP * np.maximum(1.0, np.abs(x))
         return (u(t, x + s) - u(t, x - s)) / (2.0 * s)
 
     def rhs(t, x, v):

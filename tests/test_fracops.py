@@ -18,9 +18,9 @@ from fracvar.fracops import (
     frac_deriv_from_base,
     gl_weights,
     ibp_residual,
+    _base_fit,
     _far_blocks,
     _history,
-    _taylor_base_poly,
     _weights,
     leibniz_series,
 )
@@ -592,7 +592,7 @@ def direct_deriv(values, h, order, base=None):
     """`frac_deriv`'s left derivative (`frac_deriv_from_base`'s with ``base``)
     as one np.convolve, with each node's sum of absolute terms times h**-mu."""
     if base is None:
-        g = values - _taylor_base_poly(values, h, order.m - 1)
+        g = values - _base_fit(values, h, order.mu, order.m)[0]
     else:
         g = values - base
         g[0] = 0.0

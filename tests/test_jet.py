@@ -18,6 +18,15 @@ def test_jet_point_shapes_and_access():
     assert pt.k == 3
     assert pt.y_at(2, 1) == 0.4
     assert pt.y_at(1) == 0.1
+    scalar = JetPoint.scalar(0.0, 1.0, (2.0, 3.0))
+    for a in (0, -1, 3):
+        with pytest.raises(ValueError, match=f"jet level {a} out of range for order 2"):
+            scalar.y_at(a)
+    for i in (-1, 1):
+        with pytest.raises(ValueError, match=f"coordinate index {i} out of range for dimension 1"):
+            scalar.y_at(1, i)
+    with pytest.raises(ValueError, match="coordinate index 2 out of range for dimension 2"):
+        pt.y_at(1, 2)
 
 
 def test_jet_point_scalar_constructor():

@@ -421,6 +421,18 @@ def test_classical_hessian_matches_coefficient():
     assert H.det == pytest.approx(-gamma(1.6), rel=1e-8)
 
 
+def test_classical_hessian_by_finite_differences_only():
+    # Without analytic partials g nests two central differences, whose step
+    # must keep their rounding small at small and large coordinates alike.
+    L = Lagrangian(k=1, n=1, alpha=0.5, eval_fn=lambda p: 0.5 * p.x[0] ** 2 + 0.5 * p.y[0][0] ** 2)
+    for x in (0.0, 0.5, 1.0, 3.0, 10.0):
+        for y in (0.0, 1e-3, 1e-2, 0.1, 0.5, 1.0):
+            H = hessian_g(L, JetPoint.scalar(0.3, x, (y,)))
+            assert abs(H.g[0][0] - 1.0) <= 1e-4, (x, y)
+            assert H.regular, (x, y)
+    assert np.isfinite(el_explicit_rhs(L, JetPoint.scalar(0.3, 10.0, (1e-3,)))).all()
+
+
 def test_fractional_hessian_power_law():
     L = order_potential_lagrangian(1, alpha=0.3)
     H = hessian_g(L, JetPoint.scalar(0.5, 0.8, (0.4,)), variant=Variant.FRACTIONAL)
