@@ -356,8 +356,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, sub.choices
 
 
-def _check_config_value(key: str, value, action: argparse.Action) -> None:
-    """Reject a config value that the flag could not take on the command line."""
+def _config_value(key: str, value, action: argparse.Action):
+    """A config value as the flag's type, or ValueError where the flag could not take it."""
     kind = action.type or str
     accepted = {float: (str, int, float), int: (str, int)}.get(kind, (str,))
     try:
@@ -370,6 +370,7 @@ def _check_config_value(key: str, value, action: argparse.Action) -> None:
     if action.choices is not None and converted not in action.choices:
         known = ", ".join(map(str, action.choices))
         raise ValueError(f"config key {key!r} must be one of {known}, got {json.dumps(value)}")
+    return converted
 
 
 def _load_config(args, parser: argparse.ArgumentParser) -> dict:
@@ -389,8 +390,7 @@ def _load_config(args, parser: argparse.ArgumentParser) -> dict:
             raise ValueError(f"config key {key!r} is not a flag of {args.command}")
         # A null value leaves the flag unset.
         if value is not None:
-            _check_config_value(key, value, actions[norm])
-            values[norm] = value
+            values[norm] = _config_value(key, value, actions[norm])
     return values
 
 

@@ -20,22 +20,21 @@ the package, so their output composes consistently with ``frac_deriv`` for
 residual checks. Alpha equal to one is allowed in ``FODE2`` and makes the
 scheme implicit Euler.
 
-Every history sum uses the blocks of ``fracops._far_blocks``, which the
-solves take one at a time and whose docstring states the block lengths,
-FFT lengths and costs. The blocks tile the unknown nodes
-1 .. n - 1: node 0 is given and adds nothing to any sum, so a grid of
-2**k + 1 nodes has no one-node last block. Both solvers invert a block's
-multi-term symbol as a series r (`_symbol_inverse`) and take the
-in-block products at `_fft_points`, each forward FFT and each inverse
-FFT serving several products at once. ``solve_multiterm`` evaluates the
-forcing once on the time array and solves each block at once by
-`_block_solver`: r times the right side and one correction step.
-``solve_fode2``, whose right side may be nonlinear, eliminates x and
-solves each block for v by chord steps, each one call of F on the block's
-nodes and one product with r, the inverse of the two-term symbol of orders
-(2 alpha, alpha). No node reads a later one: the schemes stay exactly
-causal. A non-finite solution raises ``DivergenceError`` naming the first
-bad node.
+Every history sum uses the blocks of ``fracops._far_blocks``, taken one
+at a time, of ``fracops._BLOCK`` nodes (integer-only multi-term solves
+keep one block). They tile the unknown nodes 1 .. n - 1: node 0 is given
+and adds nothing to any sum, so a grid of 2**k + 1 nodes has no one-node
+last block. Both solvers invert a block's multi-term symbol as a series r
+(`_symbol_inverse`) and take the in-block products at `_fft_points`, each
+forward FFT and each inverse FFT serving several products at once.
+``solve_multiterm`` evaluates the forcing once on the time array and
+solves each block at once by `_block_solver`: r times the right side and
+one correction step. ``solve_fode2``, whose right side may be nonlinear,
+eliminates x and solves each block for v by chord steps, each one call of
+F on the block's nodes and one product with r, the inverse of the
+two-term symbol of orders (2 alpha, alpha). No node reads a later one:
+the schemes stay exactly causal. A non-finite solution raises
+``DivergenceError`` naming the first bad node.
 
 The model catalog, whose problems these solvers take, is in ``varcalc``.
 """
@@ -246,7 +245,7 @@ def _node_values(fn, *args: np.ndarray) -> np.ndarray:
 def _fft_points(size: int) -> int:
     """The FFT length of products of two series of ``size`` terms: a power of two >= 2 size.
 
-    One block holds every unknown node of a grid of up to 2 * _BLOCK + 1,
+    One block holds every unknown node of a grid of up to _BLOCK + 1 nodes,
     and their count can have a large prime factor: on 510 nodes, 2 * 509
     points made the three-term solve take 1.5x and the linear FODE2 solve
     1.7x the time they took at 1024 points.
@@ -352,10 +351,10 @@ def solve_multiterm(fde: MultiTermFDE, h: float) -> SolveReport:
     defect = 0.0
     # Integer orders alone keep one block: block boundaries cancel sums of
     # size h**-mu |x|, up to 10x the single block's roundoff against long double.
+    blk = _BLOCK if _support(weights).max() > _BLOCK else n - 1
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite raises below
-        for lo, hi, far in _far_blocks(x[1:], weights, blocked=_support(weights).max() > _BLOCK):
-            if not lo:
-                solve = _block_solver(weights, scales, fde.zero_order_coeff, hi)
+        solve = _block_solver(weights, scales, fde.zero_order_coeff, blk)
+        for lo, hi, far in _far_blocks(x[1:], weights, blk):
             xb, largest = solve(f[lo + 1 : hi + 1] - scales @ far)
             if not np.all(np.isfinite(xb)):
                 bad = lo + 1 + int(np.argmin(np.isfinite(xb)))
@@ -371,8 +370,8 @@ def solve_fode2(fode: FODE2, h: float) -> SolveReport:
     Node j >= 1 of X = x - x0 and V = v - v0 (zero history, weights w of
     order alpha) solves h**-alpha (w * X)_j = v_j and h**-alpha (w * V)_j =
     F(t_j, x0 + X_j, v_j): implicit Euler at alpha = 1. The blocks of
-    ``fracops._far_blocks`` tile the nodes 1 .. n - 1, and are solved in
-    runs of at most _BLOCK nodes. With D = h**-alpha T(w), the first
+    ``fracops._far_blocks``, of _BLOCK nodes, tile the nodes 1 .. n - 1,
+    and each is one run of nodes. With D = h**-alpha T(w), the first
     equation gives X = D**-1 v over the nodes from 1 on, where
     D**-1 = h**alpha T(w_int) takes the weights of order -alpha, which
     invert w's (Lubich 1985). So v is the only history, and v0 enters once,
@@ -514,9 +513,8 @@ def solve_fode2(fode: FODE2, h: float) -> SolveReport:
             spec = np.fft.rfft(series, points)
         return series, spec, np.cumsum(np.abs(series), axis=1)
 
-    # One block of up to 2 _BLOCK nodes is taken in runs of at most _BLOCK:
-    # on 1024 nodes, the chord steps of Duffing's F stalled and were halved
-    # down to direct sums, at twice the time.
+    # Blocks of at most _BLOCK nodes: on one block of 1024, the chord steps
+    # of Duffing's F stalled and were halved down to direct sums, at twice the time.
     size = min(n - 1, _BLOCK)
     points = _fft_points(size)
     weights = np.array([gl_weights(FracOrder(2.0 * alpha), size), w[:size]])
@@ -525,12 +523,10 @@ def solve_fode2(fode: FODE2, h: float) -> SolveReport:
     defect = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite iterates halve or raise
         chord_solver = symbol_solver(0.0, x0, v0, False)
-        for lo, hi, far in _far_blocks(big[1, 1:], ops):
+        for lo, hi, far in _far_blocks(big[1, 1:], ops, size):
             far[1] -= from_v0[lo:hi]
-            # Runs of nodes to solve, the next one last: (j0, j1, the parts
-            # of X and D V from before node k0, k0, by FFT or not).
-            runs = [(lo + 1 + i, min(lo + 1 + i + size, hi + 1), far[:, i : i + size], lo + 1, True)
-                    for i in range(0, hi - lo, size)][::-1]
+            # Runs to solve, the next one last: (j0, j1, X's and D V's parts before k0, k0, by FFT).
+            runs = [(lo + 1, hi + 1, far, lo + 1, True)]
             while runs:
                 j0, j1, past, k0, fft = runs.pop()
                 if k0 < j0:  # add the lags from the nodes k0 .. j0 - 1

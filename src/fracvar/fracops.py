@@ -200,24 +200,22 @@ def _lag_spectra(w2: np.ndarray, blk: int, nb: int) -> np.ndarray:
     return np.fft.rfft(segments[:, ::-1], axis=-1)
 
 
-def _far_blocks(g: np.ndarray, w: np.ndarray, blocked: bool = True):
+def _far_blocks(g: np.ndarray, w: np.ndarray, blk: int):
     """The blocks of the history sums of ``g`` and ``w``, one at a time, with their far parts.
 
     ``g`` is one sample row, of shape (n,), and ``w`` one or more weight
-    rows of n entries. The blocks are one for at most 2 * _BLOCK nodes or if
-    not ``blocked``, else _BLOCK nodes each. Yields (lo, hi, far) for
-    consecutive blocks [lo, hi), where far[r, i] is weight row r's sum, at
-    node lo + i, over the lags that reach nodes before lo. The caller fills
-    g[lo:hi] before it asks for the next block (the generator keeps a view
-    of ``g``), whose spectrum it then takes. Earlier blocks enter through
-    their spectra times the weights' at their block lags (`_lag_spectra`;
-    Hairer, Lubich and Schlichte 1985). Short rows, whose lags 1 .. p end
-    within a block (integer orders), reach only a few nodes back, so their
-    far sums are direct, without a whole block's FFT roundoff, and cost
-    O(n * _BLOCK).
+    rows of n entries. The blocks hold ``blk`` nodes each, the last one
+    what is left. Yields (lo, hi, far) for consecutive blocks [lo, hi),
+    where far[r, i] is weight row r's sum, at node lo + i, over the lags
+    that reach nodes before lo. The caller fills g[lo:hi] before it asks
+    for the next block (the generator keeps a view of ``g``), whose
+    spectrum it then takes. Earlier blocks enter through their spectra
+    times the weights' at their block lags (`_lag_spectra`; Hairer, Lubich
+    and Schlichte 1985). Short rows, whose lags 1 .. p end within a block
+    (integer orders), reach only a few nodes back, so their far sums are
+    direct, without a whole block's FFT roundoff, and cost O(n * blk).
     """
     w2, n = np.atleast_2d(w), g.size
-    blk = _BLOCK if blocked and n > 2 * _BLOCK else n
     nb = -(-n // blk)
     support = _support(w2)
     fft = np.flatnonzero(support > blk)
@@ -254,11 +252,11 @@ def _history(g: np.ndarray, w: np.ndarray) -> np.ndarray:
     terms. Node j reads g only at nodes up to j: changing g at a node, to
     NaN or inf too, leaves earlier outputs bit-identical.
     """
-    n, blk = g.size, _BLOCK
-    blocked = n > 4 * blk
-    if not (blocked and _support(w)[0] > blk):
+    n = g.size
+    blk = _BLOCK if n > 4 * _BLOCK else n
+    if _support(w)[0] <= blk:
         out = np.empty(n)
-        for lo, hi, far in _far_blocks(g, w, blocked):
+        for lo, hi, far in _far_blocks(g, w, blk):
             out[lo:hi] = far[0] + np.convolve(g[lo:hi], w[: hi - lo])[: hi - lo]
         return out
     nb = -(-n // blk)
@@ -383,8 +381,8 @@ def _left_deriv_values(values: np.ndarray, h: float, order: FracOrder) -> np.nda
             v_size = float(g_size + abs(values[0]) + top)
             norm_w = np.exp(0.5 * math.lgamma(2 * mu + 1) - math.lgamma(mu + 1))
             error = float(3.0 * norm_w * v_size + carry)
+            error *= np.finfo(np.float64).eps * scale
         size = max(float(np.max(np.abs(out[n // 2 :]))), v_size * scale * (n - 1) ** -mu)
-        error *= np.finfo(np.float64).eps * scale
         if error > size:
             raise FloatingPointError(
                 f"rounding error may reach the derivative's size for order mu={mu:g}, "

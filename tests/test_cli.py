@@ -359,8 +359,8 @@ def test_non_finite_table_is_a_numerical_error(capsys, argv, row):
 # The solvers stop at the first non-finite node with a typed error, without
 # a RuntimeWarning, before any table is written. A forcing of 1e308
 # overflows the multi-term solve's far sums at the second block's first
-# node (at the default step, one block holds every node); the FODE2 right
-# side -b1 x overflows to -inf at the first node, both from finite inputs.
+# node; the FODE2 right side -b1 x overflows to -inf at the first node,
+# both from finite inputs.
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "argv, message",
@@ -820,6 +820,10 @@ def test_config_accepts_integers_for_float_flags(capsys, tmp_path):
     from_config = run(capsys, ["deriv", "--config", str(cfg)])
     assert from_config[0] == 0
     assert from_config == run(capsys, ["deriv", "--alpha", "1", "--grid", "0:1:17"])
+    # JSON output writes each flag's value as its type: 1.0, as from --alpha 1.
+    from_config = run(capsys, ["deriv", "--config", str(cfg), "--format", "json"])
+    assert repr(json.loads(from_config[1])["meta"]["alpha"]) == "1.0"
+    assert from_config == run(capsys, ["deriv", "--alpha", "1", "--grid", "0:1:17", "--format", "json"])
 
 
 # === round trips ============================================================

@@ -296,8 +296,7 @@ def test_non_finite_forcing_is_a_divergence_error(bad, n):
 def test_overflowing_far_sums_are_a_divergence_error():
     # A finite forcing of 1e308 overflows the far sums of the second block,
     # nodes 513 on: its FFTs turn every node non-finite, and the direct sums
-    # name the first. (At 2**-10 the 1024 unknown nodes are one block, and
-    # the solution stays finite.)
+    # name the first.
     fde = make_model("bagley-torvik", "classical", forcing=1e308)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -337,7 +336,7 @@ def forward_substitution(fde, h):
     return x.astype(float)
 
 
-# Grid sizes on both sides of one block of all nodes and of block boundaries.
+# Grid sizes on both sides of block boundaries.
 SOLVE_NODES = st.sampled_from(
     [2 * _BLOCK, 2 * _BLOCK + 1, 3 * _BLOCK - 1, 3 * _BLOCK + 1, 5 * _BLOCK + 1]
 )
@@ -406,17 +405,27 @@ def test_inverse_series_matches_long_double_substitution(name, variant, params, 
     assert float(np.max(np.abs(r - ref)) / np.max(np.abs(ref))) <= 1e-8
 
 
-# Grids of 2**12 + 1 nodes tile into eight blocks of 512 unknown nodes.
-# Each bound is about three times the measured error, so that a change that
-# costs more than that in accuracy fails.
-@pytest.mark.parametrize("fde, bound", [
-    (MultiTermFDE(((1.0, 1.8), (0.3, 1.2), (0.7, 0.6)), 1.0, lambda t: t), 1.5e-11),
-    (make_model("bagley-torvik", "classical"), 3e-12),  # orders 2, 1.5
-    (make_model("bagley-torvik", "fractional", alpha=0.2), 2.5e-11),  # orders 1.6, 1.2
-    (make_model("business-cycle", "fractional", alpha=0.4), 2.5e-9),  # orders 2.4, 1.6, 0.8
-], ids=["three-term", "bagley-torvik", "bagley-torvik-0.2", "business-cycle-0.4"])
-def test_blocked_solves_match_long_double_substitution(fde, bound):
-    h = 2.0**-12
+# Grids of 2**12 + 1 nodes tile into eight blocks of 512 unknown nodes, and
+# those of 2**10 + 1, the command line's default step, into two. Each bound
+# is about three times the measured error, so that a change that costs more
+# than that in accuracy fails.
+LONG_DOUBLE_CASES = {
+    "three-term": (MultiTermFDE(((1.0, 1.8), (0.3, 1.2), (0.7, 0.6)), 1.0, lambda t: t),
+                   1.5e-11, 1.2e-12),
+    "bagley-torvik": (make_model("bagley-torvik", "classical"), 3e-12, 3.5e-14),  # orders 2, 1.5
+    "bagley-torvik-0.2": (make_model("bagley-torvik", "fractional", alpha=0.2),
+                          2.5e-11, 1.6e-13),  # orders 1.6, 1.2
+    "business-cycle-0.4": (make_model("business-cycle", "fractional", alpha=0.4),
+                           2.5e-9, 9e-11),  # orders 2.4, 1.6, 0.8
+}
+
+
+@pytest.mark.parametrize("fde, h, bound", [
+    pytest.param(fde, h, bound, id=name + suffix)
+    for name, (fde, *bounds) in LONG_DOUBLE_CASES.items()
+    for h, bound, suffix in zip((2.0**-12, 2.0**-10), bounds, ("", "-2**-10"))
+])
+def test_blocked_solves_match_long_double_substitution(fde, h, bound):
     x = solve_multiterm(fde, h).solution.values
     ref = forward_substitution(fde, h)
     assert float(np.max(np.abs(x - ref)) / np.max(np.abs(ref))) <= bound
@@ -474,8 +483,7 @@ def block_of(j):
     return (j - 1) // _BLOCK
 
 
-# At 2 * _BLOCK + 1 nodes the unknown nodes are one block, solved in two
-# runs of _BLOCK.
+# At 2 * _BLOCK + 1 nodes the unknown nodes are two blocks of _BLOCK.
 @pytest.mark.parametrize("n", [257, 2 * _BLOCK + 1, 3 * _BLOCK + 1])
 def test_right_side_is_called_on_block_arrays(n):
     h = 1.0 / (n - 1)
@@ -496,7 +504,7 @@ def test_right_side_is_called_on_block_arrays(n):
     for c in runs:
         j0 = int(round(c[0] / h))
         assert np.array_equal(c, t[j0 : j0 + c.size]) and c.size <= _BLOCK
-        assert block_of(j0) == block_of(j0 + c.size - 1) or n <= 2 * _BLOCK
+        assert block_of(j0) == block_of(j0 + c.size - 1)
         blocks.append(block_of(j0))
     assert blocks == sorted(blocks)  # blocks in order, never back to an earlier one
     assert set(np.concatenate(runs).tolist()) == set(t[1:].tolist())
@@ -600,9 +608,8 @@ def test_non_finite_right_side_is_a_divergence_error(bad, n):
     assert max(calls) <= h * last  # F is never called on a later block
 
 
-# Grid sizes on both sides of one block of all nodes and of block
-# boundaries, from the smallest grid on, and blocked grids whose last block
-# holds a few nodes.
+# Grid sizes on both sides of block boundaries, from the smallest grid on,
+# and grids whose last block holds a few nodes.
 FODE2_NODES = [9, 10, 257, 2 * _BLOCK - 3, 2 * _BLOCK, 2 * _BLOCK + 1, 3 * _BLOCK - 1,
                3 * _BLOCK + 1, 2 * _BLOCK + 8, 2 * _BLOCK + 9, 4 * _BLOCK + 2]
 
@@ -644,8 +651,8 @@ PLAIN_RIGHT_SIDES = {
 }
 
 
-# The cases start at rest, and a few at (x0, v0) = (0.5, -1): on one block
-# of all unknown nodes, on the blocked grid just past it, and on 2050 nodes.
+# The cases start at rest, and a few at (x0, v0) = (0.5, -1): on two whole
+# blocks of unknown nodes, on the grid just past them, and on 2050 nodes.
 PLAIN_CASES = [pytest.param(rhs, alpha, n, 0.0, 0.0, id=f"{name}-{alpha}-{n}")
                for name, rhs in PLAIN_RIGHT_SIDES.items() for alpha in (0.3, 0.6, 0.95, 1.0)
                for n in FODE2_NODES]
@@ -758,7 +765,7 @@ def count_calls(monkeypatch, fode, h):
     return len(sizes), ffts[0], sizes
 
 
-# On 8193 nodes the blocks are 16 runs of 512 unknown nodes. A linear F
+# On 8193 nodes the unknown nodes are 16 blocks of 512. A linear F
 # takes one Jacobian (four probes in one call) and two chord steps a block:
 # the first step's solve is exact up to roundoff, and the second's, sized
 # by its own product, shows it. Each step makes two transform pairs and

@@ -445,9 +445,9 @@ def test_scaled_sums_that_overflow_are_floating_point_errors(fn, mu, deriv, node
 
 # === history kernel =========================================================
 
-# Lengths on both sides of the direct/blocked switch (4 * _BLOCK nodes for
-# `_history`, 2 * _BLOCK for the solvers' blocks) and of block boundaries;
-# 4 * _BLOCK + 1 and 6 * _BLOCK + 1 end in a one-node block.
+# Lengths on both sides of `_history`'s direct/blocked switch (4 * _BLOCK
+# nodes) and of block boundaries; 4 * _BLOCK + 1 and 6 * _BLOCK + 1 end in
+# a one-node block.
 KERNEL_LENGTHS = st.sampled_from(
     [2 * _BLOCK, 2 * _BLOCK + 1, 3 * _BLOCK - 1, 3 * _BLOCK + 1, 4 * _BLOCK, 4 * _BLOCK + 1,
      5 * _BLOCK - 1, 5 * _BLOCK + 1, 6 * _BLOCK + 1]
@@ -506,8 +506,8 @@ FAR_SHAPES = {"fode2-0.6": (-0.6, 0.6), "fode2-1": (-1.0, 1.0), "multiterm": (1.
 def test_far_blocks_rows_equal_single_rows(n, mus):
     g = kernel_input(n, n, 1.0)
     w = np.array([_weights(mu, n) for mu in mus])
-    singles = [_far_blocks(g, row) for row in w]
-    for lo, hi, far in _far_blocks(g, w):
+    singles = [_far_blocks(g, row, _BLOCK) for row in w]
+    for lo, hi, far in _far_blocks(g, w, _BLOCK):
         assert far.shape == (len(mus), hi - lo)
         for row, single in zip(far, singles):
             s_lo, s_hi, s_far = next(single)
@@ -692,6 +692,15 @@ def test_high_orders_swamped_by_rounding_are_floating_point_errors(n, mu, side):
     path = SampledPath.from_function(np.sin, 0.0, 1.0, n)
     with pytest.raises(FloatingPointError, match=rf"mu={mu:g}, step h={path.h:g}:"):
         frac_deriv(path, FracOrder(mu), side)
+
+
+# At absurd orders the estimate itself overflows to inf: the error, not a
+# numpy overflow warning, reaches the caller.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_rounding_estimates_are_floating_point_errors():
+    path = SampledPath.from_function(lambda t: np.exp(-2.0 * t), 0.0, 7.0, 2049)
+    with pytest.raises(FloatingPointError, match=r"mu=60, step h=0\.00341797: estimated inf"):
+        frac_deriv(path, FracOrder(60.0), Side.RIGHT)
 
 
 # On short grids the fitted coefficients' rounding, carried through
