@@ -232,8 +232,14 @@ def _cmd_solve(args) -> tuple[dict, dict]:
     table = {"t": report.solution.times(), "x": report.solution.values}
     if report.aux is not None:
         table["v"] = report.aux.values
+    # The alpha the problem was built with: a FODE2's own; --alpha or the
+    # factory's default for fractional multi-term orders; none for classical ones.
+    alpha = getattr(problem, "alpha", None)
+    if isinstance(problem, MultiTermFDE) and args.variant == "fractional":
+        default = inspect.signature(model_catalog()[args.model][1]).parameters["alpha"].default
+        alpha = default if args.alpha is None else args.alpha
     meta = {"max_defect": report.max_defect, "model": args.model}
-    return table, {"alpha": getattr(problem, "alpha", args.alpha), "h": h, **meta}
+    return table, {"alpha": alpha, "h": h, **meta}
 
 
 def _cmd_models(args) -> tuple[dict, dict]:

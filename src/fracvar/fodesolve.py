@@ -21,20 +21,19 @@ residual checks. Alpha equal to one is allowed in ``FODE2`` and makes the
 scheme implicit Euler.
 
 Every history sum uses the blocks of ``fracops._far_blocks``, taken one
-at a time, of ``fracops._BLOCK`` nodes (integer-only multi-term solves
-keep one block). They tile the unknown nodes 1 .. n - 1: node 0 is given
-and adds nothing to any sum, so a grid of 2**k + 1 nodes has no one-node
-last block. Both solvers invert a block's multi-term symbol as a series r
-(`_symbol_inverse`) and take the in-block products at `_fft_points`, each
-forward FFT and each inverse FFT serving several products at once.
-``solve_multiterm`` evaluates the forcing once on the time array and
-solves each block at once by `_block_solver`: r times the right side and
-one correction step. ``solve_fode2``, whose right side may be nonlinear,
-eliminates x and solves each block for v by chord steps, each one call of
-F on the block's nodes and one product with r, the inverse of the
-two-term symbol of orders (2 alpha, alpha). No node reads a later one:
-the schemes stay exactly causal. A non-finite solution raises
-``DivergenceError`` naming the first bad node.
+at a time, of ``fracops._BLOCK`` nodes. They tile the unknown nodes
+1 .. n - 1: node 0 is given and adds nothing to any sum, so a grid of
+2**k + 1 nodes has no one-node last block. Both solvers invert a block's
+multi-term symbol as a series r (`_symbol_inverse`) and take the in-block
+products at `_fft_points`, each forward FFT and each inverse FFT serving
+several products at once. ``solve_multiterm`` evaluates the forcing once
+on the time array and solves each block at once by `_block_solver`: r
+times the right side and one correction step. ``solve_fode2``, whose
+right side may be nonlinear, eliminates x and solves each block for v by
+chord steps, each one call of F on the block's nodes and one product with
+r, the inverse of the two-term symbol of orders (2 alpha, alpha). No node
+reads a later one: the schemes stay exactly causal. A non-finite solution
+raises ``DivergenceError`` naming the first bad node.
 
 The model catalog, whose problems these solvers take, is in ``varcalc``.
 """
@@ -349,9 +348,7 @@ def solve_multiterm(fde: MultiTermFDE, h: float) -> SolveReport:
     f = _node_values(fde.forcing, h * np.arange(n))
     x = np.zeros(n)
     defect = 0.0
-    # Integer orders alone keep one block: block boundaries cancel sums of
-    # size h**-mu |x|, up to 10x the single block's roundoff against long double.
-    blk = _BLOCK if _support(weights).max() > _BLOCK else n - 1
+    blk = min(n - 1, _BLOCK)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite raises below
         solve = _block_solver(weights, scales, fde.zero_order_coeff, blk)
         for lo, hi, far in _far_blocks(x[1:], weights, blk):

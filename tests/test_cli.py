@@ -555,6 +555,26 @@ def test_json_format_carries_meta(capsys):
     assert set(doc["meta"]) >= {"alpha", "h", "scheme", "version"}
 
 
+# meta.alpha of a solve is the alpha the problem was built with: a FODE2's
+# own (classical friction's is 1), --alpha or the factory's default for a
+# fractional multi-term model, and none for classical orders, which take
+# no alpha. It used to echo the --alpha flag, null where it was unset.
+@pytest.mark.parametrize("flags, alpha", [
+    (["--model", "business-cycle"], 0.5),
+    (["--model", "business-cycle", "--alpha", "0.4"], 0.4),
+    (["--model", "bagley-torvik"], 0.25),
+    (["--model", "bagley-torvik", "--variant", "classical", "--alpha", "0.3"], None),
+    (["--model", "phillips", "--variant", "classical"], None),
+    (["--model", "phillips"], 0.999),
+    (["--model", "friction", "--variant", "classical", "--alpha", "0.3"], 1.0),
+], ids=["business-cycle", "business-cycle-0.4", "bagley-torvik", "bagley-torvik-classical",
+        "phillips-classical", "phillips", "friction-classical"])
+def test_solve_meta_reports_the_alpha_of_the_problem(capsys, flags, alpha):
+    code, out, err = run(capsys, ["solve", *flags, "--h", "0.125", "--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["meta"]["alpha"] == alpha
+
+
 def test_lift_table_has_jet_columns(capsys):
     code, out, _ = run(
         capsys,

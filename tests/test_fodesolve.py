@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from fracvar import fodesolve
 from fracvar.fodesolve import (
     _CHORD_TOL,
     _inverse_series,
@@ -294,14 +295,36 @@ def test_non_finite_forcing_is_a_divergence_error(bad, n):
 
 
 def test_overflowing_far_sums_are_a_divergence_error():
-    # A finite forcing of 1e308 overflows the far sums of the second block,
-    # nodes 513 on: its FFTs turn every node non-finite, and the direct sums
-    # name the first.
-    fde = make_model("bagley-torvik", "classical", forcing=1e308)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DivergenceError, match="^solution is not finite at t = 0.250488$"):
-            solve_multiterm(fde, 2**-11)
+    # A finite forcing of 1e308 overflows the plate's far sums of the second
+    # block, nodes 513 on: its FFTs turn every node non-finite, and the
+    # direct sums name the first. Classical phillips, of integer orders
+    # alone, overflows its direct far sums at f = 1e306, at node 513 too.
+    cases = [(make_model("bagley-torvik", "classical", forcing=1e308), 2**-11, "0.250488"),
+             (make_model("phillips", "classical", f=1e306), 5.0 / 1024, "2.50488")]
+    for fde, h, t in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match=f"^solution is not finite at t = {t}$"):
+                solve_multiterm(fde, h)
+
+
+# Every multi-term solve takes blocks of at most _BLOCK unknown nodes, one
+# of integer orders alone (classical phillips and business-cycle) too.
+@pytest.mark.parametrize("n", [2049, 4097])
+@pytest.mark.parametrize("name, variant", [
+    ("phillips", "classical"), ("business-cycle", "classical"), ("bagley-torvik", "fractional"),
+], ids=["phillips", "business-cycle", "bagley-torvik-0.25"])
+def test_multiterm_solves_take_blocks_of_at_most_block_nodes(monkeypatch, name, variant, n):
+    sizes, block_solver = [], fodesolve._block_solver
+
+    def recorded(weights, scales, c0, size):
+        sizes.append(size)
+        return block_solver(weights, scales, c0, size)
+
+    monkeypatch.setattr(fodesolve, "_block_solver", recorded)
+    fde = make_model(name, variant)
+    solve_multiterm(fde, fde.t_end / (n - 1))
+    assert sizes and max(sizes) <= _BLOCK
 
 
 # c h**(-mu) overflows for a huge c, or for a huge order (160 here), where
@@ -406,9 +429,12 @@ def test_inverse_series_matches_long_double_substitution(name, variant, params, 
 
 
 # Grids of 2**12 + 1 nodes tile into eight blocks of 512 unknown nodes, and
-# those of 2**10 + 1, the command line's default step, into two. Each bound
-# is about three times the measured error, so that a change that costs more
-# than that in accuracy fails.
+# those of 2**10 + 1, the command line's default step, into two (phillips,
+# whose t_end is 5, into 40 and 10). Each bound is about three times the
+# measured error, so that a change that costs more than that in accuracy
+# fails. Integer orders alone hand each block on through far sums of size
+# h**-mu |x| that cancel. D**3 alone takes a forcing that is not a
+# polynomial: with forcing t its solve is exact.
 LONG_DOUBLE_CASES = {
     "three-term": (MultiTermFDE(((1.0, 1.8), (0.3, 1.2), (0.7, 0.6)), 1.0, lambda t: t),
                    1.5e-11, 1.2e-12),
@@ -417,6 +443,11 @@ LONG_DOUBLE_CASES = {
                           2.5e-11, 1.6e-13),  # orders 1.6, 1.2
     "business-cycle-0.4": (make_model("business-cycle", "fractional", alpha=0.4),
                            2.5e-9, 9e-11),  # orders 2.4, 1.6, 0.8
+    "phillips": (make_model("phillips", "classical"), 1.8e-11, 4e-13),  # orders 2, 1
+    "business-cycle": (make_model("business-cycle", "classical"), 8e-9, 1.3e-11),  # 3, 2, 1
+    "two-term": (MultiTermFDE(((1.0, 2.0), (0.5, 1.0)), 1.0, lambda t: math.cos(3.0 * t) + t),
+                 5e-13, 4.5e-14),
+    "d3": (MultiTermFDE(((1.0, 3.0),), 0.0, lambda t: math.cos(3.0 * t) + t), 8.5e-9, 1.5e-10),
 }
 
 
@@ -1139,10 +1170,9 @@ def test_derived_fractional_solves_converge_to_the_laplace_inverse(problem, forc
 
 
 # The classical variants: orders 2 and 1 (phillips), 3, 2 and 1
-# (business-cycle), 2 and 3/2 (the plate). A solve of integer orders only
-# is one direct block, O(N**2), so phillips runs to t_end = 1, not 5.
+# (business-cycle), 2 and 3/2 (the plate).
 @pytest.mark.parametrize("problem, forcing_transform", [
-    (lambda: make_model("phillips", "classical", t_end=1.0), lambda s: -0.2 / s),
+    (lambda: make_model("phillips", "classical"), lambda s: -0.2 / s),
     (lambda: make_model("business-cycle", "classical"), lambda s: -0.2 / s),
     (lambda: make_model("bagley-torvik", "classical"), PLATE_FORCING_TRANSFORM),
 ], ids=["phillips", "business-cycle", "bagley-torvik"])
