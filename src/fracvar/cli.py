@@ -34,7 +34,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .fracops import DEFAULT_NPTS, DEFAULT_T0, DEFAULT_T1, FracOrder, SampledPath, Side, frac_deriv
+from .fracops import DEFAULT_NPTS, DEFAULT_T0, DEFAULT_T1, FracOrder, SampledPath, Side
+from .fracops import _on_grid, frac_deriv
 from .jet import lift
 from .specfun import ConvergenceError, MLParams, mittag_leffler
 from .varcalc import (
@@ -154,10 +155,9 @@ def _path_from_csv(path: str) -> SampledPath:
     t, x = data[:, 0], data[:, 1]
     if len(t) < _MIN_NODES:
         raise ValueError(f"sampled input too short: need at least {_MIN_NODES} nodes")
-    # Written so that a NaN or an infinite time fails the check.
-    h = t[1] - t[0]
-    uniform = h > 0 and np.max(np.abs(np.diff(t) - h)) <= 1e-9 * max(1.0, abs(h))
-    if not uniform:
+    # The span step: every row must sit on the grid through the first and last rows.
+    h = (t[-1] - t[0]) / (len(t) - 1)
+    if not _on_grid(t, t[0], h, np.arange(len(t))):
         raise ValueError("sampled input must sit on a uniform time grid")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{path} has a non-finite x in data row {np.argmin(np.isfinite(x)) + 1}")

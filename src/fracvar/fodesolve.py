@@ -53,6 +53,7 @@ from .fracops import (
     SampledPath,
     Side,
     _far_blocks,
+    _on_grid,
     _require_finite,
     _support,
     _weights,
@@ -193,7 +194,7 @@ def _grid_steps(t_end: float, h: float) -> int:
     steps = int(round(t_end / h))
     if steps < 8:
         raise ValueError("at least 8 steps are required (reduce h)")
-    if abs(steps * h - t_end) > 1e-8 * max(1.0, abs(t_end)):
+    if not _on_grid(t_end, 0.0, h, steps):
         raise ValueError("step size must divide the interval length")
     return steps
 
@@ -522,18 +523,19 @@ def solve_fode2(fode: FODE2, h: float) -> SolveReport:
         chord_solver = symbol_solver(0.0, x0, v0, False)
         for lo, hi, far in _far_blocks(big[1, 1:], ops, size):
             far[1] -= from_v0[lo:hi]
-            # Runs to solve, the next one last: (j0, j1, X's and D V's parts before k0, k0, by FFT).
-            runs = [(lo + 1, hi + 1, far, lo + 1, True)]
+            k0 = lo + 1  # the block's first node
+            runs = [(k0, hi + 1)]  # runs of nodes j0 .. j1 - 1 to solve, the next one last
             while runs:
-                j0, j1, past, k0, fft = runs.pop()
-                if k0 < j0:  # add the lags from the nodes k0 .. j0 - 1
+                j0, j1 = runs.pop()
+                # X's and D V's parts before j0: the block's far part plus its nodes k0 .. j0 - 1.
+                past = far[:, j0 - k0 : j1 - k0]
+                if j0 > k0:
                     g = big[1, k0:j0]
                     past = past + [np.convolve(u[: j1 - k0], g)[j0 - k0 : j1 - k0] for u in ops]
-                largest = chord(j0, j1, past, fft)
+                largest = chord(j0, j1, past, j1 - j0 == hi - lo)  # FFT products on a whole block
                 if largest is None:
                     mid = (j0 + j1 + 1) // 2
-                    runs += [(mid, j1, past[:, mid - j0 :], j0, False),
-                             (j0, mid, past[:, : mid - j0], j0, False)]
+                    runs += [(mid, j1), (j0, mid)]
                 else:
                     defect = max(defect, largest)
     x, v = x0 + big[0], big[1]

@@ -59,6 +59,18 @@ def _require_finite(**values) -> None:
             raise ValueError(f"{name} must be finite")
 
 
+# A time is on node j of the grid (t0, h) within h / 1000 of t0 + j h: in steps, not
+# units of time. Float spacing puts a grid's own times up to 1.2e-4 steps off (t0 = 1e6,
+# h = 1e-6); a row moved by 0.01 step is the smallest offset refused.
+_NODE_TOL = 1e-3
+
+
+def _on_grid(t, t0: float, h: float, j) -> bool:
+    """Whether times ``t`` are on nodes ``j`` of the grid t0 + j h; never for NaN, inf or h <= 0."""
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN: not on the grid
+        return bool(np.all(np.abs(t - (t0 + h * np.asarray(j))) < _NODE_TOL * h))
+
+
 @dataclass(frozen=True, eq=False)
 class SampledPath:
     """A real function sampled on a uniform grid t_j = t0 + j h."""
@@ -117,12 +129,10 @@ class SampledPath:
             vals = np.broadcast_to(vals, t.shape).copy()
         return cls(t0, h, vals)
 
-    def same_grid(self, other: "SampledPath", tol: float = 1e-12) -> bool:
-        return (
-            self.n_pts == other.n_pts
-            and abs(self.t0 - other.t0) <= tol
-            and abs(self.h - other.h) <= tol * max(1.0, self.h)
-        )
+    def same_grid(self, other: "SampledPath") -> bool:
+        """As many nodes, and other's ends on this grid's (`_on_grid`); nodes between lie closer."""
+        n = self.n_pts
+        return n == other.n_pts and _on_grid([other.t0, other.t1], self.t0, self.h, [0, n - 1])
 
 
 @dataclass(frozen=True)
@@ -200,6 +210,11 @@ def _lag_spectra(w2: np.ndarray, blk: int, nb: int) -> np.ndarray:
     return np.fft.rfft(segments[:, ::-1], axis=-1)
 
 
+def _far_spectra(spec_g: np.ndarray, spec_w: np.ndarray, b: int) -> np.ndarray:
+    """Spectra of block b's far sums, one per weight row: blocks 0 .. b - 1 at their lags to b."""
+    return np.sum(spec_g[:b] * spec_w[:, spec_w.shape[1] - b :], axis=1)
+
+
 def _far_blocks(g: np.ndarray, w: np.ndarray, blk: int):
     """The blocks of the history sums of ``g`` and ``w``, one at a time, with their far parts.
 
@@ -226,8 +241,7 @@ def _far_blocks(g: np.ndarray, w: np.ndarray, blk: int):
         lo, hi = b * blk, min(n, (b + 1) * blk)
         far = np.zeros((len(w2), hi - lo))
         if b:
-            spec = np.sum(spec_g[:b] * spec_w[:, nb - 1 - b :], axis=1)
-            far[fft] = np.fft.irfft(spec, 2 * blk)[:, blk : blk + hi - lo]
+            far[fft] = np.fft.irfft(_far_spectra(spec_g, spec_w, b), 2 * blk)[:, blk : blk + hi - lo]
             for r, p in short:
                 m = min(p, hi - lo)
                 far[r, :m] = np.convolve(g[lo - p : lo], w2[r, 1 : p + 1])[p - 1 : p - 1 + m]
@@ -244,8 +258,9 @@ def _history(g: np.ndarray, w: np.ndarray) -> np.ndarray:
     O(n * _BLOCK + n**2 / _BLOCK). Weights that reach past one block sum
     all blocks at once: within blocks as one product of the (nb, _BLOCK)
     blocks with the upper-triangular Toeplitz slab of w[:_BLOCK], across
-    them to `_far_blocks`' bits by one FFT of all blocks, the spectra summed
-    by block lag and one inverse FFT. Shorter weights (integer orders) take
+    them by one FFT of all blocks, each block's far spectra from
+    `_far_spectra`, as in `_far_blocks`, whose bits they keep, and one
+    inverse FFT. Shorter weights (integer orders) take
     each block's np.convolve plus the direct far part that `_far_blocks`
     yields. Blocked sums overtake direct ones between 3 and 4 * _BLOCK nodes
     and differ from them by FFT roundoff of whole blocks, not of each node's
@@ -260,7 +275,7 @@ def _history(g: np.ndarray, w: np.ndarray) -> np.ndarray:
             out[lo:hi] = far[0] + np.convolve(g[lo:hi], w[: hi - lo])[: hi - lo]
         return out
     nb = -(-n // blk)
-    spec_w = _lag_spectra(w[None], blk, nb)[0]
+    spec_w = _lag_spectra(w[None], blk, nb)
     wpad = np.concatenate((np.zeros(blk - 1), w[:blk]))
     slab = np.ascontiguousarray(sliding_window_view(wpad, blk)[::-1])
     # A slab zero times a later inf or NaN is NaN: the product takes g as
@@ -273,11 +288,10 @@ def _history(g: np.ndarray, w: np.ndarray) -> np.ndarray:
         out[q:hi] = np.convolve(g[lo:hi], w[: hi - lo])[q - lo : hi - lo]
     del slab  # frees the slab before the FFT temporaries
     spec_g = np.fft.rfft(g[: (nb - 1) * blk].reshape(nb - 1, blk), 2 * blk)
-    acc = np.zeros((nb - 1, blk + 1), dtype=complex)  # block b at b - 1
-    for d in range(nb - 1, 0, -1):
-        acc[d - 1 :] += spec_g[: nb - d] * spec_w[nb - 1 - d]
-    # near + far equals `_far_blocks`' far + near bit for bit.
-    out[blk:] += np.fft.irfft(acc, 2 * blk)[:, blk:].ravel()[: n - blk]
+    spec = np.empty((nb - 1, blk + 1), dtype=complex)  # block b at b - 1
+    for b in range(1, nb):
+        spec[b - 1] = _far_spectra(spec_g, spec_w, b)[0]
+    out[blk:] += np.fft.irfft(spec, 2 * blk)[:, blk:].ravel()[: n - blk]
     return out
 
 

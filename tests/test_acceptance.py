@@ -32,27 +32,13 @@ from fracvar.varcalc import (
     order_potential_lagrangian,
 )
 
+from oracles import grid_path, smooth_bump
+
 
 def report(num, name, ok, detail):
     status = "PASS" if ok else "FAIL"
     print(f"[{num:2d}/12] {name}: {status} ({detail})")
     assert ok, f"{name}: {detail}"
-
-
-def grid_path(fn, h, t0=0.0, t1=1.0):
-    n = int(round((t1 - t0) / h)) + 1
-    return SampledPath.from_function(fn, t0, t1, n)
-
-
-def smooth_bump(center, width):
-    def fn(t):
-        u = (np.asarray(t) - center) / width
-        out = np.zeros_like(u, dtype=np.float64)
-        inside = np.abs(u) < 1.0
-        out[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
-        return out
-
-    return fn
 
 
 def test_a01_power_rule_accuracy_and_rate():

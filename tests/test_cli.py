@@ -28,7 +28,7 @@ from fracvar import (
     solve_fode2,
     solve_multiterm,
 )
-from fracvar.cli import _build_parser, main
+from fracvar.cli import _build_parser, _path_from_csv, main
 
 
 def run(capsys, argv):
@@ -178,6 +178,45 @@ def test_el_check_file_errors(capsys, tmp_path):
     )
     assert code == 2
     assert "uniform" in err
+
+
+# Whether times form a grid is decided in steps, not units of time
+# (`fracops._on_grid`): each file below gets one verdict in every unit.
+def write_times(path, t):
+    path.write_text("t,x\n" + "".join(f"{v:.17g},{math.sin(j / 7)!r}\n" for j, v in enumerate(t)))
+
+
+@pytest.mark.parametrize("unit", [1e-6, 1.0])
+def test_el_check_file_takes_the_step_through_its_first_and_last_rows(capsys, tmp_path, unit):
+    # Each step but the first 9e-4 longer: the first step is 1.80 steps off
+    # at the last row, the span step 9e-4 steps off at most.
+    j = np.arange(2001)
+    t = unit * (j + 9e-4 * np.maximum(0, j - 1))
+    write_times(tmp_path / "p.csv", t)
+    code, out, err = run(capsys, ["el-check", "--from-file", str(tmp_path / "p.csv")])
+    assert (code, err) == (0, "")
+    printed = np.array(parse_csv(out)[1])[:, 0]
+    assert np.max(np.abs(printed - t)) <= 1e-3 * (t[-1] - t[0]) / 2000
+
+
+@pytest.mark.parametrize("unit", [1e-9, 1.0])
+def test_el_check_file_with_a_row_off_the_grid_is_a_usage_error(capsys, tmp_path, unit):
+    t = unit * np.arange(33.0)
+    t[17] += 0.01 * unit
+    write_times(tmp_path / "p.csv", t)
+    code, out, err = run(capsys, ["el-check", "--from-file", str(tmp_path / "p.csv")])
+    assert (code, out, err) == (2, "", "error: sampled input must sit on a uniform time grid\n")
+
+
+# Unix times at 100 Hz, in seconds and in days: the grid through the first
+# and last rows is within one float spacing of every row (2.4e-5 steps in
+# seconds), where the first step's grid would end 0.095 steps off.
+@pytest.mark.parametrize("unit", [1.0, 86400.0])
+def test_file_of_unix_times_sits_on_its_grid(tmp_path, unit):
+    t = (1.7e9 + 0.01 * np.arange(10**5)) / unit
+    write_times(tmp_path / "p.csv", t)
+    path = _path_from_csv(str(tmp_path / "p.csv"))
+    assert np.max(np.abs(path.times() - t)) <= np.spacing(t[-1])
 
 
 # The file is the path, so a function or grid flag beside it used to be
@@ -573,6 +612,14 @@ def test_solve_meta_reports_the_alpha_of_the_problem(capsys, flags, alpha):
     code, out, err = run(capsys, ["solve", *flags, "--h", "0.125", "--format", "json"])
     assert (code, err) == (0, "")
     assert json.loads(out)["meta"]["alpha"] == alpha
+
+
+# t_end / h = 8.33 in nanoseconds, seconds or kiloseconds: the last node
+# would fall 0.33 steps short of t_end, which used to pass below t_end = 1.
+@pytest.mark.parametrize("t_end, h", [("1e-9", "1.2e-10"), ("1", "0.12"), ("1e3", "120")])
+def test_solve_step_must_divide_the_interval_in_any_time_unit(capsys, t_end, h):
+    argv = ["solve", "--model", "friction", "--t-end", t_end, "--h", h]
+    assert run(capsys, argv) == (2, "", "error: step size must divide the interval length\n")
 
 
 def test_lift_table_has_jet_columns(capsys):

@@ -24,12 +24,10 @@ from fracvar.fracops import (
     _weights,
     leibniz_series,
 )
+from fracvar.jet import lift
 from fracvar.specfun import gamma
 
-
-def grid_path(fn, h, t0=0.0, t1=1.0):
-    n = int(round((t1 - t0) / h)) + 1
-    return SampledPath.from_function(fn, t0, t1, n)
+from oracles import grid_path, smooth_bump
 
 
 def sampled_pair(fns, t0, t1, n):
@@ -55,6 +53,29 @@ def test_sampled_path_validation_and_grid():
     assert p.same_grid(p.with_values(p.values * 2))
     q = SampledPath(0.5, 0.2, np.array([0.0, 0.0, 0.0]))
     assert not p.same_grid(q)
+
+
+# Whether two paths share a grid is decided in steps, not units of time: the
+# same two grids in microseconds, seconds or kiloseconds get one verdict.
+@pytest.mark.parametrize("unit", [1e-6, 1.0, 1e3])
+def test_same_grid_refuses_last_nodes_most_of_a_step_apart(unit):
+    # 10**6 steps 9e-7 apart relative: the last nodes are 0.90 steps apart.
+    n = 10**6 + 1
+    p = SampledPath(0.0, unit, np.zeros(n))
+    q = SampledPath(0.0, unit * (1.0 + 9e-7), np.zeros(n))
+    assert (q.t1 - p.t1) / unit == pytest.approx(0.9)
+    assert not p.same_grid(q) and not q.same_grid(p)
+    with pytest.raises(ValueError, match="share one grid"):
+        lift((p, q), 0.5, 1)
+
+
+@pytest.mark.parametrize("unit", [1e-6, 1.0, 1e3])
+def test_same_grid_takes_starts_one_ulp_apart(unit):
+    # One ulp of t0 = 1e6 is 1.2e-7 steps of 1e-3.
+    t0, h = 1e6 * unit, 1e-3 * unit
+    p = SampledPath(t0, h, np.zeros(9))
+    q = SampledPath(np.nextafter(t0, math.inf), h, np.zeros(9))
+    assert p.same_grid(q) and q.same_grid(p)
 
 
 @pytest.mark.parametrize(
@@ -373,17 +394,6 @@ def test_leibniz_series_validation(linear_pair):
 # === summation by parts =====================================================
 
 
-def smooth_bump(center, width):
-    def fn(t):
-        u = (t - center) / width
-        out = np.zeros_like(t)
-        mask = np.abs(u) < 1.0
-        out[mask] = np.exp(-1.0 / (1.0 - u[mask] ** 2))
-        return out
-
-    return fn
-
-
 @pytest.mark.parametrize("h", [2**-10, 2**-11, 2**-12])
 def test_parts_identity_on_disjoint_bumps(h):
     n = int(round(1.0 / h)) + 1
@@ -558,6 +568,29 @@ def test_history_is_exactly_causal_with_non_finite_samples(bad, mus):
             after = _history(spoiled, w)
         assert np.array_equal(before[:p], after[:p])
         assert not np.isfinite(after[p])
+
+
+# `_history` sums the far parts of all blocks at once and `_far_blocks` of one
+# block at a time, from the same spectra (`_far_spectra`): a block whose own
+# samples are zero reads `_far_blocks`' far part bit for bit, NaN included.
+@pytest.mark.parametrize("n, mu, nan", [
+    *((n, mu, False) for n in (4 * _BLOCK + 1, 8 * _BLOCK + 1, 32769) for mu in (0.3, 0.7, 1.5, 2.5)),
+    (8 * _BLOCK + 1, 0.7, True),
+])
+def test_history_far_parts_are_far_blocks_bits(n, mu, nan):
+    g, w = kernel_input(n, n, 1.0), _weights(mu, n)
+    if nan:
+        g[2 * _BLOCK + 100] = np.nan
+    for lo in range(_BLOCK, n, 2 * _BLOCK):
+        g[lo : lo + _BLOCK] = 0.0
+    with np.errstate(invalid="ignore"):  # NaN in the spectra
+        out = _history(g, w)
+        zeroed = [far[0] for lo, _, far in _far_blocks(g, w, _BLOCK) if lo // _BLOCK % 2]
+    assert len(zeroed) == (n // _BLOCK) // 2
+    for b, far in enumerate(zeroed):
+        lo = (2 * b + 1) * _BLOCK
+        assert out[lo : lo + far.size].tobytes() == far.tobytes()
+    assert np.isnan(out[-1]) == nan
 
 
 # Lengths of 33 and 65 blocks: far sums over many block lags.
