@@ -146,13 +146,13 @@ def lift(
 
 
 def taylor_reconstruct(point: JetPoint, alpha: float, t_eval: float) -> tuple[float, ...]:
-    """Truncated fractional power series from a jet point at the origin.
+    """Truncated fractional power series from a jet point at t = 0 exactly.
 
     Returns x^i(0) + sum_{a=1..k} t_eval**(a alpha) y^(i(a alpha)) for each
     coordinate. The jet values are already scaled, so they are the series
     coefficients themselves.
     """
-    if abs(point.t) > 1e-12:
+    if point.t != 0.0:
         raise ValueError("reconstruction expects a jet point at t = 0")
     if t_eval < 0.0:
         raise ValueError("t_eval must be non-negative")

@@ -16,7 +16,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from fracvar.cli import main as cli_main
-from fracvar.fodesolve import MultiTermFDE, solve_multiterm
+from fracvar.fodesolve import solve_multiterm
 from fracvar.fracops import (
     FracOrder,
     SampledPath,
@@ -32,7 +32,7 @@ from fracvar.varcalc import (
     order_potential_lagrangian,
 )
 
-from oracles import grid_path, smooth_bump
+from oracles import grid_path, plate_fde, smooth_bump
 
 
 def report(num, name, ok, detail):
@@ -144,16 +144,8 @@ def test_a07_taylor_reconstruction():
            f"max abs error {worst:.1e}")
 
 
-def _plate_problem(t_end=1.0):
-    forcing = lambda t: 6.0 * t + 6.0 / math.gamma(2.5) * t**1.5 + t**3
-    fde = MultiTermFDE(
-        terms=((1.0, 2.0), (1.0, 1.5)), zero_order_coeff=1.0, forcing=forcing, t_end=t_end
-    )
-    return fde, forcing
-
-
 def test_a08_plate_equation_manufactured_solution():
-    fde, _ = _plate_problem()
+    fde = plate_fde()
     errs = []
     for h in (2**-9, 2**-10, 2**-11):
         rep = solve_multiterm(fde, h)
@@ -171,7 +163,8 @@ def test_a08_plate_equation_manufactured_solution():
 
 def test_a09_stationarity_closure_with_sensitivity():
     h = 2**-11
-    fde, forcing = _plate_problem()
+    fde = plate_fde()
+    forcing = fde.forcing
     rep = solve_multiterm(fde, h)
     t = rep.solution.times()
     sup_err = float(np.max(np.abs(rep.solution.values - t**3)))

@@ -40,13 +40,7 @@ from fracvar.varcalc import (
     model_catalog,
 )
 
-
-def plate_fde(t_end=1.0):
-    # manufactured so the exact solution is t^3
-    forcing = lambda t: 6.0 * t + 6.0 / math.gamma(2.5) * t**1.5 + t**3
-    return MultiTermFDE(
-        terms=((1.0, 2.0), (1.0, 1.5)), zero_order_coeff=1.0, forcing=forcing, t_end=t_end
-    )
+from oracles import mittag_leffler_reference, plate_fde
 
 
 # === construction ===========================================================
@@ -861,19 +855,6 @@ def test_solvers_agree_on_shared_problem():
 # === fractional regime oracle ===============================================
 
 
-def mittag_leffler_series(a, z):
-    """E_a(z) = sum_k z**k / Gamma(a k + 1) on an array, for |z| <= 1."""
-    z = np.asarray(z, dtype=float)
-    total = np.zeros_like(z)
-    k = 0
-    while True:
-        term = z**k / math.gamma(a * k + 1.0)
-        total += term
-        k += 1
-        if k > 2 and np.max(np.abs(term)) < 1e-17:
-            return total
-
-
 def first_order_errors(solve, exact):
     errs = []
     for h in (2**-9, 2**-10, 2**-11):  # 2049 nodes at the finest step
@@ -890,7 +871,7 @@ def test_multiterm_relaxation_converges_at_first_order(alpha):
     fde = MultiTermFDE(terms=((1.0, alpha),), zero_order_coeff=1.0, forcing=1.0)
     errs = first_order_errors(
         lambda h: solve_multiterm(fde, h),
-        lambda t: 1.0 - mittag_leffler_series(alpha, -(t**alpha)),
+        lambda t: 1.0 - mittag_leffler_reference(alpha, -(t**alpha)),
     )
     assert errs[0] <= 2e-3
     assert 0.45 <= errs[1] / errs[0] <= 0.55
@@ -903,7 +884,7 @@ def test_fode2_oscillator_converges_at_first_order(alpha):
     fode = FODE2(alpha=alpha, rhs=lambda t, x, v: -x, x0=1.0)
     errs = first_order_errors(
         lambda h: solve_fode2(fode, h),
-        lambda t: mittag_leffler_series(2.0 * alpha, -(t ** (2.0 * alpha))),
+        lambda t: mittag_leffler_reference(2.0 * alpha, -(t ** (2.0 * alpha))),
     )
     assert errs[0] <= 2e-3
     assert 0.45 <= errs[1] / errs[0] <= 0.55

@@ -229,6 +229,15 @@ def test_reconstruction_requires_base_point():
         taylor_reconstruct(pt0, 0.5, -0.1)
 
 
+# A point carries no step, so no nonzero t is near 0 in any unit of time.
+def test_reconstruction_takes_a_point_at_exactly_zero():
+    for t in (0.0, -0.0):
+        assert taylor_reconstruct(JetPoint.scalar(t, 1.0, (0.5,)), 0.5, 0.49) == (1.35,)
+    for t in (1e-13, -5e-324):
+        with pytest.raises(ValueError, match="reconstruction expects a jet point at t = 0"):
+            taylor_reconstruct(JetPoint.scalar(t, 1.0, (0.5,)), 0.5, 0.49)
+
+
 def test_round_trip_lift_then_reconstruct():
     # lift a pure fractional monomial, read its (constant) top jet away from
     # the base, and rebuild the function from an analytic base point
